@@ -1,0 +1,49 @@
+"""Write the golden CLI outputs that tests/test_golden.py compares against.
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+
+The files were frozen before the prime -> class step, the character
+transform and the scan-row builder were consolidated, and refactors must
+reproduce them.  Regenerate them only for a change that is meant to alter
+output.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+GOLDEN_DIR = Path(__file__).resolve().parent
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    cases = [("scan_-300_-3.csv", ["scan", "--range", "-300", "-3"])]
+    for d in (-23, -84, -420, -3299, -10007):
+        for t in ("1e3", "1e5"):
+            for w in ("bump", "indicator"):
+                cases.append((
+                    f"variance_{d}_{t}_{w}.json",
+                    ["variance", "--disc", str(d), "--t", t, "--weight", w,
+                     "--format", "json"],
+                ))
+    for cmd in ("least-primes", "forms"):
+        for d in (-3, -4, -23, -84, -420, -3299):
+            cases.append((f"{cmd}_{d}.json", [cmd, "--disc", str(d), "--format", "json"]))
+    return cases
+
+
+CASES = _cases()
+
+
+def write(name: str, argv: list[str], directory: Path) -> Path:
+    """Run the CLI on argv with its table written to directory/name."""
+    from classprime import cli
+
+    path = directory / name
+    rc = cli.main(argv + ["--out", str(path)])
+    if rc != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {rc}")
+    return path
+
+
+if __name__ == "__main__":
+    for name, argv in CASES:
+        print(write(name, argv, GOLDEN_DIR))
