@@ -14,8 +14,8 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .classgroup import ClassGroup, enumerate_reduced_forms
-from .qform import Discriminant, QuadForm, _reduce_triple, validate_discriminant
+from .classgroup import ClassGroup, enumerate_reduced_forms, ideal_class_of
+from .qform import Discriminant, QuadForm, validate_discriminant
 
 SIEVE_CAP_DEFAULT = 10**9
 _BLOCK = 1 << 20
@@ -181,15 +181,42 @@ class PrimeClassification:
     classes: frozenset[int]
 
 
+def prime_classes(primes, g: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
+    """chi_D(p) and the class of the ideal (p, b) above p, for each prime p.
+
+    Returns (chi, idx) aligned with `primes`; idx is -1 for inert p.  For
+    split p the conjugate ideal lies in the inverse class.  b is the square
+    root of D mod 4p with b = D (mod 2), by Tonelli-Shanks (Cohen, A Course
+    in Computational Algebraic Number Theory, section 1.5).  Raises
+    InvalidIdealBasis when the ideal above p is not invertible, which
+    happens only at primes dividing the conductor of a non-fundamental D.
+    """
+    d = g.disc.value
+    chis: list[int] = []
+    idxs: list[int] = []
+    for p in np.asarray(primes, dtype=np.int64).tolist():
+        r = d % p
+        if r == 0 or p == 2:
+            chi = kronecker(d, p)
+            b = sqrt_disc_mod_4p(d, p)
+        elif pow(r, (p - 1) >> 1, p) == 1:
+            chi = 1
+            b = _sqrt_residue(r, p)
+            if (b - d) & 1:
+                b = p - b
+        else:
+            chi, b = -1, None
+        chis.append(chi)
+        idxs.append(-1 if b is None else ideal_class_of(p, b, g))
+    return np.array(chis, dtype=np.int8), np.array(idxs, dtype=np.int64)
+
+
 def classify_prime(p: int, g: ClassGroup) -> PrimeClassification:
     """Split / inert / ramified behaviour of p, with the classes above it."""
-    d = g.disc.value
-    chi = kronecker(d, p)
+    [chi], [idx] = (a.tolist() for a in prime_classes([p], g))
     if chi == -1:
         return PrimeClassification(p, "inert", None, None, frozenset((0,)))
-    b = sqrt_disc_mod_4p(d, p)
-    assert b is not None
-    idx = g._index[_reduce_triple(p, b, (b * b - d) // (4 * p))]
+    b = sqrt_disc_mod_4p(g.disc.value, p)
     if chi == 0:
         return PrimeClassification(p, "ramified", b, idx, frozenset((idx,)))
     return PrimeClassification(

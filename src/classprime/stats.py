@@ -8,18 +8,15 @@ counts at a threshold.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
 from . import arith
 from .classgroup import ClassGroup, group_structure
-from .qform import _reduce_triple
 
 
 class IdentityMismatch(RuntimeError):
@@ -120,17 +117,6 @@ def phi_side_vanishes(w: Weight, T: float, max_norm: int = 512) -> bool:
 # ---------------------------------------------------------------------------
 # psi sums
 
-def _weval_fn(w: Weight) -> Callable[[float], float]:
-    if w.kind == "indicator":
-        return lambda x: 1.0 if 1.0 <= x < 2.0 else 0.0
-    c = w.normalization
-    def f(x: float) -> float:
-        if x <= 1.0 or x >= 2.0:
-            return 0.0
-        return c * math.exp(-1.0 / ((x - 1.0) * (2.0 - x)))
-    return f
-
-
 def psi_by_class(
     g: ClassGroup, T: float, w: Weight, *, sieve_cap: int = arith.SIEVE_CAP_DEFAULT
 ) -> np.ndarray:
@@ -143,44 +129,40 @@ def psi_by_class(
     """
     if T < 2:
         raise ValueError("T must be >= 2")
-    d = g.disc.value
     h = g.h
     out = [0.0] * h
-    weval = _weval_fn(w)
     logf = math.log
     hi = int(2 * T)
     sq = math.isqrt(hi)
     inv = [g.inverse_idx(i) for i in range(h)]
-    idx_of = g._index
 
     # small primes: all prime powers with norm up to 2T
-    for p in arith.sieve_primes(sq, cap=sieve_cap).tolist():
-        info = arith.classify_prime(p, g)
-        if info.kind == "inert":
+    small = arith.sieve_primes(sq, cap=sieve_cap)
+    chis, idxs = arith.prime_classes(small, g)
+    for p, chi, c in zip(small.tolist(), chis.tolist(), idxs.tolist()):
+        if chi == -1:
             lam = 2.0 * logf(p)
             n = p * p
             while n <= hi:
-                wv = weval(n / T)
+                wv = weight_eval(w, n / T)
                 if wv:
                     out[0] += lam * wv
                 n *= p * p
-        elif info.kind == "ramified":
+        elif chi == 0:
             lam = logf(p)
-            c = info.class_index
             n, cur = p, c
             while n <= hi:
-                wv = weval(n / T)
+                wv = weight_eval(w, n / T)
                 if wv:
                     out[cur] += lam * wv
                 n *= p
                 cur = g.compose_idx(cur, c)
         else:
             lam = logf(p)
-            c = info.class_index
             ci = inv[c]
             n, cur, curi = p, c, ci
             while n <= hi:
-                wv = weval(n / T)
+                wv = weight_eval(w, n / T)
                 if wv:
                     # two conjugate prime-power ideals, possibly same class
                     out[cur] += lam * wv
@@ -192,55 +174,47 @@ def psi_by_class(
     # segment primes: first powers only (higher powers exceed 2T here)
     seg_start = max(sq + 1, int(T))
     for block in arith.iter_prime_blocks(seg_start, hi, cap=sieve_cap):
-        for p in block.tolist():
-            wv = weval(p / T)
+        chis, idxs = arith.prime_classes(block, g)
+        for p, chi, idx in zip(block.tolist(), chis.tolist(), idxs.tolist()):
+            if chi == -1:
+                continue  # inert, norm p^2 > 2T
+            wv = weight_eval(w, p / T)
             if wv == 0.0:
                 continue
-            r = d % p
-            if r == 0:
-                b = arith.sqrt_disc_mod_4p(d, p)
-                idx = idx_of[_reduce_triple(p, b, (b * b - d) // (4 * p))]
-                out[idx] += logf(p) * wv
-                continue
-            if pow(r, (p - 1) >> 1, p) != 1:
-                continue  # inert, norm p^2 > 2T
-            b = arith._sqrt_residue(r, p)
-            if (b - d) & 1:
-                b = p - b
-            idx = idx_of[_reduce_triple(p, b, (b * b - d) // (4 * p))]
             lw = logf(p) * wv
             out[idx] += lw
-            out[inv[idx]] += lw
+            if chi == 1:
+                out[inv[idx]] += lw
     return np.array(out)
+
+
+def _char_grid(g: ClassGroup) -> tuple[tuple[int, ...], np.ndarray]:
+    """Shape of the character grid and each class's C-order position on it.
+
+    Class A sits at its coordinates against the basis, so the grid has
+    shape g.orders(), or (1,) for the trivial group; characters flatten in
+    the same C order, which is the order of classgroup.characters().
+    """
+    if g.h == 1:
+        return (1,), np.zeros(1, dtype=np.intp)
+    shape = g.orders()
+    coords = np.array(g.coords, dtype=np.intp)
+    return shape, np.ravel_multi_index(tuple(coords.T), shape)
 
 
 def psi_by_char(g: ClassGroup, psi_a: Sequence[float]) -> np.ndarray:
     """Character sums psi_chi = sum_A chi(A) psi_A, trivial character first."""
-    psi_a = np.asarray(psi_a, dtype=np.float64)
-    return np.array([row @ psi_a for row in _char_rows(g)])
+    shape, pos = _char_grid(g)
+    grid = np.zeros(g.h)
+    grid[pos] = psi_a
+    return g.h * np.fft.ifftn(grid.reshape(shape)).ravel()
 
 
 def psi_from_chars(g: ClassGroup, psi_chi: Sequence[complex]) -> np.ndarray:
     """Inverse transform psi_A = (1/h) sum_chi conj(chi(A)) psi_chi."""
-    psi_chi = np.asarray(psi_chi, dtype=np.complex128)
-    acc = np.zeros(g.h, dtype=np.complex128)
-    for i, row in enumerate(_char_rows(g)):
-        acc += np.conj(row) * psi_chi[i]
-    acc /= g.h
-    return acc.real
-
-
-def _char_rows(g: ClassGroup):
-    """Rows of the character table, same order as classgroup.characters()."""
-    group_structure(g)
-    orders = [n for _, n in g.basis]
-    lcm = orders[-1] if orders else 1
-    roots = np.exp(2j * np.pi * np.arange(lcm) / lcm)
-    coords = np.array(g.coords, dtype=np.int64).reshape(g.h, len(orders))
-    scale = np.array([lcm // n for n in orders], dtype=np.int64)
-    for exps in itertools.product(*(range(n) for n in orders)):
-        phases = (coords @ (np.array(exps, dtype=np.int64) * scale)) % lcm
-        yield roots[phases]
+    shape, pos = _char_grid(g)
+    grid = np.asarray(psi_chi, dtype=np.complex128).reshape(shape)
+    return np.fft.fftn(grid).ravel()[pos].real / g.h
 
 
 @dataclass
@@ -278,13 +252,8 @@ def variance_report(
     ptot = float(psa.sum())
     h = g.h
 
-    psi_chi = np.empty(h, dtype=np.complex128)
-    recon = np.zeros(h, dtype=np.complex128)
-    for i, row in enumerate(_char_rows(g)):
-        v = complex(row @ psa)
-        psi_chi[i] = v
-        recon += np.conj(row) * v
-    recon /= h
+    psi_chi = psi_by_char(g, psa)
+    recon = psi_from_chars(g, psi_chi)
 
     var_def = float(np.sum((psa - ptot / h) ** 2))
     var_spectral = float(np.sum(np.abs(psi_chi[1:]) ** 2) / h)
@@ -294,7 +263,7 @@ def variance_report(
         )
     if abs(complex(psi_chi[0]) - ptot) > 1e-9 * max(1.0, abs(ptot)):
         raise IdentityMismatch("trivial character sum differs from psi_total")
-    rt = float(np.max(np.abs(recon.real - psa))) if h else 0.0
+    rt = float(np.max(np.abs(recon - psa))) if h else 0.0
     if rt > 1e-9 * max(1.0, float(np.max(np.abs(psa))) if h else 1.0):
         raise IdentityMismatch(f"Fourier roundtrip error {rt}")
     assert phi_side_vanishes(w, T)
@@ -331,29 +300,21 @@ def _least_sweep(
     which inert primes reach with norm p^2.  Stops as soon as every
     class is filled; later primes cannot improve either vector.
     """
-    d = g.disc.value
     h = g.h
     least_p: list[Optional[int]] = [None] * h
     filled = 0
     first_inert: Optional[int] = None
-    idx_of = g._index
     hi = math.ceil(x_cap) - 1
     capped = hi > sieve_cap
     hi = min(hi, sieve_cap)
     if hi >= 2:
         for block in arith.iter_prime_blocks(2, hi, cap=max(sieve_cap, hi)):
-            for p in block.tolist():
-                r = d % p
-                if r == 0 or p == 2:
-                    chi = arith.kronecker(d, p)
-                else:
-                    chi = 1 if pow(r, (p - 1) >> 1, p) == 1 else -1
+            chis, idxs = arith.prime_classes(block, g)
+            for p, chi, idx in zip(block.tolist(), chis.tolist(), idxs.tolist()):
                 if chi == -1:
                     if first_inert is None:
                         first_inert = p
                     continue
-                b = arith.sqrt_disc_mod_4p(d, p)
-                idx = idx_of[_reduce_triple(p, b, (b * b - d) // (4 * p))]
                 if least_p[idx] is None:
                     least_p[idx] = p
                     filled += 1
@@ -395,38 +356,3 @@ def exceptional_count(g: ClassGroup, x: float, **kw) -> int:
 def exceptional_count_primes(g: ClassGroup, x: float, **kw) -> int:
     """Rational-prime variant: classes representing no prime 1 < p < X."""
     return count_exceptional(least_primes(g, x, **kw), x)
-
-
-@dataclass
-class ScanRecord:
-    disc: int
-    h: int
-    x_cap: float
-    r_ideal: int
-    r_prime: int
-    least_primes: list[Optional[int]]
-    least_ideal_norms: list[Optional[int]]
-    max_reduced_a: int
-    capped: bool
-    elapsed: float = 0.0
-
-
-def scan_record(
-    g: ClassGroup, x_cap: float, *, sieve_cap: int = arith.SIEVE_CAP_DEFAULT
-) -> ScanRecord:
-    """Least-prime sweep packaged with the exceptional counts at x_cap."""
-    t0 = time.perf_counter()
-    lp, ln, capped = _least_sweep(g, x_cap, sieve_cap=sieve_cap)
-    rec = ScanRecord(
-        disc=g.disc.value,
-        h=g.h,
-        x_cap=x_cap,
-        r_ideal=count_exceptional(ln, x_cap),
-        r_prime=count_exceptional(lp, x_cap),
-        least_primes=lp,
-        least_ideal_norms=ln,
-        max_reduced_a=max(f.a for f in g.elements),
-        capped=capped,
-        elapsed=time.perf_counter() - t0,
-    )
-    return rec

@@ -209,6 +209,19 @@ def test_exit_2_nonfundamental_in_scan_path(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["least-primes", "--disc", "-12"],
+    ["least-primes", "--disc", "-27"],
+    ["variance", "--disc", "-75", "--t", "1000"],
+    ["heegner", "--disc", "-36"],
+])
+def test_exit_2_non_invertible_prime_ideal(argv, capsys):
+    # a prime dividing the conductor lies under no invertible ideal
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "error:" in err and "not invertible" in err
+
+
 def test_exit_3_identity_violation(monkeypatch, capsys):
     from classprime import stats
 
