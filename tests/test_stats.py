@@ -212,8 +212,9 @@ def test_char_transform_roundtrip(d):
     assert np.allclose(back, vec, atol=1e-10)
     # the inverse alone against the Character.value reference
     psi_chi = rng.normal(size=g.h) + 1j * rng.normal(size=g.h)
+    chars = characters(g)
     naive = np.array([
-        sum(c.value(i).conjugate() * v for c, v in zip(characters(g), psi_chi))
+        sum(c.value(i).conjugate() * v for c, v in zip(chars, psi_chi))
         for i in range(g.h)
     ]).real / g.h
     assert np.allclose(psi_from_chars(g, psi_chi), naive, atol=1e-9)
