@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/golden/make_golden.py
 
 The files were frozen before the prime -> class step, the character
-transform and the scan-row builder were consolidated, and refactors must
-reproduce them.  Regenerate them only for a change that is meant to alter
+transform and the scan-row builder were consolidated; the cases at
+D = -10000019 and the scan over [-2000, -3] were frozen before that step
+became array code.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
 output.
 """
 from __future__ import annotations
@@ -27,6 +28,19 @@ def _cases() -> list[tuple[str, list[str]]]:
     for cmd in ("least-primes", "forms"):
         for d in (-3, -4, -23, -84, -420, -3299):
             cases.append((f"{cmd}_{d}.json", [cmd, "--disc", str(d), "--format", "json"]))
+    # h = 1275 at D = -10000019: multi-block least-prime sweep and every
+    # residue of p mod 8 at large |D|
+    cases.append(("scan_-2000_-3.csv", ["scan", "--range", "-2000", "-3"]))
+    for w in ("bump", "indicator"):
+        cases.append((
+            f"variance_-10000019_1e6_{w}.json",
+            ["variance", "--disc", "-10000019", "--t", "1e6", "--weight", w,
+             "--format", "json"],
+        ))
+    cases.append((
+        "least-primes_-10000019.json",
+        ["least-primes", "--disc", "-10000019", "--format", "json"],
+    ))
     return cases
 
 
