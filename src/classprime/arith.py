@@ -14,7 +14,12 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .classgroup import ClassGroup, enumerate_reduced_forms, ideal_class_of
+from .classgroup import (
+    ClassGroup,
+    InvalidIdealBasis,
+    enumerate_reduced_forms,
+    ideal_class_of,
+)
 from .qform import Discriminant, QuadForm, validate_discriminant
 
 SIEVE_CAP_DEFAULT = 10**9
@@ -181,34 +186,210 @@ class PrimeClassification:
     classes: frozenset[int]
 
 
+# p and |D| below 2^31 keep every product of two residues, b^2 - D and
+# every step of the form reduction below 2^62, so int64 arithmetic is exact.
+_INT64_EXACT = 1 << 31
+# Primes per array pass of prime_classes; bounds the kernel's temporaries.
+_CHUNK = 1 << 14
+# Odd primes tried as the non-residue of Tonelli-Shanks, each with a table
+# of its residues; 0 counts as a residue so that q never serves for p = q.
+_NONRESIDUE_BASES = tuple(
+    (q, np.isin(np.arange(q), np.arange(q) ** 2 % q))
+    for q in _simple_sieve(1 << 10)[1:].tolist()
+)
+
+
+def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base ** exp % mod elementwise, by right-to-left binary powering."""
+    result = np.ones_like(base)
+    while True:
+        result = np.where(exp & 1 == 1, result * base % mod, result)
+        exp = exp >> 1
+        if not exp.any():
+            return result
+        base = base * base % mod
+
+
+def _square_times(x: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x ** (2 ** k) % p elementwise, for k >= 0."""
+    for step in range(int(k.max(initial=0))):
+        x = np.where(step < k, x * x % p, x)
+    return x
+
+
+def _order_exponent(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Least i >= 0 with t ** (2 ** i) = 1 mod p; t must have 2-power order."""
+    i = np.zeros_like(t)
+    pending = np.flatnonzero(t != 1)
+    u, q = t[pending], p[pending]
+    step = 0
+    while pending.size:
+        step += 1
+        u = u * u % q
+        done = u == 1
+        i[pending[done]] = step
+        keep = ~done
+        pending, u, q = pending[keep], u[keep], q[keep]
+    return i
+
+
+def _nonresidues(p: np.ndarray) -> np.ndarray:
+    """A quadratic non-residue mod each prime p = 1 mod 8.
+
+    2 is a residue mod such p, and by reciprocity (q/p) = (p mod q / q) for
+    odd primes q, so the least odd prime q whose residue table misses
+    p mod q is the least non-residue.
+    """
+    z = np.zeros_like(p)
+    pending = np.arange(len(p))
+    for q, residues in _NONRESIDUE_BASES:
+        if not pending.size:
+            break
+        found = ~residues[p[pending] % q]
+        z[pending[found]] = q
+        pending = pending[~found]
+    if pending.size:
+        raise RuntimeError(f"no quadratic non-residue below 2^10 mod {int(p[pending[0]])}")
+    return z
+
+
+def _tonelli_shanks(r, t, i, s, q, p) -> np.ndarray:
+    """Finish Tonelli-Shanks for residues a mod primes p = q 2^s + 1.
+
+    Starts from r = a^((q+1)/2), t = a^q and i, the least exponent with
+    t^(2^i) = 1; r^2 = a t holds throughout and the loop ends at t = 1.
+    """
+    c = _powmod(_nonresidues(p), q, p)
+    m = s
+    act = np.flatnonzero(i > 0)
+    while act.size:
+        pa, ia = p[act], i[act]
+        b = _square_times(c[act], m[act] - ia - 1, pa)
+        r[act] = r[act] * b % pa
+        c[act] = b * b % pa
+        t[act] = t[act] * c[act] % pa
+        m[act] = ia
+        i[act] = _order_exponent(t[act], pa)
+        act = act[i[act] > 0]
+    return r
+
+
+def _sqrt_mod_primes(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a is a square mod p, a square root of a where it is), elementwise
+    for odd primes p and 0 < a < p.
+
+    One modular power per prime: r = a^((p+1)/4) for p = 3 mod 4, Atkin's
+    v = (2a)^((p-5)/8) for p = 5 mod 8, and x = a^((q-1)/2) with
+    p - 1 = q 2^s for p = 1 mod 8, which gives t = a^q for Euler's
+    criterion and starts Tonelli-Shanks on the residues only (Cohen, A
+    Course in Computational Algebraic Number Theory, section 1.5).
+    """
+    m8 = p & 7
+    c58, c18 = m8 == 5, m8 == 1
+    low = (p - 1) & (1 - p)  # 2^s, the 2-part of p - 1
+    q = (p - 1) // low
+    base = np.where(c58, 2 * a % p, a)
+    exp = np.where(m8 & 3 == 3, (p + 1) >> 2, np.where(c58, (p - 5) >> 3, (q - 1) >> 1))
+    x = _powmod(base, exp, p)
+    # Atkin: i = 2a v^2 squares to -1 when a is a residue mod p = 5 mod 8
+    i = base * x % p * x % p
+    root = np.where(c58, a * x % p * (i - 1) % p, x)
+    is_qr = root * root % p == a
+
+    sel = np.flatnonzero(c18)
+    ps, xs, as_ = p[sel], x[sel], a[sel]
+    t = xs * xs % ps * as_ % ps
+    order = _order_exponent(t, ps)
+    s = np.log2(low[sel]).astype(np.int64)
+    qr = order < s  # Euler: a^((p-1)/2) = t^(2^(s-1)) = 1
+    is_qr[sel] = qr
+    root[sel[qr]] = _tonelli_shanks(
+        xs[qr] * as_[qr] % ps[qr], t[qr], order[qr], s[qr], q[sel][qr], ps[qr]
+    )
+    return is_qr, root
+
+
+def _reduced_keys(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """a * 2^32 + b of the reduced form equivalent to each (a, b, c).
+
+    The same steps as qform._reduce_triple, on the triples not yet reduced.
+    """
+    out_a = np.empty_like(a)
+    out_b = np.empty_like(b)
+    act = np.arange(len(a))
+    while act.size:
+        r = (a - b) // (2 * a)
+        c = c + r * (b + a * r)
+        b = b + 2 * r * a
+        swap = a > c
+        done = ~swap
+        out_a[act[done]] = a[done]
+        out_b[act[done]] = np.where((a == c) & (b < 0), -b, b)[done]
+        act, a, b, c = act[swap], c[swap], -b[swap], a[swap]
+    return (out_a << 32) + out_b
+
+
+def _classes_chunk(p: np.ndarray, g: ClassGroup, keys: np.ndarray):
+    """prime_classes on one pass; keys are the packed (a, b) of g.elements."""
+    d = g.disc.value
+    a = d % p
+    chi = np.full(len(p), -1, dtype=np.int8)
+    idx = np.full(len(p), -1, dtype=np.int64)
+    scalar = (p == 2) | (a == 0)
+    for j in np.flatnonzero(scalar).tolist():
+        pj = int(p[j])
+        chi[j] = kronecker(d, pj)
+        b = sqrt_disc_mod_4p(d, pj)
+        if b is not None:
+            idx[j] = ideal_class_of(pj, b, g)
+    odd = np.flatnonzero(~scalar)
+    is_qr, root = _sqrt_mod_primes(a[odd], p[odd])
+    split = odd[is_qr]
+    ps, r = p[split], root[is_qr]
+    b = np.where((r - d) & 1 == 1, ps - r, r)
+    k = _reduced_keys(ps, b, (b * b - d) // (4 * ps))
+    pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+    missing = np.flatnonzero(keys[pos] != k)
+    if missing.size:
+        # only reachable for non-maximal orders (non-fundamental d)
+        j = missing[0]
+        raise InvalidIdealBasis(
+            f"ideal ({ps[j]}, {b[j]}) is not invertible for discriminant {d}"
+        )
+    chi[split] = 1
+    idx[split] = pos
+    return chi, idx
+
+
 def prime_classes(primes, g: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
     """chi_D(p) and the class of the ideal (p, b) above p, for each prime p.
 
     Returns (chi, idx) aligned with `primes`; idx is -1 for inert p.  For
     split p the conjugate ideal lies in the inverse class.  b is the square
-    root of D mod 4p with b = D (mod 2), by Tonelli-Shanks (Cohen, A Course
-    in Computational Algebraic Number Theory, section 1.5).  Raises
-    InvalidIdealBasis when the ideal above p is not invertible, which
-    happens only at primes dividing the conductor of a non-fundamental D.
+    root of D mod 4p with b = D (mod 2); the form (p, b, (b^2 - D)/4p) is
+    reduced and looked up among g.elements.  Odd p not dividing D run as
+    int64 array code in passes of _CHUNK primes; p = 2 and p | D take the
+    scalar route (kronecker, sqrt_disc_mod_4p, ideal_class_of).  Raises
+    LimitTooLarge when a prime or |D| is not below 2^31, where int64 would
+    stop being exact, and InvalidIdealBasis when the ideal above p is not
+    invertible, which happens only at primes dividing the conductor of a
+    non-fundamental D.
     """
     d = g.disc.value
-    chis: list[int] = []
-    idxs: list[int] = []
-    for p in np.asarray(primes, dtype=np.int64).tolist():
-        r = d % p
-        if r == 0 or p == 2:
-            chi = kronecker(d, p)
-            b = sqrt_disc_mod_4p(d, p)
-        elif pow(r, (p - 1) >> 1, p) == 1:
-            chi = 1
-            b = _sqrt_residue(r, p)
-            if (b - d) & 1:
-                b = p - b
-        else:
-            chi, b = -1, None
-        chis.append(chi)
-        idxs.append(-1 if b is None else ideal_class_of(p, b, g))
-    return np.array(chis, dtype=np.int8), np.array(idxs, dtype=np.int64)
+    primes = np.asarray(primes, dtype=np.int64)
+    if -d >= _INT64_EXACT:
+        raise LimitTooLarge(f"|D| = {-d} is not below 2^31, the prime -> class limit")
+    if primes.size and int(primes.max()) >= _INT64_EXACT:
+        raise LimitTooLarge(
+            f"prime {int(primes.max())} is not below 2^31, the prime -> class limit"
+        )
+    keys = np.array([(f.a << 32) + f.b for f in g.elements], dtype=np.int64)
+    chi = np.empty(len(primes), dtype=np.int8)
+    idx = np.empty(len(primes), dtype=np.int64)
+    for lo in range(0, len(primes), _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        chi[sl], idx[sl] = _classes_chunk(primes[sl], g, keys)
+    return chi, idx
 
 
 def classify_prime(p: int, g: ClassGroup) -> PrimeClassification:

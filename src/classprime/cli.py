@@ -37,6 +37,17 @@ class OracleMismatch(RuntimeError):
     pass
 
 
+# exceptions that mean bad input: exit 2
+_INPUT_ERRORS = (
+    NotADiscriminant,
+    NotFundamental,
+    InvalidIdealBasis,
+    UsageError,
+    arith.LimitTooLarge,
+    ValueError,
+)
+
+
 # ---------------------------------------------------------------------------
 # scale rules: "1000", "h*log2", "h2*log2", "0.5*h*log2.1", ...
 
@@ -407,9 +418,10 @@ def _scan_columns(x_rules: list[str]) -> list[str]:
 
 def _scan_one(dv: int, x_rules, t_rule, w, sieve_cap, h_cap) -> dict:
     d = validate_discriminant(dv)
-    g = group_structure(enumerate_reduced_forms(d))
+    g = enumerate_reduced_forms(d)
     if g.h > h_cap:
         raise UsageError(f"h = {g.h} exceeds cap {h_cap}")
+    group_structure(g)
     absd = -dv
     xs = [eval_scale(r, g.h, absd) for r in x_rules]
     sweep_cap = max(xs) if xs else 2.0
@@ -457,27 +469,36 @@ def cmd_scan(args, conf) -> int:
         return _scan_one(dv, x_rules, t_rule, w, sieve_cap, h_cap)
 
     rows = []
+    failures: list[Exception] = []
+
+    def record(dv: int, exc: Exception) -> None:
+        failures.append(exc)
+        print(f"scan: D={dv} failed: {exc}", file=sys.stderr)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             futures = [(dv, ex.submit(worker, dv)) for dv in discs]
-            for dv, fut in futures:
+            for dv, fut in futures:  # order preserved
                 try:
                     rows.append(fut.result())
-                except Exception as exc:  # log and continue, order preserved
-                    print(f"scan: D={dv} failed: {exc}", file=sys.stderr)
+                except (IdentityMismatch, *_INPUT_ERRORS) as exc:
+                    record(dv, exc)
     else:
         for dv in discs:
             try:
                 rows.append(worker(dv))
-            except Exception as exc:
-                print(f"scan: D={dv} failed: {exc}", file=sys.stderr)
+            except (IdentityMismatch, *_INPUT_ERRORS) as exc:
+                record(dv, exc)
     cols = _scan_columns(x_rules)
     if args.format == "json":
         json.dump(rows, args.out_stream, indent=2, default=_json_default)
         args.out_stream.write("\n")
     else:
         emit_rows(rows, cols, args.out_stream)
-    return 0
+        print(f"# failed={len(failures)}", file=sys.stderr)
+    if any(isinstance(exc, IdentityMismatch) for exc in failures):
+        return 3
+    return 2 if failures else 0
 
 
 def cmd_selftest(args, conf) -> int:
@@ -573,10 +594,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 return args.func(args, conf)
         args.out_stream = sys.stdout
         return args.func(args, conf)
-    except (NotADiscriminant, NotFundamental, InvalidIdealBasis, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (arith.LimitTooLarge, ValueError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IdentityMismatch as exc:

@@ -124,8 +124,9 @@ def psi_by_class(
 
     Norm support is [T, 2T]: split and ramified primes in the segment,
     plus prime powers and inert squares from primes up to sqrt(2T).
-    Accumulation order is fixed (ascending prime), so results are
-    bit-reproducible.
+    Terms are scalar products (math.log, weight_eval) added in ascending
+    prime order, a split prime's conjugate directly after it, so the result
+    is bit-identical to a per-prime loop.
     """
     if T < 2:
         raise ValueError("T must be >= 2")
@@ -172,20 +173,21 @@ def psi_by_class(
                 curi = g.compose_idx(curi, ci)
 
     # segment primes: first powers only (higher powers exceed 2T here)
+    acc = np.array(out)
+    inv_arr = np.array(inv, dtype=np.int64)
     seg_start = max(sq + 1, int(T))
     for block in arith.iter_prime_blocks(seg_start, hi, cap=sieve_cap):
         chis, idxs = arith.prime_classes(block, g)
-        for p, chi, idx in zip(block.tolist(), chis.tolist(), idxs.tolist()):
-            if chi == -1:
-                continue  # inert, norm p^2 > 2T
-            wv = weight_eval(w, p / T)
-            if wv == 0.0:
-                continue
-            lw = logf(p) * wv
-            out[idx] += lw
-            if chi == 1:
-                out[inv[idx]] += lw
-    return np.array(out)
+        kept = chis != -1  # inert p has norm p^2 > 2T
+        ps, cls, split = block[kept], idxs[kept], chis[kept] == 1
+        lw = np.array([logf(p) * weight_eval(w, p / T) for p in ps.tolist()])
+        # row i: prime i's class, then its conjugate's; C order adds them
+        # prime by prime, as a per-prime loop would
+        targets = np.stack([cls, inv_arr[cls]], axis=1)
+        nz = lw != 0.0
+        add = np.stack([nz, nz & split], axis=1)
+        np.add.at(acc, targets[add], np.stack([lw, lw], axis=1)[add])
+    return acc
 
 
 def _char_grid(g: ClassGroup) -> tuple[tuple[int, ...], np.ndarray]:
@@ -301,7 +303,8 @@ def _least_sweep(
     class is filled; later primes cannot improve either vector.
     """
     h = g.h
-    least_p: list[Optional[int]] = [None] * h
+    inv = np.array([g.inverse_idx(i) for i in range(h)], dtype=np.int64)
+    least = np.zeros(h, dtype=np.int64)  # 0: no prime found yet
     filled = 0
     first_inert: Optional[int] = None
     hi = math.ceil(x_cap) - 1
@@ -310,21 +313,19 @@ def _least_sweep(
     if hi >= 2:
         for block in arith.iter_prime_blocks(2, hi, cap=max(sieve_cap, hi)):
             chis, idxs = arith.prime_classes(block, g)
-            for p, chi, idx in zip(block.tolist(), chis.tolist(), idxs.tolist()):
-                if chi == -1:
-                    if first_inert is None:
-                        first_inert = p
-                    continue
-                if least_p[idx] is None:
-                    least_p[idx] = p
-                    filled += 1
-                if chi == 1:
-                    j = g.inverse_idx(idx)
-                    if least_p[j] is None:
-                        least_p[j] = p
-                        filled += 1
+            inert = np.flatnonzero(chis == -1)
+            if first_inert is None and inert.size:
+                first_inert = int(block[inert[0]])
+            kept, split = chis != -1, chis == 1
+            cls = np.concatenate([idxs[kept], inv[idxs[split]]])
+            first = np.full(h, hi + 1, dtype=np.int64)
+            np.minimum.at(first, cls, np.concatenate([block[kept], block[split]]))
+            new = (least == 0) & (first <= hi)
+            least[new] = first[new]
+            filled += int(np.count_nonzero(new))
             if filled == h:
                 break
+    least_p = [int(p) if p else None for p in least.tolist()]
     least_norm = list(least_p)
     if first_inert is not None and first_inert * first_inert < x_cap:
         sq = first_inert * first_inert

@@ -16,6 +16,7 @@ from classprime.arith import (
     iter_prime_blocks,
     kronecker,
     l_one_chi,
+    prime_classes,
     prime_power_class,
     representation_count,
     representation_counts_upto,
@@ -24,8 +25,14 @@ from classprime.arith import (
     sqrt_mod_prime,
     unit_count,
 )
-from classprime.classgroup import enumerate_reduced_forms, group_structure
-from classprime.qform import QuadForm, evaluate, validate_discriminant
+from classprime.classgroup import (
+    ClassGroup,
+    InvalidIdealBasis,
+    enumerate_reduced_forms,
+    group_structure,
+    ideal_class_of,
+)
+from classprime.qform import QuadForm, evaluate, is_fundamental, validate_discriminant
 
 
 def test_unit_count():
@@ -309,3 +316,64 @@ def test_primes_represented_by_square_classes():
             if found:
                 brute.add(i)
         assert brute == via_walk
+
+
+# ---------------------------------------------------------------------------
+# prime -> class kernel against the per-prime scalar route
+
+KERNEL_DISCS = (-3, -4, -7, -8, -23, -84, -420, -5460, -3299, -10007, -10000019)
+
+
+def _scalar_classes(primes, g):
+    d = g.disc.value
+    chi, idx = [], []
+    for p in primes:
+        b = sqrt_disc_mod_4p(d, p)
+        chi.append(kronecker(d, p))
+        idx.append(-1 if b is None else ideal_class_of(p, b, g))
+    return chi, idx
+
+
+def _assert_kernel_matches_scalar(primes, g):
+    chi, idx = prime_classes(primes, g)
+    assert chi.dtype == np.int8 and idx.dtype == np.int64
+    assert (chi.tolist(), idx.tolist()) == _scalar_classes(list(primes), g)
+
+
+@pytest.mark.parametrize("d", KERNEL_DISCS)
+def test_prime_classes_matches_scalar_route(d):
+    g = enumerate_reduced_forms(d)
+    _assert_kernel_matches_scalar(sieve_primes(2 * 10**5).tolist(), g)
+    # p - 1 = 7 * 2^20, 119 * 2^23, 15 * 2^27: long Tonelli-Shanks loops
+    _assert_kernel_matches_scalar([7340033, 998244353, 2013265921], g)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(3, 10**7).map(lambda n: -n).filter(is_fundamental),
+    st.integers(2, 2**31 - 3000),
+    st.integers(1, 3000),
+)
+def test_prime_classes_random_windows(d, lo, width):
+    primes = np.concatenate(
+        [np.empty(0, dtype=np.int64)] + list(iter_prime_blocks(lo, lo + width, cap=2**31))
+    )
+    _assert_kernel_matches_scalar(primes.tolist(), enumerate_reduced_forms(d))
+
+
+@pytest.mark.parametrize("d", [-12, -27, -75, -36])
+def test_prime_classes_rejects_conductor_primes(d):
+    g = enumerate_reduced_forms(d, strict=False)
+    with pytest.raises(InvalidIdealBasis):
+        prime_classes(sieve_primes(100), g)
+
+
+def test_prime_classes_int64_limit():
+    g = enumerate_reduced_forms(-23)
+    assert prime_classes([2**31 - 1], g)[0].tolist() == [kronecker(-23, 2**31 - 1)]
+    with pytest.raises(LimitTooLarge):
+        prime_classes([3, 2**31 + 11], g)
+    # the limit is checked before the group is read, so its forms can be stale
+    big = validate_discriminant(-(2**31 + 3))
+    with pytest.raises(LimitTooLarge):
+        prime_classes([3], ClassGroup(disc=big, elements=g.elements, h=g.h))

@@ -242,6 +242,59 @@ def test_sieve_cap_exit_2(capsys):
     assert "error:" in err
 
 
+def test_int64_limit_exit_2(capsys):
+    # the sieve cap allows primes past 2^31, where the kernel stops being exact
+    rc, _, err = run_cli(
+        ["variance", "--disc", "-23", "--t", "2.2e9", "--sieve-cap", "5000000000"], capsys
+    )
+    assert rc == 2
+    assert "error:" in err and "2^31" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_counts_failures_exit_2(threads, monkeypatch, capsys):
+    structured = []
+    real = cli.group_structure
+    monkeypatch.setattr(cli, "group_structure", lambda g: structured.append(g.h) or real(g))
+    rc, out, err = run_cli(
+        ["scan", "--range", "-60", "-3", "--h-cap", "1", "--threads", threads], capsys
+    )
+    assert rc == 2
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["d"]) for r in rows] == [-3, -4, -7, -8, -11, -19, -43]
+    assert err.count("scan: D=") == 14 and "scan: D=-15 failed: h = 2" in err
+    assert "# failed=14" in err.splitlines()
+    assert structured == [1] * 7  # h is capped before group_structure runs
+
+
+def test_scan_identity_mismatch_exit_3(monkeypatch, capsys):
+    from classprime import stats
+
+    real = stats.variance_report
+
+    def broken_at_15(g, T, w, **kw):
+        if g.disc.value == -15:
+            raise stats.IdentityMismatch("forced for the exit-code contract")
+        return real(g, T, w, **kw)
+
+    monkeypatch.setattr(stats, "variance_report", broken_at_15)
+    rc, out, err = run_cli(["scan", "--range", "-30", "-3", "--h-cap", "2"], capsys)
+    assert rc == 3  # an identity violation outranks the h-cap input errors
+    assert "scan: D=-15 failed: forced" in err and "# failed=2" in err
+    assert {"-15", "-23"}.isdisjoint(r["d"] for r in csv.DictReader(io.StringIO(out)))
+
+
+def test_scan_does_not_swallow_internal_errors(monkeypatch):
+    from classprime import stats
+
+    def crash(g, T, w, **kw):
+        raise ZeroDivisionError("internal bug")
+
+    monkeypatch.setattr(stats, "variance_report", crash)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["scan", "--range", "-8", "-3"])
+
+
 # ---------------------------------------------------------------------------
 # config file, env, precedence
 

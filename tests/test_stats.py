@@ -1,15 +1,23 @@
 import cmath
 import math
+from typing import Optional
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classprime.classgroup import characters, enumerate_reduced_forms, group_structure
+from classprime import arith
+from classprime.classgroup import (
+    characters,
+    enumerate_reduced_forms,
+    group_structure,
+    ideal_class_of,
+)
 from classprime.qform import QuadForm, evaluate
 from classprime.stats import (
     IdentityMismatch,
+    _least_sweep,
     bump_weight,
     count_exceptional,
     exceptional_count,
@@ -373,3 +381,124 @@ def test_ideal_norm_never_exceeds_prime(d, x_cap):
 
 def test_identity_mismatch_is_runtime_error():
     assert issubclass(IdentityMismatch, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# array code of psi_by_class and _least_sweep against per-prime loops
+
+def _scalar_class(p, g):
+    """chi_D(p) and the class above p by the scalar route."""
+    d = g.disc.value
+    b = arith.sqrt_disc_mod_4p(d, p)
+    return arith.kronecker(d, p), (-1 if b is None else ideal_class_of(p, b, g))
+
+
+def _psi_by_class_reference(g, T, w):
+    """The per-prime loop psi_by_class ran before it became array code."""
+    h = g.h
+    out = [0.0] * h
+    logf = math.log
+    hi = int(2 * T)
+    sq = math.isqrt(hi)
+    inv = [g.inverse_idx(i) for i in range(h)]
+    for p in arith.sieve_primes(sq).tolist():
+        chi, c = _scalar_class(p, g)
+        if chi == -1:
+            lam = 2.0 * logf(p)
+            n = p * p
+            while n <= hi:
+                wv = weight_eval(w, n / T)
+                if wv:
+                    out[0] += lam * wv
+                n *= p * p
+        elif chi == 0:
+            lam = logf(p)
+            n, cur = p, c
+            while n <= hi:
+                wv = weight_eval(w, n / T)
+                if wv:
+                    out[cur] += lam * wv
+                n *= p
+                cur = g.compose_idx(cur, c)
+        else:
+            lam = logf(p)
+            ci = inv[c]
+            n, cur, curi = p, c, ci
+            while n <= hi:
+                wv = weight_eval(w, n / T)
+                if wv:
+                    out[cur] += lam * wv
+                    out[curi] += lam * wv
+                n *= p
+                cur = g.compose_idx(cur, c)
+                curi = g.compose_idx(curi, ci)
+    for block in arith.iter_prime_blocks(max(sq + 1, int(T)), hi):
+        for p in block.tolist():
+            chi, idx = _scalar_class(p, g)
+            if chi == -1:
+                continue
+            wv = weight_eval(w, p / T)
+            if wv == 0.0:
+                continue
+            lw = logf(p) * wv
+            out[idx] += lw
+            if chi == 1:
+                out[inv[idx]] += lw
+    return out
+
+
+def _least_sweep_reference(g, x_cap):
+    """The per-prime loop _least_sweep ran before it became array code."""
+    h = g.h
+    least_p: list[Optional[int]] = [None] * h
+    filled = 0
+    first_inert: Optional[int] = None
+    hi = math.ceil(x_cap) - 1
+    if hi >= 2:
+        for block in arith.iter_prime_blocks(2, hi):
+            for p in block.tolist():
+                chi, idx = _scalar_class(p, g)
+                if chi == -1:
+                    if first_inert is None:
+                        first_inert = p
+                    continue
+                if least_p[idx] is None:
+                    least_p[idx] = p
+                    filled += 1
+                if chi == 1:
+                    j = g.inverse_idx(idx)
+                    if least_p[j] is None:
+                        least_p[j] = p
+                        filled += 1
+            if filled == h:
+                break
+    least_norm = list(least_p)
+    if first_inert is not None and first_inert * first_inert < x_cap:
+        sq = first_inert * first_inert
+        if least_norm[0] is None or sq < least_norm[0]:
+            least_norm[0] = sq
+    return least_p, least_norm
+
+
+@pytest.mark.parametrize(
+    "d,T",
+    [(-3, 2.0), (-4, 150.0), (-23, 1e3), (-84, 3e4), (-420, 1e5), (-5460, 1e5),
+     (-3299, 2e5), (-10000019, 1e6)],
+)
+def test_psi_by_class_equals_per_prime_loop(d, T):
+    g = _group(d)
+    for w in (bump_weight(), indicator_weight()):
+        assert psi_by_class(g, T, w).tolist() == _psi_by_class_reference(g, T, w)
+
+
+@pytest.mark.parametrize(
+    "d,x_cap",
+    [(-3, 2), (-4, 3.5), (-23, 24), (-84, 500), (-420, 5000), (-3299, 1e4),
+     (-10000019, 3e6)],
+)
+def test_least_sweep_equals_per_prime_loop(d, x_cap):
+    # D = -10000019 fills its last class in the third sieve block
+    g = _group(d)
+    lp, ln, capped = _least_sweep(g, x_cap)
+    assert (lp, ln) == _least_sweep_reference(g, x_cap)
+    assert not capped
