@@ -313,9 +313,10 @@ def _least_sweep(
     if hi >= 2:
         for block in arith.iter_prime_blocks(2, hi, cap=max(sieve_cap, hi)):
             chis, idxs = arith.prime_classes(block, g)
-            inert = np.flatnonzero(chis == -1)
-            if first_inert is None and inert.size:
-                first_inert = int(block[inert[0]])
+            if first_inert is None:
+                inert = np.flatnonzero(chis == -1)
+                if inert.size:
+                    first_inert = int(block[inert[0]])
             kept, split = chis != -1, chis == 1
             cls = np.concatenate([idxs[kept], inv[idxs[split]]])
             first = np.full(h, hi + 1, dtype=np.int64)
@@ -325,7 +326,7 @@ def _least_sweep(
             filled += int(np.count_nonzero(new))
             if filled == h:
                 break
-    least_p = [int(p) if p else None for p in least.tolist()]
+    least_p = [p or None for p in least.tolist()]
     least_norm = list(least_p)
     if first_inert is not None and first_inert * first_inert < x_cap:
         sq = first_inert * first_inert
