@@ -8,7 +8,6 @@ they must match, and partial sums of L(1, chi_D).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -532,26 +531,12 @@ class LOneEstimate(NamedTuple):
     terms: int
 
 
-_recip_lock = threading.Lock()
-_recip = np.empty(0)
-
-
-def _recip_upto(n: int) -> np.ndarray:
-    """Cached [1, 1/2, ..., 1/n]; grows geometrically."""
-    global _recip
-    if len(_recip) < n:
-        with _recip_lock:
-            if len(_recip) < n:
-                size = max(n, 2 * len(_recip), 1 << 16)
-                _recip = 1.0 / np.arange(1, size + 1)
-    return _recip[:n]
-
-
 def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
     """Partial sum of L(1, chi_d) = sum chi_d(n)/n over n <= terms.
 
     The reported tail bound |D|/terms comes from partial summation
-    against the trivial character-sum bound.
+    against the trivial character-sum bound.  Summed in blocks of _BLOCK
+    terms, so memory is O(|D| + _BLOCK) whatever `terms` is.
     """
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
@@ -561,9 +546,10 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
     if terms < m:
         raise ValueError(f"terms = {terms} must be at least |D| = {m}")
     tbl = chi_table(d.value, m)
-    reps = terms // m + 2
-    chi = np.tile(tbl, reps)[1 : terms + 1].astype(np.float64)
-    value = float(chi @ _recip_upto(terms))
+    value = 0.0
+    for lo in range(1, terms + 1, _BLOCK):
+        n = np.arange(lo, min(lo + _BLOCK, terms + 1))
+        value += float(tbl[n % m] @ (1.0 / n))
     return LOneEstimate(value, m / terms, terms)
 
 

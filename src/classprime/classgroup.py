@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .qform import (
     Discriminant,
+    InvariantViolation,
     QuadForm,
     _reduce_triple,
     compose,
@@ -111,7 +112,8 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
             if 0 < b < a and c > a:
                 forms.append(QuadForm(a, -b, c))
     forms.sort()
-    assert forms and forms[0] == identity_form(dv)
+    if not forms or forms[0] != identity_form(dv):
+        raise InvariantViolation(f"identity form missing from the forms of {dv}")
     g = ClassGroup(disc=d, elements=tuple(forms), h=len(forms), nonfundamental=nonfund)
     g._index = {(f.a, f.b, f.c): i for i, f in enumerate(forms)}
     return g
@@ -160,7 +162,7 @@ def _sylow_basis(g: ClassGroup, q: int, e: int) -> list[tuple[int, int]]:
         adj = x
         for (gi, _), ci in zip(gens, tail):
             if ci % t:
-                raise RuntimeError("abelian basis peeling invariant violated")
+                raise InvariantViolation("abelian basis peeling invariant violated")
             adj = g.compose_idx(adj, g.power_idx(g.inverse_idx(gi), ci // t))
         gens.append((adj, t))
         new_span: dict[int, tuple[int, ...]] = {}

@@ -4,7 +4,8 @@ Subcommands: forms, least-primes, variance, scan, dirichlet-check,
 heegner, selftest.  Output goes to stdout (or --out) as CSV or JSON with
 identical numeric content; per-class tables are CSV rows, summaries go
 to stderr in CSV mode and into the JSON object otherwise.  Exit codes:
-0 ok, 2 bad input, 3 internal identity violation, 4 oracle mismatch.
+0 ok, 2 bad input, 3 internal identity or invariant violation, 4 oracle
+mismatch.
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import arith, heegner, stats
 from .classgroup import (
     InvalidIdealBasis,
@@ -25,7 +28,7 @@ from .classgroup import (
     enumerate_reduced_forms,
     group_structure,
 )
-from .qform import NotADiscriminant, validate_discriminant
+from .qform import InvariantViolation, NotADiscriminant, validate_discriminant
 from .stats import IdentityMismatch
 
 
@@ -172,19 +175,8 @@ def emit(payload, rows, columns, fmt: str, out, summary_stream=None) -> None:
 
 
 def _json_default(v):
-    if isinstance(v, (bool,)):
-        return v
-    try:
-        import numpy as np
-
-        if isinstance(v, np.integer):
-            return int(v)
-        if isinstance(v, np.floating):
-            return float(v)
-        if isinstance(v, np.ndarray):
-            return v.tolist()
-    except ImportError:
-        pass
+    if isinstance(v, (np.integer, np.floating, np.ndarray)):
+        return v.tolist()
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
@@ -481,13 +473,13 @@ def cmd_scan(args, conf) -> int:
             for dv, fut in futures:  # order preserved
                 try:
                     rows.append(fut.result())
-                except (IdentityMismatch, *_INPUT_ERRORS) as exc:
+                except (InvariantViolation, *_INPUT_ERRORS) as exc:
                     record(dv, exc)
     else:
         for dv in discs:
             try:
                 rows.append(worker(dv))
-            except (IdentityMismatch, *_INPUT_ERRORS) as exc:
+            except (InvariantViolation, *_INPUT_ERRORS) as exc:
                 record(dv, exc)
     cols = _scan_columns(x_rules)
     if args.format == "json":
@@ -496,7 +488,7 @@ def cmd_scan(args, conf) -> int:
     else:
         emit_rows(rows, cols, args.out_stream)
         print(f"# failed={len(failures)}", file=sys.stderr)
-    if any(isinstance(exc, IdentityMismatch) for exc in failures):
+    if any(isinstance(exc, InvariantViolation) for exc in failures):
         return 3
     return 2 if failures else 0
 
@@ -512,13 +504,12 @@ def cmd_selftest(args, conf) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _add_common(sp) -> None:
+def _add_common(sp, *, sieve_cap: bool = False) -> None:
     sp.add_argument("--format", choices=("csv", "json"), default=None)
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
-    sp.add_argument("--sieve-cap", type=int, default=None)
-    sp.add_argument("--h-cap", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    if sieve_cap:
+        sp.add_argument("--sieve-cap", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,14 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--disc", type=int, default=None)
     sp.add_argument("--x-cap", default=None, help="absolute value or rule like 100*h2*log2")
     sp.add_argument("--eps", type=float, default=None)
-    _add_common(sp)
+    _add_common(sp, sieve_cap=True)
     sp.set_defaults(func=cmd_least_primes)
 
     sp = sub.add_parser("variance", help="psi sums and cross-class variance at scale T")
     sp.add_argument("--disc", type=int, default=None)
     sp.add_argument("--t", type=float, default=None)
     sp.add_argument("--weight", choices=("bump", "indicator"), default=None)
-    _add_common(sp)
+    _add_common(sp, sieve_cap=True)
     sp.set_defaults(func=cmd_variance)
 
     sp = sub.add_parser("scan", help="tabulate h, R, least primes, variance over a range")
@@ -553,7 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-rule", action="append", default=None)
     sp.add_argument("--t-rule", default=None)
     sp.add_argument("--weight", choices=("bump", "indicator"), default=None)
-    _add_common(sp)
+    sp.add_argument("--h-cap", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=None)
+    _add_common(sp, sieve_cap=True)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("dirichlet-check", help="representation counts vs divisor formula")
@@ -567,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--psi-value", type=float, default=None)
     sp.add_argument("--x-cap", default=None)
     sp.add_argument("--l-terms", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, sieve_cap=True)
     sp.set_defaults(func=cmd_heegner)
 
     sp = sub.add_parser("selftest", help="run the acceptance checks")
@@ -599,6 +592,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except IdentityMismatch as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
+        return 3
+    except InvariantViolation as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from . import arith
 from .classgroup import ClassGroup
+from .qform import InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,8 @@ def heegner_point(g: ClassGroup, i: int) -> HeegnerPoint:
     sd = math.sqrt(-g.disc.value)
     pt = HeegnerPoint(i, -f.b / (2 * f.a), sd / (2 * f.a), f.a, f.b, f.c)
     # fundamental domain: |re| <= 1/2 and im >= sqrt(3)/2, with slack for rounding
-    assert abs(pt.re) <= 0.5 + 1e-12 and pt.im >= math.sqrt(3) / 2 - 1e-12
+    if abs(pt.re) > 0.5 + 1e-12 or pt.im < math.sqrt(3) / 2 - 1e-12:
+        raise InvariantViolation(f"CM point of {f} lies outside the fundamental domain")
     return pt
 
 

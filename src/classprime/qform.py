@@ -20,6 +20,10 @@ class DiscMismatch(ValueError):
     """Operands have different discriminants."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: a bug, not bad input."""
+
+
 class Discriminant(NamedTuple):
     value: int
     fundamental: bool
@@ -138,7 +142,8 @@ def reduce_with_transform(
                 b = -b
                 m11, m12, m21, m22 = m12, -m11, m22, -m21
             g = QuadForm(a, b, c)
-            assert is_reduced(g)
+            if not is_reduced(g):
+                raise InvariantViolation(f"reduction ended at unreduced {g}")
             return g, (m11, m12, m21, m22)
         r = (a - b) // (2 * a)
         b, c = b + 2 * r * a, a * r * r + b * r + c
@@ -182,9 +187,9 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     n0, _ = _solve_congruence((t * p1) % s, (h0 - t * k0) % s, s) if s > 1 else (0, 1)
     k = k0 + p1 * n0
     l, lr = divmod(t * k - h0, s)
-    assert lr == 0
     m, mr = divmod(t * u * k - h0 * u - s * c1, st)
-    assert mr == 0
+    if lr or mr:
+        raise InvariantViolation(f"composition of {f} and {g} is not integral")
     a3 = st
     b3 = w * u - (k * t + l * s)
     c3 = k * l - w * m

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import arith
 from .classgroup import ClassGroup, group_structure
+from .qform import InvariantViolation
 
 
-class IdentityMismatch(RuntimeError):
+class IdentityMismatch(InvariantViolation):
     """The definitional and spectral variance routes disagree."""
 
 
@@ -35,20 +35,14 @@ class Weight:
         return weight_eval(self, x)
 
 
-_bump_norm: Optional[float] = None
+# 1 / integral of exp(-1/((x-1)(2-x))) over (1, 2); tests recompute it
+# with mpmath
+_BUMP_NORM = 142.25037577709585
 
 
 def bump_weight() -> Weight:
     """Smooth bump c*exp(-1/((x-1)(2-x))) on (1,2), normalized to integral 1."""
-    global _bump_norm
-    if _bump_norm is None:
-        raw, err = quad(
-            lambda x: math.exp(-1.0 / ((x - 1.0) * (2.0 - x))), 1, 2,
-            epsabs=1e-14, limit=200,
-        )
-        assert err < 1e-12
-        _bump_norm = 1.0 / raw
-    return Weight("bump", _bump_norm)
+    return Weight("bump", _BUMP_NORM)
 
 
 def indicator_weight() -> Weight:
@@ -69,49 +63,6 @@ def weight_eval(w: Weight, x: float) -> float:
     if x <= 1.0 or x >= 2.0:
         return 0.0
     return w.normalization * math.exp(-1.0 / ((x - 1.0) * (2.0 - x)))
-
-
-def weight_integral(w: Weight) -> float:
-    val, _ = quad(lambda x: weight_eval(w, x), 1, 2, epsabs=1e-13, limit=200)
-    return val
-
-
-def mellin(w: Weight, s: complex) -> complex:
-    """Mellin transform integral of w(x) x^(s-1) over [1, 2].
-
-    Indicator has the closed form (2^s - 1)/s; the bump is integrated
-    numerically with a certified error estimate below 1e-7 (observed
-    accuracy is nearer 1e-12 for moderate |s|).
-    """
-    s = complex(s)
-    if w.kind == "indicator":
-        if s == 0:
-            return complex(math.log(2.0))
-        return (2.0**s - 1.0) / s
-    re, re_err = quad(
-        lambda x: (weight_eval(w, x) * x ** (s - 1)).real, 1, 2,
-        epsabs=1e-12, limit=200,
-    )
-    im, im_err = quad(
-        lambda x: (weight_eval(w, x) * x ** (s - 1)).imag, 1, 2,
-        epsabs=1e-12, limit=200,
-    )
-    assert re_err + im_err < 1e-7
-    return complex(re, im)
-
-
-def phi_weight_eval(w: Weight, T: float, x: float) -> float:
-    """The reciprocal-side weight (1/x) w(1/(xT)) from the explicit formula."""
-    return weight_eval(w, 1.0 / (x * T)) / x
-
-
-def phi_side_vanishes(w: Weight, T: float, max_norm: int = 512) -> bool:
-    """The reciprocal-side sum has empty support over integer norms >= 2.
-
-    Checked by evaluation, not assumed: w lives on [1, 2], so the phi
-    argument 1/(nT) < 1 for every norm n >= 1 once T > 1.
-    """
-    return all(phi_weight_eval(w, T, n) == 0.0 for n in range(2, max_norm))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +219,6 @@ def variance_report(
     rt = float(np.max(np.abs(recon - psa))) if h else 0.0
     if rt > 1e-9 * max(1.0, float(np.max(np.abs(psa))) if h else 1.0):
         raise IdentityMismatch(f"Fourier roundtrip error {rt}")
-    assert phi_side_vanishes(w, T)
 
     return PsiReport(
         disc=g.disc.value,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,28 @@ def test_l_one_against_closed_forms():
 def test_l_one_term_floor():
     with pytest.raises(ValueError):
         l_one_chi(-10007, 500)  # fewer terms than the period is meaningless
+
+
+def test_l_one_memory_is_bounded_in_terms():
+    # summed per block, so memory does not grow with terms (one float64
+    # array of 1e7 terms alone is 76 MiB)
+    d, terms = -10007, 10**7
+    tracemalloc.start()
+    try:
+        est = l_one_chi(d, terms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    tbl = chi_table(d, -d)
+
+    def each_term():
+        for lo in range(1, terms + 1, 2**20):
+            n = np.arange(lo, min(lo + 2**20, terms + 1))
+            yield from (tbl[n % -d] / n).tolist()
+
+    # correctly rounded sum of the same terms
+    assert est.value == pytest.approx(math.fsum(each_term()), rel=1e-13)
 
 
 @pytest.mark.parametrize(

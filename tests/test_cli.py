@@ -3,6 +3,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +238,64 @@ def test_exit_3_identity_violation(monkeypatch, capsys):
     assert "identity violation" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forms", "--disc", "-23", "--threads", "9"],
+        ["forms", "--disc", "-23", "--h-cap", "0"],
+        ["forms", "--disc", "-23", "--sieve-cap", "1"],
+        ["variance", "--disc", "-23", "--t", "100", "--threads", "2"],
+        ["dirichlet-check", "--disc", "-23", "--sieve-cap", "1"],
+        ["selftest", "--h-cap", "1"],
+    ],
+)
+def test_flags_only_where_used(argv, capsys):
+    # --threads and --h-cap belong to scan; --sieve-cap to the sieving commands
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports classprime from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_import_leaves_scipy_unloaded():
+    res = _python(
+        "-c",
+        "import sys, classprime.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def test_invariant_checks_survive_python_O():
+    # (5, 9, 5) has discriminant -19 but is not reduced: its CM point has re = -0.9
+    code = textwrap.dedent(
+        """
+        from classprime.classgroup import ClassGroup
+        from classprime.heegner import heegner_point
+        from classprime.qform import InvariantViolation, QuadForm, validate_discriminant
+
+        assert False, "unreachable under -O"
+        g = ClassGroup(disc=validate_discriminant(-19), elements=(QuadForm(5, 9, 5),), h=1)
+        try:
+            heegner_point(g, 0)
+        except InvariantViolation as exc:
+            print("raised:", exc)
+        """
+    )
+    res = _python("-O", "-c", code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("raised:")
+
+
 def test_sieve_cap_exit_2(capsys):
     rc, _, err = run_cli(
         ["variance", "--disc", "-23", "--t", "1e9", "--sieve-cap", "100000"], capsys
@@ -282,6 +344,23 @@ def test_scan_identity_mismatch_exit_3(monkeypatch, capsys):
     assert rc == 3  # an identity violation outranks the h-cap input errors
     assert "scan: D=-15 failed: forced" in err and "# failed=2" in err
     assert {"-15", "-23"}.isdisjoint(r["d"] for r in csv.DictReader(io.StringIO(out)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["variance", "--disc", "-23", "--t", "100"], ["scan", "--range", "-8", "-3"]],
+)
+def test_invariant_violation_exit_3(argv, monkeypatch, capsys):
+    from classprime import stats
+    from classprime.qform import InvariantViolation
+
+    def broken(g, T, w, **kw):
+        raise InvariantViolation("forced for the exit-code contract")
+
+    monkeypatch.setattr(stats, "variance_report", broken)
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 3
+    assert "forced for the exit-code contract" in err
 
 
 def test_scan_does_not_swallow_internal_errors(monkeypatch):

@@ -16,6 +16,7 @@ from classprime.classgroup import (
 )
 from classprime.qform import QuadForm, evaluate
 from classprime.stats import (
+    _BUMP_NORM,
     IdentityMismatch,
     _least_sweep,
     bump_weight,
@@ -26,16 +27,12 @@ from classprime.stats import (
     indicator_weight,
     least_prime_ideal_norms,
     least_primes,
-    mellin,
-    phi_side_vanishes,
-    phi_weight_eval,
     psi_by_char,
     psi_by_class,
     psi_from_chars,
     variance,
     variance_report,
     weight_eval,
-    weight_integral,
 )
 
 
@@ -55,8 +52,12 @@ def test_weight_supports():
 
 
 def test_weight_normalization():
-    assert weight_integral(bump_weight()) == pytest.approx(1.0, abs=1e-10)
-    assert weight_integral(indicator_weight()) == pytest.approx(1.0, abs=1e-12)
+    for w in (bump_weight(), indicator_weight()):
+        total = mpmath.quad(lambda x: weight_eval(w, float(x)), [1, 2])
+        assert abs(total - 1) < 1e-12
+    raw = mpmath.quad(lambda x: mpmath.e ** (-1 / ((x - 1) * (2 - x))), [1, 2])
+    assert _BUMP_NORM == pytest.approx(float(1 / raw), rel=1e-14)
+    assert bump_weight().normalization.hex() == "0x1.1c803140fcacbp+7"
 
 
 def test_bump_value_against_mpmath():
@@ -76,29 +77,12 @@ def test_get_weight():
         get_weight("boxcar")
 
 
-def test_mellin_indicator_closed_form():
-    iw = indicator_weight()
-    assert mellin(iw, 0.0) == pytest.approx(math.log(2), abs=1e-12)
-    assert mellin(iw, 1.0) == pytest.approx(1.0, abs=1e-12)
-    s = 0.5 + 2.0j
-    assert mellin(iw, s) == pytest.approx((2**s - 1) / s, abs=1e-12)
-
-
-def test_mellin_bump_against_mpmath():
-    bw = bump_weight()
-    for s in (0.0, 1.0, 0.5 + 1.0j, 2.0 - 3.0j):
-        expect = mpmath.quad(
-            lambda x: bw(float(x)) * mpmath.power(x, s - 1), [1, 2]
-        )
-        got = mellin(bw, s)
-        assert abs(got - complex(expect)) < 1e-9
-
-
 def test_phi_side_vanishes():
+    # the reciprocal side of the explicit formula weighs norm n by
+    # w(1/(nT)); w lives on [1, 2], so that is 0 for every n >= 2, T >= 2
     for w in (bump_weight(), indicator_weight()):
         for T in (2.0, 10.0, 1e4):
-            assert phi_side_vanishes(w, T)
-            assert phi_weight_eval(w, T, 3.0) == 0.0
+            assert all(weight_eval(w, 1.0 / (n * T)) == 0.0 for n in range(2, 512))
 
 
 # ---------------------------------------------------------------------------
