@@ -69,16 +69,16 @@ def kronecker(d: int, n: int) -> int:
 # sieve
 
 def _simple_sieve(limit: int) -> np.ndarray:
-    """Primes <= limit by a plain odd-only sieve (used for base primes)."""
+    """Primes <= limit by a plain sieve (used for base primes)."""
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     is_c = np.zeros(limit + 1, dtype=bool)
     is_c[:2] = True
+    is_c[4::2] = True
     for p in range(3, math.isqrt(limit) + 1, 2):
         if not is_c[p]:
             is_c[p * p :: 2 * p] = True
-    out = np.flatnonzero(~is_c).astype(np.int64)
-    return out[(out == 2) | (out % 2 == 1)]
+    return np.flatnonzero(~is_c)
 
 
 def iter_prime_blocks(
@@ -555,6 +555,7 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
 
 def class_number_from_l(d, terms: Optional[int] = None) -> int:
     """h via the class number formula h = w_D sqrt(|D|) L(1,chi) / (2 pi)."""
-    dv = d.value if isinstance(d, Discriminant) else d
-    est = l_one_chi(d if isinstance(d, Discriminant) else validate_discriminant(d), terms)
-    return round(unit_count(dv) * math.sqrt(-dv) * est.value / (2 * math.pi))
+    if not isinstance(d, Discriminant):
+        d = validate_discriminant(d)
+    est = l_one_chi(d, terms)
+    return round(unit_count(d.value) * math.sqrt(-d.value) * est.value / (2 * math.pi))

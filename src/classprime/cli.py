@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,7 +45,6 @@ _INPUT_ERRORS = (
     InvalidIdealBasis,
     UsageError,
     arith.LimitTooLarge,
-    ValueError,
 )
 
 
@@ -78,23 +75,34 @@ def parse_scale(rule: str) -> tuple[float, float, float]:
             coeff *= float(factor)
         except ValueError:
             raise UsageError(f"cannot parse scale rule factor {factor!r}") from None
+    if not math.isfinite(coeff):
+        raise UsageError(f"scale rule {rule!r} has a coefficient that is not finite")
     if not seen_sym and coeff <= 0:
         raise UsageError(f"scale rule {rule!r} must be positive")
     return coeff, he, le
 
 
+def scale_value(coeff: float, he: float, le: float, h: int, absd: int) -> float:
+    """coeff * h^he * log(absd)^le; UsageError unless it is a finite number."""
+    try:
+        x = coeff * h**he * math.log(absd) ** le
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        rule = f"{coeff:g}*h^{he:g}*log|D|^{le:g}"
+        raise UsageError(f"threshold {rule} is not finite at h={h}, |D|={absd}")
+    return x
+
+
 def eval_scale(rule: str, h: int, absd: int) -> float:
-    coeff, he, le = parse_scale(rule)
-    return coeff * h**he * math.log(absd) ** le
+    return scale_value(*parse_scale(rule), h, absd)
 
 
 # ---------------------------------------------------------------------------
-# config file and option resolution
+# config file
 
-def load_config(path: Optional[str]) -> dict[str, str]:
+def load_config(path: str) -> dict[str, str]:
     conf: dict[str, str] = {}
-    if not path:
-        return conf
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for line in fh:
@@ -110,35 +118,30 @@ def load_config(path: Optional[str]) -> dict[str, str]:
     return conf
 
 
-def _resolve(args, conf: dict, key: str, default, cast=None):
-    # precedence: explicit flag > config file > default
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in conf:
-        raw = conf[key]
-        return cast(raw) if cast else raw
-    return default
+def _config_argv(sp: argparse.ArgumentParser, conf: dict[str, str], argv: list[str]) -> list[str]:
+    """Config values as command-line tokens for the options argv does not set.
 
-
-def _resolve_threads(args, conf: dict) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    if "threads" in conf:
-        return int(conf["threads"])
-    env = os.environ.get("CLASSPRIME_THREADS")
-    if env:
-        return int(env)
-    return 1
-
-
-def _resolve_rules(args, conf: dict, key: str, default: list[str]) -> list[str]:
-    val = getattr(args, key.replace("-", "_"), None)
-    if val:
-        return list(val)
-    if key in conf:
-        return [r.strip() for r in conf[key].split(",") if r.strip()]
-    return default
+    Keys are the subcommand's long flag names; a list option (`--range LO
+    HI`, the repeated `--x-rule`) takes a comma-separated value.
+    """
+    tokens: list[str] = []
+    for key, val in conf.items():
+        flag = "--" + key
+        if key == "config":
+            raise UsageError("a config file cannot name another config file")
+        if any(a == flag or a.startswith(flag + "=") for a in argv):
+            continue  # the flag beats the config value
+        action = sp._option_string_actions.get(flag)  # argparse has no public lookup
+        if action is None:
+            raise UsageError(f"config key {key!r} is not an option of {sp.prog}")
+        vals = [v.strip() for v in val.split(",") if v.strip()]
+        if isinstance(action, argparse._AppendAction):
+            tokens += [f"{flag}={v}" for v in vals]
+        elif action.nargs:
+            tokens += [flag, *vals]
+        else:
+            tokens.append(f"{flag}={val}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +186,8 @@ def _json_default(v):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_forms(args, conf) -> int:
-    d = _require_disc(args, conf)
+def cmd_forms(args) -> int:
+    d = _require_disc(args)
     g = group_structure(enumerate_reduced_forms(d, strict=False))
     rows = [
         {"class_index": i, "a": f.a, "b": f.b, "c": f.c}
@@ -202,17 +205,15 @@ def cmd_forms(args, conf) -> int:
     return 0
 
 
-def cmd_least_primes(args, conf) -> int:
-    d = _require_disc(args, conf)
-    eps = _resolve(args, conf, "eps", 0.1, float)
-    sieve_cap = _resolve(args, conf, "sieve-cap", arith.SIEVE_CAP_DEFAULT, int)
+def cmd_least_primes(args) -> int:
+    d = _require_disc(args)
     g = group_structure(enumerate_reduced_forms(d, strict=False))
     absd = -d.value
-    x_cap = _rule_value(_resolve(args, conf, "x-cap", "100*h2*log2"), g.h, absd)
-    x1 = g.h * math.log(absd) ** (2.0 + eps)
-    x2 = g.h**2 * math.log(absd) ** 2
+    x_cap = eval_scale(args.x_cap, g.h, absd)
+    x1 = scale_value(1.0, 1.0, 2.0 + args.eps, g.h, absd)
+    x2 = scale_value(1.0, 2.0, 2.0, g.h, absd)
     sweep_cap = max(x_cap, x1, x2)
-    lp, ln, capped = stats._least_sweep(g, sweep_cap, sieve_cap=sieve_cap)
+    lp, ln, capped = stats._least_sweep(g, sweep_cap, sieve_cap=args.sieve_cap)
     rows = []
     for i, f in enumerate(g.elements):
         p = lp[i] if lp[i] is not None and lp[i] < x_cap else None
@@ -262,28 +263,20 @@ def cmd_least_primes(args, conf) -> int:
     return 0
 
 
-def _rule_value(rule, h: int, absd: int) -> float:
-    if isinstance(rule, (int, float)):
-        return float(rule)
-    return eval_scale(rule, h, absd)
-
-
-def _require_disc(args, conf):
-    dv = _resolve(args, conf, "disc", None, int)
-    if dv is None:
+def _require_disc(args):
+    if args.disc is None:
         raise UsageError("--disc is required (flag or config)")
-    return validate_discriminant(dv)
+    return validate_discriminant(args.disc)
 
 
-def cmd_variance(args, conf) -> int:
-    d = _require_disc(args, conf)
-    t = _resolve(args, conf, "t", None, float)
-    if t is None or t < 2:
-        raise UsageError("--t must be given and at least 2")
-    w = stats.get_weight(_resolve(args, conf, "weight", "bump"))
-    sieve_cap = _resolve(args, conf, "sieve-cap", arith.SIEVE_CAP_DEFAULT, int)
+def cmd_variance(args) -> int:
+    d = _require_disc(args)
+    t = args.t
+    if t is None or not (2 <= t < math.inf):
+        raise UsageError("--t must be given, finite and at least 2")
+    w = stats.get_weight(args.weight)
     g = group_structure(enumerate_reduced_forms(d, strict=False))
-    rep = stats.variance_report(g, t, w, sieve_cap=sieve_cap)
+    rep = stats.variance_report(g, t, w, sieve_cap=args.sieve_cap)
     log2d = math.log(-d.value) ** 2
     row = {
         "d": d.value,
@@ -306,9 +299,9 @@ def cmd_variance(args, conf) -> int:
     return 0
 
 
-def cmd_dirichlet_check(args, conf) -> int:
-    d = _require_disc(args, conf)
-    nmax = _resolve(args, conf, "n-max", 5000, int)
+def cmd_dirichlet_check(args) -> int:
+    d = _require_disc(args)
+    nmax = args.n_max
     if nmax < 1:
         raise UsageError("--n-max must be >= 1")
     counts = arith.representation_counts_upto(nmax, d)
@@ -338,19 +331,19 @@ def cmd_dirichlet_check(args, conf) -> int:
     return 0
 
 
-def cmd_heegner(args, conf) -> int:
-    d = _require_disc(args, conf)
-    psi_value = _resolve(args, conf, "psi-value", 1.0, float)
-    if psi_value <= 0:
-        raise UsageError("--psi-value must be positive")
-    sieve_cap = _resolve(args, conf, "sieve-cap", arith.SIEVE_CAP_DEFAULT, int)
-    g = group_structure(enumerate_reduced_forms(d, strict=False))
+def cmd_heegner(args) -> int:
+    d = _require_disc(args)
+    psi_value = args.psi_value
+    if not 0 < psi_value < math.inf:
+        raise UsageError("--psi-value must be positive and finite")
     absd = -d.value
-    x_cap = _rule_value(_resolve(args, conf, "x-cap", "100*h2*log2"), g.h, absd)
-    l_terms = _resolve(args, conf, "l-terms", max(10**6, 100 * absd), int)
-    lp = stats.least_primes(g, x_cap, sieve_cap=sieve_cap)
+    if args.l_terms is not None and args.l_terms < absd:
+        raise UsageError(f"--l-terms must be at least |D| = {absd}")
+    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    x_cap = eval_scale(args.x_cap, g.h, absd)
+    lp = stats.least_primes(g, x_cap, sieve_cap=args.sieve_cap)
     rep = heegner.repulsion_report(g, lp)
-    est = arith.l_one_chi(d, l_terms)
+    est = arith.l_one_chi(d, args.l_terms)
     pairing, const = heegner.cramer_class_number_pairing(g, psi_value)
     rows = []
     for r, pt in zip(rep.rows, heegner.heegner_points(g)):
@@ -434,53 +427,27 @@ def _scan_one(dv: int, x_rules, t_rule, w, sieve_cap, h_cap) -> dict:
     return row
 
 
-def cmd_scan(args, conf) -> int:
-    rng = _resolve(args, conf, "range", None)
-    if rng is None:
+def cmd_scan(args) -> int:
+    if args.range is None:
         raise UsageError("--range LO HI is required")
-    if isinstance(rng, str):
-        rng = [int(x) for x in rng.split(",")]
-    lo, hi = int(rng[0]), int(rng[1])
-    if lo > hi:
-        lo, hi = hi, lo
-    x_rules = _resolve_rules(args, conf, "x-rule", ["h*log2.1", "h2*log2"])
-    t_rule = _resolve(args, conf, "t-rule", "h2*log2")
-    w = stats.get_weight(_resolve(args, conf, "weight", "bump"))
-    sieve_cap = _resolve(args, conf, "sieve-cap", arith.SIEVE_CAP_DEFAULT, int)
-    h_cap = _resolve(args, conf, "h-cap", 10**6, int)
-    threads = _resolve_threads(args, conf)
-    for r in x_rules + [t_rule]:
+    lo, hi = sorted(args.range)
+    x_rules = args.x_rule or ["h*log2.1", "h2*log2"]
+    w = stats.get_weight(args.weight)
+    for r in x_rules + [args.t_rule]:
         parse_scale(r)  # validate up front -> usage error, not mid-scan
     discs = [
         dv
         for dv in range(hi, lo - 1, -1)  # decreasing D
         if dv < 0 and dv % 4 in (0, 1) and validate_discriminant(dv).fundamental
     ]
-
-    def worker(dv: int):
-        return _scan_one(dv, x_rules, t_rule, w, sieve_cap, h_cap)
-
     rows = []
     failures: list[Exception] = []
-
-    def record(dv: int, exc: Exception) -> None:
-        failures.append(exc)
-        print(f"scan: D={dv} failed: {exc}", file=sys.stderr)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = [(dv, ex.submit(worker, dv)) for dv in discs]
-            for dv, fut in futures:  # order preserved
-                try:
-                    rows.append(fut.result())
-                except (InvariantViolation, *_INPUT_ERRORS) as exc:
-                    record(dv, exc)
-    else:
-        for dv in discs:
-            try:
-                rows.append(worker(dv))
-            except (InvariantViolation, *_INPUT_ERRORS) as exc:
-                record(dv, exc)
+    for dv in discs:
+        try:
+            rows.append(_scan_one(dv, x_rules, args.t_rule, w, args.sieve_cap, args.h_cap))
+        except (InvariantViolation, *_INPUT_ERRORS) as exc:
+            failures.append(exc)
+            print(f"scan: D={dv} failed: {exc}", file=sys.stderr)
     cols = _scan_columns(x_rules)
     if args.format == "json":
         json.dump(rows, args.out_stream, indent=2, default=_json_default)
@@ -493,11 +460,10 @@ def cmd_scan(args, conf) -> int:
     return 2 if failures else 0
 
 
-def cmd_selftest(args, conf) -> int:
+def cmd_selftest(args) -> int:
     from . import acceptance
 
-    only = getattr(args, "only", None)
-    results = acceptance.run(numbers=[int(x) for x in only] if only else None)
+    results = acceptance.run(numbers=args.only)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -505,11 +471,11 @@ def cmd_selftest(args, conf) -> int:
 # argument plumbing
 
 def _add_common(sp, *, sieve_cap: bool = False) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--out")
+    sp.add_argument("--config")
     if sieve_cap:
-        sp.add_argument("--sieve-cap", type=int, default=None)
+        sp.add_argument("--sieve-cap", type=int, default=arith.SIEVE_CAP_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,76 +483,77 @@ def build_parser() -> argparse.ArgumentParser:
         prog="classprime",
         description="class groups of imaginary quadratic discriminants and "
         "the distribution of primes among ideal classes",
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("forms", help="reduced forms, h, cyclic orders for one D")
-    sp.add_argument("--disc", type=int, default=None)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        # no abbreviations: a config value is skipped only when its exact flag is given
+        sp = sub.add_parser(name, help=summary, allow_abbrev=False)
+        sp.set_defaults(func=func, parser=sp)
+        return sp
+
+    sp = command("forms", cmd_forms, "reduced forms, h, cyclic orders for one D")
+    sp.add_argument("--disc", type=int)
     _add_common(sp)
-    sp.set_defaults(func=cmd_forms)
 
-    sp = sub.add_parser("least-primes", help="per-class least primes and R thresholds")
-    sp.add_argument("--disc", type=int, default=None)
-    sp.add_argument("--x-cap", default=None, help="absolute value or rule like 100*h2*log2")
-    sp.add_argument("--eps", type=float, default=None)
+    sp = command("least-primes", cmd_least_primes, "per-class least primes and R thresholds")
+    sp.add_argument("--disc", type=int)
+    sp.add_argument("--x-cap", default="100*h2*log2", help="absolute value or rule")
+    sp.add_argument("--eps", type=float, default=0.1)
     _add_common(sp, sieve_cap=True)
-    sp.set_defaults(func=cmd_least_primes)
 
-    sp = sub.add_parser("variance", help="psi sums and cross-class variance at scale T")
-    sp.add_argument("--disc", type=int, default=None)
-    sp.add_argument("--t", type=float, default=None)
-    sp.add_argument("--weight", choices=("bump", "indicator"), default=None)
+    sp = command("variance", cmd_variance, "psi sums and cross-class variance at scale T")
+    sp.add_argument("--disc", type=int)
+    sp.add_argument("--t", type=float)
+    sp.add_argument("--weight", choices=("bump", "indicator"), default="bump")
     _add_common(sp, sieve_cap=True)
-    sp.set_defaults(func=cmd_variance)
 
-    sp = sub.add_parser("scan", help="tabulate h, R, least primes, variance over a range")
-    sp.add_argument("--range", type=int, nargs=2, default=None, metavar=("LO", "HI"))
-    sp.add_argument("--x-rule", action="append", default=None)
-    sp.add_argument("--t-rule", default=None)
-    sp.add_argument("--weight", choices=("bump", "indicator"), default=None)
-    sp.add_argument("--h-cap", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp = command("scan", cmd_scan, "tabulate h, R, least primes, variance over a range")
+    sp.add_argument("--range", type=int, nargs=2, metavar=("LO", "HI"))
+    # default ["h*log2.1", "h2*log2"] is set in cmd_scan: append would extend it
+    sp.add_argument("--x-rule", action="append")
+    sp.add_argument("--t-rule", default="h2*log2")
+    sp.add_argument("--weight", choices=("bump", "indicator"), default="bump")
+    sp.add_argument("--h-cap", type=int, default=10**6)
     _add_common(sp, sieve_cap=True)
-    sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("dirichlet-check", help="representation counts vs divisor formula")
-    sp.add_argument("--disc", type=int, default=None)
-    sp.add_argument("--n-max", type=int, default=None)
+    sp = command(
+        "dirichlet-check", cmd_dirichlet_check, "representation counts vs divisor formula"
+    )
+    sp.add_argument("--disc", type=int)
+    sp.add_argument("--n-max", type=int, default=5000)
     _add_common(sp)
-    sp.set_defaults(func=cmd_dirichlet_check)
 
-    sp = sub.add_parser("heegner", help="CM points, coefficient bounds, repulsion table")
-    sp.add_argument("--disc", type=int, default=None)
-    sp.add_argument("--psi-value", type=float, default=None)
-    sp.add_argument("--x-cap", default=None)
-    sp.add_argument("--l-terms", type=int, default=None)
+    sp = command("heegner", cmd_heegner, "CM points, coefficient bounds, repulsion table")
+    sp.add_argument("--disc", type=int)
+    sp.add_argument("--psi-value", type=float, default=1.0)
+    sp.add_argument("--x-cap", default="100*h2*log2")
+    sp.add_argument("--l-terms", type=int, help="default max(10^6, 100|D|)")
     _add_common(sp, sieve_cap=True)
-    sp.set_defaults(func=cmd_heegner)
 
-    sp = sub.add_parser("selftest", help="run the acceptance checks")
-    sp.add_argument("--only", action="append", default=None, metavar="N")
+    sp = command("selftest", cmd_selftest, "run the acceptance checks")
+    sp.add_argument("--only", action="append", type=int, choices=range(1, 11), metavar="N")
     _add_common(sp)
-    sp.set_defaults(func=cmd_selftest)
 
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        conf = load_config(getattr(args, "config", None))
-        fmt = _resolve(args, conf, "format", "csv")
-        if fmt not in ("csv", "json"):
-            raise UsageError(f"bad format {fmt!r}")
-        args.format = fmt
-        out_path = _resolve(args, conf, "out", None)
-        if out_path:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        if args.config:
+            # one parse of flags and config together: same types, choices and nargs
+            argv += _config_argv(args.parser, load_config(args.config), argv)
+            args = parser.parse_args(argv)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 args.out_stream = fh
-                return args.func(args, conf)
+                return args.func(args)
         args.out_stream = sys.stdout
-        return args.func(args, conf)
+        return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ from sympy import jacobi_symbol
 
 from classprime.arith import (
     LimitTooLarge,
+    _simple_sieve,
     chi_table,
     class_number_from_l,
     classify_prime,
@@ -93,6 +94,23 @@ def test_sieve_prime_counts():
     ps = sieve_primes(100)
     assert ps[0] == 2 and ps[-1] == 97
     assert all(sympy.isprime(int(p)) for p in ps)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 100, 10**6 + 7])
+def test_simple_sieve_matches_sympy(limit):
+    assert _simple_sieve(limit).tolist() == list(sympy.primerange(0, limit + 1))
+
+
+def test_simple_sieve_memory():
+    # one bool per integer and the primes; no int64 copy of the even numbers
+    tracemalloc.start()
+    try:
+        ps = _simple_sieve(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ps) == 664579  # pi(1e7)
+    assert peak < 32 * 2**20
 
 
 def test_segmented_sieve_matches_simple():

@@ -9,6 +9,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from classprime import cli
 from classprime.cli import UsageError, eval_scale, fmt_num, parse_scale
@@ -313,13 +314,12 @@ def test_int64_limit_exit_2(capsys):
     assert "error:" in err and "2^31" in err
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_scan_counts_failures_exit_2(threads, monkeypatch, capsys):
+def test_scan_counts_failures_exit_2(monkeypatch, capsys):
     structured = []
     real = cli.group_structure
     monkeypatch.setattr(cli, "group_structure", lambda g: structured.append(g.h) or real(g))
     rc, out, err = run_cli(
-        ["scan", "--range", "-60", "-3", "--h-cap", "1", "--threads", threads], capsys
+        ["scan", "--range", "-60", "-3", "--h-cap", "1"], capsys
     )
     assert rc == 2
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -363,6 +363,65 @@ def test_invariant_violation_exit_3(argv, monkeypatch, capsys):
     assert "forced for the exit-code contract" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["least-primes", "--disc", "-23", "--eps", "1e6"],
+        ["least-primes", "--disc", "-23", "--x-cap", "inf"],
+        ["least-primes", "--disc", "-23", "--x-cap", "1e400"],
+        ["least-primes", "--disc", "-23", "--x-cap", "nan"],
+        ["variance", "--disc", "-23", "--t", "inf"],
+        ["variance", "--disc", "-23", "--t", "nan"],
+        ["scan", "--range", "-30", "-3", "--t-rule", "1e400"],
+        ["heegner", "--disc", "-23", "--psi-value", "nan"],
+        ["heegner", "--disc", "-23", "--psi-value", "inf"],
+        ["heegner", "--disc", "-23", "--l-terms", "5"],
+    ],
+)
+def test_unusable_numbers_exit_2(argv, capsys):
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--range", "-30", "-3", "--threads", "2"],
+        ["selftest", "--only", "99"],
+        ["variance", "--disc", "-23", "--t", "100", "--wei", "indicator"],  # no abbreviations
+    ],
+)
+def test_parser_rejects_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["variance", "--disc", "-23", "--t", "100"], ["scan", "--range", "-8", "-3"]]
+)
+def test_value_error_is_not_bad_input(argv, monkeypatch):
+    from classprime import stats
+
+    def crash(g, T, w, **kw):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(stats, "variance_report", crash)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dv=st.integers(-3000, 5),
+    cmd=st.sampled_from([["forms"], ["least-primes"], ["variance", "--t", "1000"], ["heegner"]]),
+)
+def test_any_disc_ends_in_documented_exit(dv, cmd):
+    assert cli.main(cmd + ["--disc", str(dv), "--out", os.devnull]) in (0, 2, 3, 4)
+
+
 def test_scan_does_not_swallow_internal_errors(monkeypatch):
     from classprime import stats
 
@@ -375,7 +434,7 @@ def test_scan_does_not_swallow_internal_errors(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# config file, env, precedence
+# config file and precedence
 
 def test_config_file_supplies_options(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
@@ -408,18 +467,41 @@ def test_missing_config_exit_2(capsys):
     assert rc == 2
 
 
-def test_threads_env_fallback(monkeypatch):
-    import argparse
+def test_config_lists_match_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("range = -30, -3\nx-rule = h*log2, 50\n")
+    rc, from_conf, _ = run_cli(["scan", "--config", str(cfg)], capsys)
+    flags = ["scan", "--range", "-30", "-3", "--x-rule", "h*log2", "--x-rule", "50"]
+    rc2, from_flags, _ = run_cli(flags, capsys)
+    assert rc == rc2 == 0 and from_conf == from_flags
+    rc, out, _ = run_cli(["scan", "--config", str(cfg), "--x-rule", "50"], capsys)
+    assert rc == 0 and out.splitlines()[0].count(",x") == 1  # the flag replaces the list
 
-    args = argparse.Namespace(threads=None)
-    monkeypatch.setenv("CLASSPRIME_THREADS", "7")
-    assert cli._resolve_threads(args, {}) == 7
-    assert cli._resolve_threads(args, {"threads": "3"}) == 3  # config beats env
-    args.threads = 2
-    assert cli._resolve_threads(args, {}) == 2  # flag beats all
-    monkeypatch.delenv("CLASSPRIME_THREADS")
-    args.threads = None
-    assert cli._resolve_threads(args, {}) == 1
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["forms", "--disc", "-23"], "bogus = 3"),
+        (["forms", "--disc", "-23"], "threads = 9"),  # a key of no subcommand
+        (["forms", "--disc", "-23"], "h-cap = 0"),  # a key of another subcommand
+        (["forms", "--disc", "-23"], "sieve-cap = 1"),
+        (["forms", "--disc", "-23"], "format = xml"),
+        (["forms", "--disc", "-23"], "config = other.conf"),
+        (["variance", "--disc", "-23"], "t = abc"),
+        (["variance", "--disc", "-23", "--t", "100"], "weight = foo"),
+        (["variance", "--disc", "-23"], "t = inf"),
+        (["scan"], "range = -30"),
+    ],
+)
+def test_bad_config_exit_2(argv, text, tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(text + "\n")
+    try:
+        rc = cli.main(argv + ["--config", str(cfg)])
+    except SystemExit as exc:  # argparse rejected the value
+        rc = exc.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_out_file(tmp_path, capsys):
@@ -429,13 +511,6 @@ def test_out_file(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("class_index,a,b,c\n")
     assert text.count("\n") == 4
-
-
-def test_scan_deterministic_across_threads(tmp_path):
-    p1, p4 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(["scan", "--range", "-300", "-3", "--threads", "1", "--out", str(p1)]) == 0
-    assert cli.main(["scan", "--range", "-300", "-3", "--threads", "4", "--out", str(p4)]) == 0
-    assert p1.read_bytes() == p4.read_bytes()
 
 
 def test_scan_x_rules_shape_columns(capsys):
