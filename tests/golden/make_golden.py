@@ -1,11 +1,13 @@
 """Write the golden CLI outputs that tests/test_golden.py compares against.
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [NAME ...]
 
-The files were frozen before the prime -> class step, the character
+With names, only those files are written.  The files were frozen before the prime -> class step, the character
 transform and the scan-row builder were consolidated; the cases at
 D = -10000019 and the scan over [-2000, -3] were frozen before that step
-became array code.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
+became array code; the remaining criterion-3 variance cases and the
+heegner tables were frozen before the class group computed its structure
+on first use.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
 output.
 """
 from __future__ import annotations
@@ -41,6 +43,18 @@ def _cases() -> list[tuple[str, list[str]]]:
         "least-primes_-10000019.json",
         ["least-primes", "--disc", "-10000019", "--format", "json"],
     ))
+    # the rest of acceptance criterion 3's grid (D in {-23, -47, -10007},
+    # T in {1e3, 1e4, 1e5}, both weights), and heegner, which had no file
+    for d, ts in ((-47, ("1e3", "1e4", "1e5")), (-23, ("1e4",)), (-10007, ("1e4",))):
+        for t in ts:
+            for w in ("bump", "indicator"):
+                cases.append((
+                    f"variance_{d}_{t}_{w}.json",
+                    ["variance", "--disc", str(d), "--t", t, "--weight", w,
+                     "--format", "json"],
+                ))
+    for d in (-23, -84, -3299):
+        cases.append((f"heegner_{d}.json", ["heegner", "--disc", str(d), "--format", "json"]))
     return cases
 
 
@@ -59,5 +73,12 @@ def write(name: str, argv: list[str], directory: Path) -> Path:
 
 
 if __name__ == "__main__":
+    import sys
+
+    wanted = set(sys.argv[1:])
+    unknown = wanted - {name for name, _ in CASES}
+    if unknown:
+        sys.exit(f"unknown golden file(s): {', '.join(sorted(unknown))}")
     for name, argv in CASES:
-        print(write(name, argv, GOLDEN_DIR))
+        if not wanted or name in wanted:
+            print(write(name, argv, GOLDEN_DIR))
