@@ -7,6 +7,7 @@ option, a miss is reported as a failure.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -18,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import arith, cli, stats
-from .classgroup import enumerate_reduced_forms, group_structure
+from .classgroup import enumerate_reduced_forms
 from .qform import validate_discriminant
 from .stats import bump_weight, get_weight, indicator_weight
 
@@ -116,27 +117,29 @@ def _variance_cases():
     return cases
 
 
-_report_cache: dict = {}
+GridReports = list[tuple[str, stats.PsiReport | stats.IdentityMismatch]]
 
 
-def _cached_report(dv: int, t: float, w) -> stats.PsiReport:
-    key = (dv, t, w.kind)
-    if key not in _report_cache:
-        g = group_structure(enumerate_reduced_forms(dv))
-        _report_cache[key] = stats.variance_report(g, t, w)
-    return _report_cache[key]
+def variance_grid_reports() -> GridReports:
+    """Criteria 3 and 4's pinned grid: (case label, report or the mismatch it raised)."""
+    out: GridReports = []
+    for dv, t, w in _variance_cases():
+        try:
+            rep = stats.variance_report(enumerate_reduced_forms(dv), t, w)
+        except stats.IdentityMismatch as exc:
+            rep = exc
+        out.append((f"D={dv} T={t:g} {w.kind}", rep))
+    return out
 
 
-def criterion_3() -> CriterionResult:
+def criterion_3(reports: Callable[[], GridReports] = variance_grid_reports) -> CriterionResult:
     """Definitional vs spectral variance to 1e-9 relative on the pinned grid."""
     t0 = time.perf_counter()
     worst = 0.0
     fails = []
-    for dv, t, w in _variance_cases():
-        try:
-            rep = _cached_report(dv, t, w)
-        except stats.IdentityMismatch as exc:
-            fails.append(f"D={dv} T={t:g} {w.kind}: {exc}")
+    for case, rep in reports():
+        if isinstance(rep, stats.IdentityMismatch):
+            fails.append(f"{case}: {rep}")
             continue
         scale = max(rep.variance, rep.variance_spectral, 1e-300)
         worst = max(worst, abs(rep.variance - rep.variance_spectral) / scale)
@@ -148,16 +151,14 @@ def criterion_3() -> CriterionResult:
     return CriterionResult(3, "variance identity", ok, detail, dt)
 
 
-def criterion_4() -> CriterionResult:
+def criterion_4(reports: Callable[[], GridReports] = variance_grid_reports) -> CriterionResult:
     """Fourier roundtrip psi_chi -> psi_A to 1e-9 relative on the same grid."""
     t0 = time.perf_counter()
     worst = 0.0
     fails = []
-    for dv, t, w in _variance_cases():
-        try:
-            rep = _cached_report(dv, t, w)
-        except stats.IdentityMismatch as exc:
-            fails.append(f"D={dv} T={t:g} {w.kind}: {exc}")
+    for case, rep in reports():
+        if isinstance(rep, stats.IdentityMismatch):
+            fails.append(f"{case}: {rep}")
             continue
         scale = max(1.0, float(np.max(np.abs(rep.psi_by_class))))
         worst = max(worst, rep.roundtrip_error / scale)
@@ -172,7 +173,7 @@ def criterion_4() -> CriterionResult:
 def criterion_5() -> CriterionResult:
     """Main term: D=-23, bump, T=1e6, |psi_total/T - 1| <= 0.05."""
     t0 = time.perf_counter()
-    g = group_structure(enumerate_reduced_forms(-23))
+    g = enumerate_reduced_forms(-23)
     rep = stats.variance_report(g, 10.0**6, bump_weight())
     dev = abs(rep.psi_total / rep.t - 1.0)
     dt = time.perf_counter() - t0
@@ -191,7 +192,7 @@ def criterion_6() -> CriterionResult:
     rows = []
     worst = 0.0
     for dv in sample_discriminants():
-        g = group_structure(enumerate_reduced_forms(dv))
+        g = enumerate_reduced_forms(dv)
         t = max(2.0, g.h**2 * math.log(-dv) ** 2)
         rep = stats.variance_report(g, t, bump_weight())
         ratio = rep.variance / (t * math.log(-dv) ** 2)
@@ -211,7 +212,7 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     """Pinned least primes for D=-23 and the two exceptional counts."""
     t0 = time.perf_counter()
-    g = group_structure(enumerate_reduced_forms(-23))
+    g = enumerate_reduced_forms(-23)
     lp = stats.least_primes(g, 1000)
     expect = {(2, 1, 3): 2, (2, -1, 3): 2, (1, 1, 6): 23}
     got = {tuple(f): lp[i] for i, f in enumerate(g.elements)}
@@ -239,7 +240,7 @@ def criterion_8() -> CriterionResult:
     fails = []
     worst_frac = 0.0
     for dv in sample_discriminants():
-        g = group_structure(enumerate_reduced_forms(dv))
+        g = enumerate_reduced_forms(dv)
         logd = math.log(-dv)
         x1 = g.h * logd**2.1
         x2 = 100 * g.h**2 * logd**2
@@ -268,7 +269,7 @@ def criterion_9() -> CriterionResult:
     bad = []
     n_classes = 0
     for dv in tested:
-        g = group_structure(enumerate_reduced_forms(dv))
+        g = enumerate_reduced_forms(dv)
         lp = stats.least_primes(g, 100 * g.h**2 * math.log(-dv) ** 2 + 10)
         for i, f in enumerate(g.elements):
             n_classes += 1
@@ -335,10 +336,12 @@ CRITERIA: list[Callable[[], CriterionResult]] = [
 def run(numbers: Optional[list[int]] = None, stream=None) -> list[CriterionResult]:
     stream = stream or sys.stdout
     results = []
+    # criteria 3 and 4 share one computation of the grid, timed by the first to run
+    grid = functools.cache(variance_grid_reports)
     for i, fn in enumerate(CRITERIA, 1):
         if numbers and i not in numbers:
             continue
-        res = fn()
+        res = fn(grid) if fn in (criterion_3, criterion_4) else fn()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
         stream.write(

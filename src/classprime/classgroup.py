@@ -2,9 +2,9 @@
 
 Enumerates the reduced forms of a discriminant, computes the abelian
 group structure (invariant factors n_1 | n_2 | ... with generators and a
-full coordinate table), and builds the dual character group.  Element
-order is lexicographic on (a, b, c); index 0 is always the principal
-class.
+full coordinate table) the first time it is read, and builds the dual
+character group.  Element order is lexicographic on (a, b, c); index 0
+is always the principal class.
 """
 from __future__ import annotations
 
@@ -12,7 +12,10 @@ import itertools
 import math
 import cmath
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Optional
+
+import numpy as np
 
 from .qform import (
     Discriminant,
@@ -40,13 +43,32 @@ class ClassGroup:
     elements: tuple[QuadForm, ...]
     h: int
     nonfundamental: bool = False
-    # filled by group_structure(); basis entries are (element index, order)
-    # with orders in ascending divisibility n_1 | n_2 | ...
-    basis: Optional[tuple[tuple[int, int], ...]] = None
-    coords: Optional[tuple[tuple[int, ...], ...]] = None
     _index: dict = field(default_factory=dict, repr=False)
-    _inverse: Optional[list[int]] = field(default=None, repr=False)
-    _roots: Optional[list[complex]] = field(default=None, repr=False)
+    # filled by group_structure() on first read of basis, coords or orders()
+    _basis: Optional[tuple[tuple[int, int], ...]] = field(default=None, repr=False)
+    _coords: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
+
+    @property
+    def basis(self) -> tuple[tuple[int, int], ...]:
+        """(element index, order) per invariant factor, orders ascending n_1 | n_2 | ..."""
+        if self._basis is None:
+            group_structure(self)
+        return self._basis
+
+    @property
+    def coords(self) -> tuple[tuple[int, ...], ...]:
+        """Exponents of each class against the basis."""
+        if self._coords is None:
+            group_structure(self)
+        return self._coords
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Index of each class's inverse, the class of (a, -b, c)."""
+        inv = [self._index[tuple(opposite(f))] for f in self.elements]
+        inv = np.array(inv, dtype=np.int64)
+        inv.flags.writeable = False
+        return inv
 
     def index_of(self, f: QuadForm) -> int:
         key = (f.a, f.b, f.c)
@@ -58,9 +80,7 @@ class ClassGroup:
         return self._index[tuple(compose(self.elements[i], self.elements[j]))]
 
     def inverse_idx(self, i: int) -> int:
-        if self._inverse is None:
-            self._inverse = [self._index[tuple(opposite(f))] for f in self.elements]
-        return self._inverse[i]
+        return int(self.inverse[i])
 
     def power_idx(self, i: int, k: int) -> int:
         if k < 0:
@@ -75,9 +95,7 @@ class ClassGroup:
         return acc
 
     def orders(self) -> tuple[int, ...]:
-        """Invariant factor orders (n_1, ..., n_k); requires structure."""
-        if self.basis is None:
-            group_structure(self)
+        """Invariant factor orders (n_1, ..., n_k)."""
         return tuple(n for _, n in self.basis)
 
 
@@ -176,12 +194,16 @@ def _sylow_basis(g: ClassGroup, q: int, e: int) -> list[tuple[int, int]]:
 
 
 def group_structure(g: ClassGroup) -> ClassGroup:
-    """Fill basis (invariant factors, ascending) and the coords table."""
-    if g.basis is not None:
+    """Fill basis (invariant factors, ascending) and the coords table.
+
+    ClassGroup calls this on first read of basis, coords or orders();
+    calling it directly forces the computation, and again does nothing.
+    """
+    if g._basis is not None:
         return g
     if g.h == 1:
-        g.basis = ()
-        g.coords = ((),)
+        g._basis = ()
+        g._coords = ((),)
         return g
     per_prime = [
         _sylow_basis(g, q, e) for q, e in sorted(_factorize(g.h).items())
@@ -210,8 +232,8 @@ def group_structure(g: ClassGroup) -> ClassGroup:
         table = nxt
     if len(table) != g.h:
         raise RuntimeError("basis does not span the class group")
-    g.basis = tuple(factors)
-    g.coords = tuple(table[i] for i in range(g.h))
+    g._basis = tuple(factors)
+    g._coords = tuple(table[i] for i in range(g.h))
     return g
 
 
@@ -229,13 +251,11 @@ class Character:
     def value(self, i: int) -> complex:
         g = self.group
         lcm = g.basis[-1][1] if g.basis else 1
-        if g._roots is None:
-            g._roots = [cmath.exp(2j * math.pi * t / lcm) for t in range(lcm)]
         # exact angle accumulation: everything stays an integer mod lcm
         s = 0
         for m, a, (_, n) in zip(self.exponents, g.coords[i], g.basis):
             s += m * a * (lcm // n)
-        return g._roots[s % lcm]
+        return cmath.exp(2j * math.pi * (s % lcm) / lcm)
 
     def values(self) -> list[complex]:
         return [self.value(i) for i in range(self.group.h)]
@@ -243,8 +263,7 @@ class Character:
 
 def characters(g: ClassGroup) -> list[Character]:
     """All h characters; the trivial character comes first."""
-    group_structure(g)
-    ranges = [range(n) for _, n in g.basis]
+    ranges = [range(n) for n in g.orders()]
     return [Character(g, exps) for exps in itertools.product(*ranges)]
 
 

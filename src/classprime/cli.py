@@ -13,19 +13,13 @@ import argparse
 import json
 import math
 import re
-import statistics
 import sys
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import arith, heegner, stats
-from .classgroup import (
-    InvalidIdealBasis,
-    NotFundamental,
-    enumerate_reduced_forms,
-    group_structure,
-)
+from .classgroup import InvalidIdealBasis, NotFundamental, enumerate_reduced_forms
 from .qform import InvariantViolation, NotADiscriminant, validate_discriminant
 from .stats import IdentityMismatch
 
@@ -188,7 +182,7 @@ def _json_default(v):
 
 def cmd_forms(args) -> int:
     d = _require_disc(args)
-    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    g = enumerate_reduced_forms(d, strict=False)
     rows = [
         {"class_index": i, "a": f.a, "b": f.b, "c": f.c}
         for i, f in enumerate(g.elements)
@@ -207,7 +201,7 @@ def cmd_forms(args) -> int:
 
 def cmd_least_primes(args) -> int:
     d = _require_disc(args)
-    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    g = enumerate_reduced_forms(d, strict=False)
     absd = -d.value
     x_cap = eval_scale(args.x_cap, g.h, absd)
     x1 = scale_value(1.0, 1.0, 2.0 + args.eps, g.h, absd)
@@ -228,12 +222,12 @@ def cmd_least_primes(args) -> int:
                 "is_ramified_prime": bool(p is not None and d.value % p == 0),
             }
         )
-    present = [r["least_prime"] for r in rows if r["least_prime"] is not None]
+    max_p, median_p = stats.least_prime_summary([r["least_prime"] for r in rows])
     summary = {
         "h": g.h,
         "x_cap": x_cap,
-        "max_least_prime": max(present) if len(present) == g.h else None,
-        "median_least_prime": statistics.median(present) if present else None,
+        "max_least_prime": max_p,
+        "median_least_prime": median_p,
         "x_h_log_eps": x1,
         "r_prime_at_x_h_log_eps": stats.count_exceptional(lp, x1),
         "r_ideal_at_x_h_log_eps": stats.count_exceptional(ln, x1),
@@ -245,21 +239,7 @@ def cmd_least_primes(args) -> int:
         "capped": capped,
     }
     payload = {"d": d.value, "rows": rows, "summary": summary}
-    emit(
-        payload,
-        rows,
-        [
-            "class_index",
-            "a",
-            "b",
-            "c",
-            "heegner_im",
-            "least_prime",
-            "is_ramified_prime",
-        ],
-        args.format,
-        args.out_stream,
-    )
+    emit(payload, rows, list(rows[0]), args.format, args.out_stream)
     return 0
 
 
@@ -275,7 +255,7 @@ def cmd_variance(args) -> int:
     if t is None or not (2 <= t < math.inf):
         raise UsageError("--t must be given, finite and at least 2")
     w = stats.get_weight(args.weight)
-    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    g = enumerate_reduced_forms(d, strict=False)
     rep = stats.variance_report(g, t, w, sieve_cap=args.sieve_cap)
     log2d = math.log(-d.value) ** 2
     row = {
@@ -339,14 +319,14 @@ def cmd_heegner(args) -> int:
     absd = -d.value
     if args.l_terms is not None and args.l_terms < absd:
         raise UsageError(f"--l-terms must be at least |D| = {absd}")
-    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    g = enumerate_reduced_forms(d, strict=False)
     x_cap = eval_scale(args.x_cap, g.h, absd)
     lp = stats.least_primes(g, x_cap, sieve_cap=args.sieve_cap)
     rep = heegner.repulsion_report(g, lp)
     est = arith.l_one_chi(d, args.l_terms)
     pairing, const = heegner.cramer_class_number_pairing(g, psi_value)
     rows = []
-    for r, pt in zip(rep.rows, heegner.heegner_points(g)):
+    for r in rep.rows:
         f = g.elements[r.class_index]
         rows.append(
             {
@@ -354,8 +334,8 @@ def cmd_heegner(args) -> int:
                 "a": f.a,
                 "b": f.b,
                 "c": f.c,
-                "heegner_re": pt.re,
-                "heegner_im": pt.im,
+                "heegner_re": r.heegner_re,
+                "heegner_im": r.heegner_im,
                 "least_prime": r.least_prime,
                 "bound_ok": r.bound_ok,
             }
@@ -374,22 +354,7 @@ def cmd_heegner(args) -> int:
         "argmax_a_class": rep.argmax_a_class,
     }
     payload = {"d": d.value, "rows": rows, "summary": summary}
-    emit(
-        payload,
-        rows,
-        [
-            "class_index",
-            "a",
-            "b",
-            "c",
-            "heegner_re",
-            "heegner_im",
-            "least_prime",
-            "bound_ok",
-        ],
-        args.format,
-        args.out_stream,
-    )
+    emit(payload, rows, list(rows[0]), args.format, args.out_stream)
     return 0
 
 
@@ -406,7 +371,6 @@ def _scan_one(dv: int, x_rules, t_rule, w, sieve_cap, h_cap) -> dict:
     g = enumerate_reduced_forms(d)
     if g.h > h_cap:
         raise UsageError(f"h = {g.h} exceeds cap {h_cap}")
-    group_structure(g)
     absd = -dv
     xs = [eval_scale(r, g.h, absd) for r in x_rules]
     sweep_cap = max(xs) if xs else 2.0
@@ -418,9 +382,7 @@ def _scan_one(dv: int, x_rules, t_rule, w, sieve_cap, h_cap) -> dict:
         row[f"x{i}"] = x
         row[f"r{i}_ideal"] = stats.count_exceptional(ln, x)
         row[f"r{i}_prime"] = stats.count_exceptional(lp, x)
-    present = [p for p in lp if p is not None]
-    row["max_p"] = max(present) if len(present) == g.h else None
-    row["median_p"] = statistics.median(present) if present else None
+    row["max_p"], row["median_p"] = stats.least_prime_summary(lp)
     row["t"] = t
     row["var"] = rep.variance
     row["var_ratio"] = rep.variance / (t * math.log(absd) ** 2)
@@ -549,7 +511,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             argv += _config_argv(args.parser, load_config(args.config), argv)
             args = parser.parse_args(argv)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            try:
+                fh = open(args.out, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise UsageError(f"cannot open --out {args.out}: {exc}") from None
+            with fh:
                 args.out_stream = fh
                 return args.func(args)
         args.out_stream = sys.stdout

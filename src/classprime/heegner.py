@@ -9,11 +9,10 @@ effect the reports tabulate.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import arith
+from . import arith, stats
 from .classgroup import ClassGroup
 from .qform import InvariantViolation
 
@@ -73,6 +72,7 @@ def cramer_class_number_pairing(g: ClassGroup, psi_value: float) -> tuple[float,
 class RepulsionRow:
     class_index: int
     a: int
+    heegner_re: float
     heegner_im: float
     least_prime: Optional[int]
     bound_ok: bool  # the exact inequality p_A >= A
@@ -94,11 +94,11 @@ def repulsion_report(
     for i, f in enumerate(g.elements):
         p = least[i]
         pt = heegner_point(g, i)
-        rows.append(RepulsionRow(i, f.a, pt.im, p, p is None or p >= f.a))
-    present = [p for p in least if p is not None]
+        rows.append(RepulsionRow(i, f.a, pt.re, pt.im, p, p is None or p >= f.a))
+    max_p, median_p = stats.least_prime_summary(least)
     return RepulsionReport(
         rows=rows,
-        max_least_prime=max(present) if len(present) == g.h else None,
-        median_least_prime=statistics.median(present) if present else None,
+        max_least_prime=max_p,
+        median_least_prime=median_p,
         argmax_a_class=max(range(g.h), key=lambda i: g.elements[i].a),
     )

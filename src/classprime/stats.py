@@ -9,13 +9,14 @@ counts at a threshold.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import arith
-from .classgroup import ClassGroup, group_structure
+from .classgroup import ClassGroup
 from .qform import InvariantViolation
 
 
@@ -86,7 +87,6 @@ def psi_by_class(
     logf = math.log
     hi = int(2 * T)
     sq = math.isqrt(hi)
-    inv = [g.inverse_idx(i) for i in range(h)]
 
     # small primes: all prime powers with norm up to 2T
     small = arith.sieve_primes(sq, cap=sieve_cap)
@@ -111,7 +111,7 @@ def psi_by_class(
                 cur = g.compose_idx(cur, c)
         else:
             lam = logf(p)
-            ci = inv[c]
+            ci = g.inverse_idx(c)
             n, cur, curi = p, c, ci
             while n <= hi:
                 wv = weight_eval(w, n / T)
@@ -125,7 +125,6 @@ def psi_by_class(
 
     # segment primes: first powers only (higher powers exceed 2T here)
     acc = np.array(out)
-    inv_arr = np.array(inv, dtype=np.int64)
     seg_start = max(sq + 1, int(T))
     for block in arith.iter_prime_blocks(seg_start, hi, cap=sieve_cap):
         chis, idxs = arith.prime_classes(block, g)
@@ -134,7 +133,7 @@ def psi_by_class(
         lw = np.array([logf(p) * weight_eval(w, p / T) for p in ps.tolist()])
         # row i: prime i's class, then its conjugate's; C order adds them
         # prime by prime, as a per-prime loop would
-        targets = np.stack([cls, inv_arr[cls]], axis=1)
+        targets = np.stack([cls, g.inverse[cls]], axis=1)
         nz = lw != 0.0
         add = np.stack([nz, nz & split], axis=1)
         np.add.at(acc, targets[add], np.stack([lw, lw], axis=1)[add])
@@ -200,7 +199,6 @@ def variance_report(
     nontrivial chi of |psi_chi|^2.  Disagreement beyond 1e-9 relative
     raises IdentityMismatch, as does a failed Fourier roundtrip.
     """
-    group_structure(g)
     psa = psi_by_class(g, T, w, sieve_cap=sieve_cap)
     ptot = float(psa.sum())
     h = g.h
@@ -253,7 +251,6 @@ def _least_sweep(
     class is filled; later primes cannot improve either vector.
     """
     h = g.h
-    inv = np.array([g.inverse_idx(i) for i in range(h)], dtype=np.int64)
     least = np.zeros(h, dtype=np.int64)  # 0: no prime found yet
     filled = 0
     first_inert: Optional[int] = None
@@ -268,7 +265,7 @@ def _least_sweep(
                 if inert.size:
                     first_inert = int(block[inert[0]])
             kept, split = chis != -1, chis == 1
-            cls = np.concatenate([idxs[kept], inv[idxs[split]]])
+            cls = np.concatenate([idxs[kept], g.inverse[idxs[split]]])
             first = np.full(h, hi + 1, dtype=np.int64)
             np.minimum.at(first, cls, np.concatenate([block[kept], block[split]]))
             new = (least == 0) & (first <= hi)
@@ -293,6 +290,13 @@ def least_primes(g: ClassGroup, x_cap: float, **kw) -> list[Optional[int]]:
 def least_prime_ideal_norms(g: ClassGroup, x_cap: float, **kw) -> list[Optional[int]]:
     """Smallest prime-ideal norm in (1, x_cap) per class; inert squares count."""
     return _least_sweep(g, x_cap, **kw)[1]
+
+
+def least_prime_summary(least: Sequence[Optional[int]]) -> tuple[Optional[int], Optional[float]]:
+    """(max, median) of the least primes present; the max only once every class has one."""
+    present = [p for p in least if p is not None]
+    top = max(present) if len(present) == len(least) else None
+    return top, (statistics.median(present) if present else None)
 
 
 def count_exceptional(vec: Sequence[Optional[int]], x: float) -> int:

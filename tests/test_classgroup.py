@@ -81,12 +81,16 @@ def test_strict_mode_rejects_nonfundamental():
 
 
 def test_structures():
-    assert group_structure(enumerate_reduced_forms(-23)).orders() == (3,)
-    assert group_structure(enumerate_reduced_forms(-84)).orders() == (2, 2)
-    assert group_structure(enumerate_reduced_forms(-407)).orders() == (16,)
-    assert group_structure(enumerate_reduced_forms(-479)).orders() == (25,)
-    assert group_structure(enumerate_reduced_forms(-3299)).orders() == (3, 9)
-    assert group_structure(enumerate_reduced_forms(-163)).orders() == ()
+    pinned = {-23: (3,), -84: (2, 2), -407: (16,), -479: (25,), -3299: (3, 9), -163: ()}
+    for d, orders in pinned.items():
+        forced = group_structure(enumerate_reduced_forms(d))
+        assert forced.orders() == orders
+        # a group read without the explicit call derives the same structure on first use
+        lazy = enumerate_reduced_forms(d)
+        assert lazy.orders() == orders
+        assert lazy.basis == forced.basis
+        assert lazy.coords == forced.coords
+        assert group_structure(lazy) is lazy and lazy.basis == forced.basis
 
 
 @pytest.mark.parametrize("d", [-23, -84, -407, -479, -3299, -10007])

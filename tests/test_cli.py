@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classprime import cli
+from classprime import classgroup, cli
 from classprime.cli import UsageError, eval_scale, fmt_num, parse_scale
 
 
@@ -316,8 +316,8 @@ def test_int64_limit_exit_2(capsys):
 
 def test_scan_counts_failures_exit_2(monkeypatch, capsys):
     structured = []
-    real = cli.group_structure
-    monkeypatch.setattr(cli, "group_structure", lambda g: structured.append(g.h) or real(g))
+    real = classgroup.group_structure
+    monkeypatch.setattr(classgroup, "group_structure", lambda g: structured.append(g.h) or real(g))
     rc, out, err = run_cli(
         ["scan", "--range", "-60", "-3", "--h-cap", "1"], capsys
     )
@@ -326,7 +326,8 @@ def test_scan_counts_failures_exit_2(monkeypatch, capsys):
     assert [int(r["d"]) for r in rows] == [-3, -4, -7, -8, -11, -19, -43]
     assert err.count("scan: D=") == 14 and "scan: D=-15 failed: h = 2" in err
     assert "# failed=14" in err.splitlines()
-    assert structured == [1] * 7  # h is capped before group_structure runs
+    # h is capped first, and the kept D have h = 1, whose character grid needs no basis
+    assert structured == []
 
 
 def test_scan_identity_mismatch_exit_3(monkeypatch, capsys):
@@ -511,6 +512,32 @@ def test_out_file(tmp_path, capsys):
     text = path.read_text()
     assert text.startswith("class_index,a,b,c\n")
     assert text.count("\n") == 4
+
+
+def test_out_unopenable_exit_2(tmp_path, capsys):
+    rc, _, err = run_cli(
+        ["forms", "--disc", "-23", "--out", str(tmp_path / "missing" / "x.csv")], capsys
+    )
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,calls",
+    [
+        (["least-primes", "--disc", "-3299"], 0),
+        (["heegner", "--disc", "-3299"], 0),
+        (["forms", "--disc", "-3299"], 1),
+        (["variance", "--disc", "-3299", "--t", "1000"], 1),
+    ],
+)
+def test_structure_computed_only_when_read(argv, calls, monkeypatch, capsys):
+    seen = []
+    real = classgroup.group_structure
+    monkeypatch.setattr(classgroup, "group_structure", lambda g: seen.append(g.h) or real(g))
+    rc, _, _ = run_cli(argv, capsys)
+    assert rc == 0
+    assert seen == [27] * calls
 
 
 def test_scan_x_rules_shape_columns(capsys):
