@@ -549,8 +549,17 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
     value = 0.0
     for lo in range(1, terms + 1, _BLOCK):
         n = np.arange(lo, min(lo + _BLOCK, terms + 1))
-        value += float(tbl[n % m] @ (1.0 / n))
+        value += float(_periodic(tbl, lo, len(n)) @ (1.0 / n))
     return LOneEstimate(value, m / terms, terms)
+
+
+def _periodic(tbl: np.ndarray, start: int, count: int) -> np.ndarray:
+    """tbl[(start + arange(count)) % len(tbl)], built from slices of tbl
+    rather than by an int64 modulus and gather."""
+    r = start % len(tbl)
+    head = tbl[r : r + count]
+    full, rest = divmod(count - len(head), len(tbl))
+    return np.concatenate([head] + [tbl] * full + [tbl[:rest]])
 
 
 def class_number_from_l(d, terms: Optional[int] = None) -> int:

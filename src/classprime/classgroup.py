@@ -13,7 +13,7 @@ import math
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +48,10 @@ class ClassGroup:
     _basis: Optional[tuple[tuple[int, int], ...]] = field(default=None, repr=False)
     _coords: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.h == 1:  # the trivial group: no generators, one empty coordinate vector
+            self._basis, self._coords = (), ((),)
+
     @property
     def basis(self) -> tuple[tuple[int, int], ...]:
         """(element index, order) per invariant factor, orders ascending n_1 | n_2 | ..."""
@@ -76,23 +80,41 @@ class ClassGroup:
             raise KeyError(f"{f} is not a reduced form of discriminant {self.disc.value}")
         return self._index[key]
 
+    @cached_property
+    def position(self) -> np.ndarray:
+        """C-order position of each class on the grid of shape orders(),
+        which is (1,) for the trivial group."""
+        if self.h == 1:
+            pos = np.zeros(1, dtype=np.intp)
+        else:
+            coords = np.array(self.coords, dtype=np.intp)
+            pos = np.ravel_multi_index(tuple(coords.T), self.orders())
+        pos.flags.writeable = False
+        return pos
+
+    @cached_property
+    def _class_at(self) -> list[int]:
+        at = [0] * self.h
+        for i, p in enumerate(self.position.tolist()):
+            at[p] = i
+        return at
+
     def compose_idx(self, i: int, j: int) -> int:
-        return self._index[tuple(compose(self.elements[i], self.elements[j]))]
+        """Class of the product: coordinates add modulo orders()."""
+        pos = 0
+        for a, b, n in zip(self.coords[i], self.coords[j], self.orders()):
+            pos = pos * n + (a + b) % n
+        return self._class_at[pos]
 
     def inverse_idx(self, i: int) -> int:
         return int(self.inverse[i])
 
     def power_idx(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power_idx(self.inverse_idx(i), -k)
-        acc = 0
-        base = i
-        while k:
-            if k & 1:
-                acc = self.compose_idx(acc, base)
-            base = self.compose_idx(base, base)
-            k >>= 1
-        return acc
+        """Class of the k-th power (any integer k): coordinates times k."""
+        pos = 0
+        for a, n in zip(self.coords[i], self.orders()):
+            pos = pos * n + a * k % n
+        return self._class_at[pos]
 
     def orders(self) -> tuple[int, ...]:
         """Invariant factor orders (n_1, ..., n_k)."""
@@ -150,90 +172,156 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-def _sylow_basis(g: ClassGroup, q: int, e: int) -> list[tuple[int, int]]:
+class _Presentation(NamedTuple):
+    """Classes as mixed-radix vectors over walk generators x_0, ..., x_{m-1}.
+
+    Written additively, class sum_i c_i x_i with 0 <= c_i < radix[i] sits
+    at position sum_i c_i * prod(radix[:i]); the relation
+    radix[i] x_i = rel[i] involves only x_0, ..., x_{i-1}.
+    """
+
+    radix: tuple[int, ...]
+    rel: np.ndarray  # (m, m): row i is the vector of radix[i] x_i
+    at: np.ndarray  # class index at each position
+    vec: np.ndarray  # (h, m): vector of each class
+
+    def index(self, c: np.ndarray) -> np.ndarray:
+        """Class index of each integer vector (last axis), by carrying from
+        the last component to the first."""
+        c = np.array(c, dtype=np.int64)
+        pos = np.zeros(c.shape[:-1], dtype=np.int64)
+        for i in range(len(self.radix) - 1, -1, -1):
+            carry, c[..., i] = np.divmod(c[..., i], self.radix[i])
+            c[..., :i] += carry[..., None] * self.rel[i, :i]
+            pos = pos * self.radix[i] + c[..., i]
+        return self.at[pos]
+
+
+def _presentation(g: ClassGroup) -> _Presentation:
+    """Walk the group with h - 1 compositions.
+
+    Take the first class x outside the span so far, in index order, and
+    extend the span by the cosets span * x^j until x^k lands in the span.
+    """
+    h, elements = g.h, g.elements
+
+    def lookup(f: QuadForm) -> int:
+        i = g._index.get(tuple(f))
+        if i is None:
+            raise InvariantViolation(f"composite {f} is not a class of {g.disc.value}")
+        return i
+
+    at = [0]  # span in position order
+    pos = [-1] * h
+    pos[0] = 0
+    radix: list[int] = []
+    landed: list[int] = []
+    x = 0
+    while len(at) < h:
+        while pos[x] >= 0:
+            x += 1
+        n, fx = len(at), elements[x]
+        power, i = fx, x  # x^j as a form and as a class
+        while pos[i] < 0:
+            for s in at[:n]:
+                c = i if s == 0 else lookup(compose(elements[s], power))
+                if pos[c] >= 0:
+                    raise InvariantViolation(f"cosets of the span overlap at {elements[c]}")
+                pos[c] = len(at)
+                at.append(c)
+            power = compose(power, fx)
+            i = lookup(power)
+        radix.append(len(at) // n)
+        landed.append(pos[i])
+    weights = np.cumprod([1] + radix[:-1])
+    rel = np.array(landed, dtype=np.int64)[:, None] // weights % radix
+    vec = np.array(pos, dtype=np.int64)[:, None] // weights % radix
+    return _Presentation(tuple(radix), rel, np.array(at, dtype=np.int64), vec)
+
+
+def _peel(p: _Presentation, q: int, e: int) -> list[tuple[int, int]]:
     """Cyclic basis of the q-Sylow subgroup, orders descending.
 
     Greedy peeling: repeatedly take the element of maximal order in the
-    quotient by the span so far, adjust it by earlier generators so the
-    span splits as a direct sum, and extend the span table.
+    quotient by the span so far (the first in index order among ties),
+    adjust it by earlier generators so the span splits as a direct sum,
+    and extend the span table.  All group arithmetic is on the vectors
+    of the presentation.
     """
-    cof = g.h // q**e
-    sylow = sorted({g.power_idx(x, cof) for x in range(g.h)})
-    span: dict[int, tuple[int, ...]] = {0: ()}
+    h = len(p.at)
+    sylow = sorted(set(p.index(p.vec * (h // q**e)).tolist()))
+    times_q = p.index(p.vec * q).tolist()
+    members = np.zeros(1, dtype=np.int64)  # the span, class 0 first
+    in_span = [True] + [False] * (h - 1)
+    coord = np.zeros((h, 0), dtype=np.int64)  # coordinates of span members
     gens: list[tuple[int, int]] = []
-    while len(span) < len(sylow):
-        best_x = best_t = -1
-        best_tail: tuple[int, ...] = ()
+    while len(members) < len(sylow):
+        best_x = best_t = best_y = -1
         for x in sylow:
-            if x in span:
+            if in_span[x]:
                 continue
             t, y = 1, x
-            while y not in span:
-                y = g.power_idx(y, q)
+            while not in_span[y]:
+                y = times_q[y]
                 t *= q
             if t > best_t:
-                best_x, best_t, best_tail = x, t, span[y]
-        x, t, tail = best_x, best_t, best_tail
-        # x^t lands in the span with coordinates `tail`; maximality of the
+                best_x, best_t, best_y = x, t, y
+        x, t, tail = best_x, best_t, coord[best_y]
+        # t x lands in the span with coordinates `tail`; maximality of the
         # quotient order guarantees t divides every coordinate, so x can be
         # shifted by earlier generators to have honest order t.
-        adj = x
-        for (gi, _), ci in zip(gens, tail):
-            if ci % t:
-                raise InvariantViolation("abelian basis peeling invariant violated")
-            adj = g.compose_idx(adj, g.power_idx(g.inverse_idx(gi), ci // t))
+        if (tail % t).any():
+            raise InvariantViolation("abelian basis peeling invariant violated")
+        adj = int(p.index(p.vec[x] - (tail // t) @ p.vec[[gi for gi, _ in gens]]))
         gens.append((adj, t))
-        new_span: dict[int, tuple[int, ...]] = {}
-        for idx, vec in span.items():
-            cur = idx
-            for j in range(t):
-                new_span[cur] = vec + (j,)
-                cur = g.compose_idx(cur, adj)
-        span = new_span
+        # layer j of the new span is the old span plus j adj
+        layers = p.index(p.vec[members] + np.arange(t)[:, None, None] * p.vec[adj])
+        old = coord[members]
+        members = layers.ravel()
+        coord = np.zeros((h, len(gens)), dtype=np.int64)
+        coord[members, :-1] = np.tile(old, (t, 1))
+        coord[members, -1] = np.repeat(np.arange(t), len(old))
+        in_span = np.bincount(members, minlength=h).tolist()
+        if max(in_span) > 1:
+            raise InvariantViolation(f"span of {len(members)} classes has repeats")
     return gens  # orders descending by construction
 
 
 def group_structure(g: ClassGroup) -> ClassGroup:
     """Fill basis (invariant factors, ascending) and the coords table.
 
-    ClassGroup calls this on first read of basis, coords or orders();
-    calling it directly forces the computation, and again does nothing.
+    One walk of h - 1 compositions presents the group; the peeling of
+    each Sylow subgroup, the CRT merge and the coordinate table are then
+    integer arithmetic on the presentation.  ClassGroup calls this on
+    first read of basis, coords or orders(); calling it directly forces
+    the computation, and again does nothing.
     """
     if g._basis is not None:
         return g
-    if g.h == 1:
-        g._basis = ()
-        g._coords = ((),)
-        return g
-    per_prime = [
-        _sylow_basis(g, q, e) for q, e in sorted(_factorize(g.h).items())
-    ]
+    p = _presentation(g)
+    per_prime = [_peel(p, q, e) for q, e in sorted(_factorize(g.h).items())]
     width = max(len(comp) for comp in per_prime)
     # j-th largest cyclic factors across primes multiply (CRT) into the
     # j-th largest invariant factor
     factors: list[tuple[int, int]] = []
     for j in range(width):
-        gen, order = 0, 1
+        gen, order = np.zeros(len(p.radix), dtype=np.int64), 1
         for comp in per_prime:
             if j < len(comp):
                 gi, n = comp[j]
-                gen = g.compose_idx(gen, gi)
+                gen += p.vec[gi]
                 order *= n
-        factors.append((gen, order))
+        factors.append((int(p.index(gen)), order))
     factors.reverse()  # ascending: n_1 | n_2 | ... | n_k
-    table: dict[int, tuple[int, ...]] = {0: ()}
-    for gen, order in factors:
-        nxt: dict[int, tuple[int, ...]] = {}
-        for idx, vec in table.items():
-            cur = idx
-            for j in range(order):
-                nxt[cur] = vec + (j,)
-                cur = g.compose_idx(cur, gen)
-        table = nxt
-    if len(table) != g.h:
-        raise RuntimeError("basis does not span the class group")
+    # row r of grid: the coordinates of C-order position r on the grid
+    grid = np.indices([n for _, n in factors]).reshape(len(factors), -1).T
+    at = p.index(grid @ p.vec[[gen for gen, _ in factors]])
+    if len(at) != g.h or len(set(at.tolist())) != g.h:
+        raise InvariantViolation("basis does not span the class group")
+    coords = np.empty_like(grid)
+    coords[at] = grid
     g._basis = tuple(factors)
-    g._coords = tuple(table[i] for i in range(g.h))
+    g._coords = tuple(zip(*coords.T.tolist()))
     return g
 
 

@@ -143,15 +143,12 @@ def psi_by_class(
 def _char_grid(g: ClassGroup) -> tuple[tuple[int, ...], np.ndarray]:
     """Shape of the character grid and each class's C-order position on it.
 
-    Class A sits at its coordinates against the basis, so the grid has
-    shape g.orders(), or (1,) for the trivial group; characters flatten in
-    the same C order, which is the order of classgroup.characters().
+    Class A sits at its coordinates against the basis (g.position), so the
+    grid has shape g.orders(), or (1,) for the trivial group; characters
+    flatten in the same C order, which is the order of
+    classgroup.characters().
     """
-    if g.h == 1:
-        return (1,), np.zeros(1, dtype=np.intp)
-    shape = g.orders()
-    coords = np.array(g.coords, dtype=np.intp)
-    return shape, np.ravel_multi_index(tuple(coords.T), shape)
+    return g.orders() or (1,), g.position
 
 
 def psi_by_char(g: ClassGroup, psi_a: Sequence[float]) -> np.ndarray:

@@ -9,6 +9,7 @@ from sympy import jacobi_symbol
 
 from classprime.arith import (
     LimitTooLarge,
+    _periodic,
     _simple_sieve,
     chi_table,
     class_number_from_l,
@@ -296,6 +297,15 @@ def test_l_one_against_closed_forms():
 def test_l_one_term_floor():
     with pytest.raises(ValueError):
         l_one_chi(-10007, 500)  # fewer terms than the period is meaningless
+
+
+@pytest.mark.parametrize("m", [1, 3, 23, 1000])
+@pytest.mark.parametrize("start,count", [(1, 1), (1, 999), (5, 1000), (999, 2), (1, 5000), (2**20 + 1, 2**20)])
+def test_periodic_block_matches_modular_gather(m, start, count):
+    tbl = (np.arange(m) % 127).astype(np.int8)
+    block = _periodic(tbl, start, count)
+    assert block.dtype == tbl.dtype
+    assert np.array_equal(block, tbl[np.arange(start, start + count) % m])
 
 
 def test_l_one_memory_is_bounded_in_terms():

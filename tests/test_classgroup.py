@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from classprime import classgroup
 from classprime.classgroup import (
     Character,
     ClassGroup,
@@ -16,7 +17,16 @@ from classprime.classgroup import (
     group_structure,
     ideal_class_of,
 )
-from classprime.qform import QuadForm, compose, identity_form
+from classprime.qform import (
+    InvariantViolation,
+    QuadForm,
+    compose,
+    identity_form,
+    is_fundamental,
+    power,
+    validate_discriminant,
+)
+from oracles import reference_structure
 
 # class numbers h(D) recomputed independently via the analytic formula in
 # test_arith; here the pinned values guard the enumerator itself
@@ -101,25 +111,30 @@ def test_structure_is_consistent(d):
     for x, y in zip(orders, orders[1:]):
         assert y % x == 0
     assert math.prod(orders) == g.h
-    # coords really are coordinates: composing generator powers hits the element
+    # coords really are coordinates: composing generator powers hits the
+    # element (form composition, independent of the coords)
+    one = identity_form(d)
     for i in range(g.h):
-        acc = 0
+        acc = one
         for (gen, order), e in zip(g.basis, g.coords[i]):
             assert 0 <= e < order
-            acc = g.compose_idx(acc, g.power_idx(gen, e))
-        assert acc == i
+            acc = compose(acc, power(g.elements[gen], e))
+        assert acc == g.elements[i]
     # generators have the stated orders
     for gen, order in g.basis:
-        assert g.power_idx(gen, order) == 0
+        assert power(g.elements[gen], order) == one
         for q in {p for p in range(2, order) if order % p == 0 and all(p % r for r in range(2, p))}:
-            assert g.power_idx(gen, order // q) != 0
+            assert power(g.elements[gen], order // q) != one
 
 
 @pytest.mark.parametrize("d", [-23, -84, -407, -3299])
 def test_index_tables(d):
     g = group_structure(enumerate_reduced_forms(d))
+    one = identity_form(d)
     for i, f in enumerate(g.elements):
         assert g.index_of(f) == i
+        assert compose(f, g.elements[g.inverse_idx(i)]) == one
+        assert compose(one, f) == f
         assert g.compose_idx(i, g.inverse_idx(i)) == 0
         assert g.elements[g.compose_idx(0, i)] == f
     with pytest.raises(KeyError):
@@ -128,9 +143,26 @@ def test_index_tables(d):
 
 def test_compose_idx_agrees_with_form_compose():
     g = group_structure(enumerate_reduced_forms(-479))
+    assert g.orders() == (25,)
     for i, j in itertools.product(range(g.h), repeat=2):
         k = g.compose_idx(i, j)
         assert g.elements[k] == compose(g.elements[i], g.elements[j])
+
+
+@pytest.mark.parametrize("d,orders", [(-3299, (3, 9)), (-5460, (2, 2, 2, 2))])
+def test_compose_idx_agrees_with_form_compose_noncyclic(d, orders):
+    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    assert g.orders() == orders
+    for i, j in itertools.product(range(g.h), repeat=2):
+        k = g.compose_idx(i, j)
+        assert g.elements[k] == compose(g.elements[i], g.elements[j])
+
+
+@pytest.mark.parametrize("d", [-479, -3299, -5460])
+def test_power_idx_agrees_with_form_power(d):
+    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    for i, k in itertools.product(range(g.h), range(-4, 5)):
+        assert g.elements[g.power_idx(i, k)] == power(g.elements[i], k)
 
 
 def test_ambiguous_class_count_matches_two_torsion():
@@ -164,7 +196,7 @@ def test_characters_are_homomorphisms():
     g = group_structure(enumerate_reduced_forms(-3299))
     for chi in characters(g):
         for i, j in itertools.product(range(0, g.h, 5), repeat=2):
-            k = g.compose_idx(i, j)
+            k = g.index_of(compose(g.elements[i], g.elements[j]))
             assert cmath.isclose(
                 chi.value(k), chi.value(i) * chi.value(j), abs_tol=1e-12
             )
@@ -217,3 +249,47 @@ def test_ideal_class_is_translation_invariant(d, data):
     f = g.elements[i]
     t = data.draw(st.integers(-4, 4))
     assert ideal_class_of(f.a, f.b + 2 * f.a * t, g) == i
+
+
+# ---------------------------------------------------------------------------
+# group_structure against the composition-based reference peeling
+
+# every fundamental D in [-2000, -3] (-84 and -420 among them), then
+# 3 x 9, 2 x 2 x 2 x 2 and two groups of h = 1275 and 1221 (primes-1e7 pool)
+ORACLE_DISCS = [d for d in range(-2000, -2) if is_fundamental(d)] + [
+    -3299, -5460, -10000019, -10022939,
+]
+
+
+def test_structure_matches_reference_peeling():
+    for d in ORACLE_DISCS:
+        g = group_structure(enumerate_reduced_forms(d, strict=False))
+        basis, coords = reference_structure(enumerate_reduced_forms(d, strict=False))
+        assert g.basis == basis, d
+        assert g.coords == coords, d
+
+
+@pytest.mark.parametrize("d", [-3299, -5460, -10007])
+def test_structure_makes_at_most_h_compositions(d, monkeypatch):
+    calls = []
+    real = classgroup.compose
+    monkeypatch.setattr(classgroup, "compose", lambda f, k: calls.append(1) or real(f, k))
+
+    def refuse(*args):
+        raise AssertionError("group_structure uses index arithmetic of its own")
+
+    monkeypatch.setattr(ClassGroup, "compose_idx", refuse)
+    monkeypatch.setattr(ClassGroup, "power_idx", refuse)
+    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    assert 0 < len(calls) <= g.h
+
+
+def test_structure_of_a_broken_group_is_an_invariant_violation():
+    # two of the three forms of D = -23: (2, -1, 3)^2 = (2, 1, 3) is missing
+    forms = enumerate_reduced_forms(-23).elements[:2]
+    g = ClassGroup(
+        disc=validate_discriminant(-23), elements=forms, h=2,
+        _index={tuple(f): i for i, f in enumerate(forms)},
+    )
+    with pytest.raises(InvariantViolation):
+        group_structure(g)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classprime import classgroup, cli
+from classprime import classgroup, cli, qform
 from classprime.cli import UsageError, eval_scale, fmt_num, parse_scale
 
 
@@ -538,6 +538,33 @@ def test_structure_computed_only_when_read(argv, calls, monkeypatch, capsys):
     rc, _, _ = run_cli(argv, capsys)
     assert rc == 0
     assert seen == [27] * calls
+
+
+def test_variance_composes_only_inside_group_structure(monkeypatch, capsys):
+    # compose_idx is coordinate arithmetic, so the small-prime loop of
+    # psi_by_class composes no forms
+    calls = {"inside": 0, "outside": 0}
+    depth = [0]
+    real_compose, real_structure = qform.compose, classgroup.group_structure
+
+    def counting(f, k):
+        calls["inside" if depth[0] else "outside"] += 1
+        return real_compose(f, k)
+
+    def structure(g):
+        depth[0] += 1
+        try:
+            return real_structure(g)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(qform, "compose", counting)
+    monkeypatch.setattr(classgroup, "compose", counting)
+    monkeypatch.setattr(classgroup, "group_structure", structure)
+    rc, _, _ = run_cli(["variance", "--disc", "-3299", "--t", "1e5"], capsys)
+    assert rc == 0
+    assert 0 < calls["inside"] <= 27
+    assert calls["outside"] == 0
 
 
 def test_scan_x_rules_shape_columns(capsys):
