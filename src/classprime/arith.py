@@ -16,6 +16,7 @@ import numpy as np
 from .classgroup import (
     ClassGroup,
     InvalidIdealBasis,
+    _factorize,
     enumerate_reduced_forms,
     ideal_class_of,
 )
@@ -506,22 +507,60 @@ def dirichlet_r_upto(nmax: int, d) -> np.ndarray:
     return out * unit_count(dv)
 
 
+# One period of the character of each even prime discriminant.
+_TWO_PART = {
+    -4: (0, 1, 0, -1),
+    8: (0, 1, 0, -1, 0, -1, 0, 1),
+    -8: (0, 1, 0, 1, 0, -1, 0, -1),
+}
+
+
 def chi_table(d: int, m: int) -> np.ndarray:
-    """chi_d(n) for 0 <= n < m as int8, filled multiplicatively."""
-    t = np.ones(m, dtype=np.int8)
-    if m:
-        t[0] = 0
-    for p in _simple_sieve(m - 1).tolist():
-        v = kronecker(d, p)
-        if v == 0:
-            t[p::p] = 0
-            continue
-        pe = p
-        while pe < m:
-            # multiplies chi(p) in once per power of p dividing n
-            if v == -1:
-                np.negative(t[pe::pe], out=t[pe::pe])
-            pe *= p
+    """chi_d(n) = (d/n) for 0 <= n < m as int8, d a negative discriminant.
+
+    For d = f^2 d0 with d0 fundamental, (d/n) = (d0/n) [gcd(n, f) = 1],
+    and chi_d0 is the product of the characters of the prime
+    discriminants of d0 (Davenport, Multiplicative Number Theory, ch. 5):
+    the Legendre symbol (n/q) for each odd prime q | d0, and the
+    character of d0's 2-part, -4, 8 or -8.  The factors are multiplied
+    into one period of length min(m, |d|), which is then tiled to m.
+    """
+    validate_discriminant(d)
+    if m == 0:
+        return np.zeros(0, dtype=np.int8)
+    n = min(m, -d)
+    exps = _factorize(-d)
+    e2 = exps.pop(2, 0)
+    odd = sorted((q for q, e in exps.items() if e % 2), reverse=True)
+    k = -(2 ** (e2 % 2)) * math.prod(odd)  # squarefree kernel of d
+    d0 = k if k % 4 == 1 else 4 * k
+    factors = [_legendre_table(q, n) for q in odd]
+    two = d0 // math.prod(q if q % 4 == 1 else -q for q in odd)
+    if two != 1:
+        factors.append(np.array(_TWO_PART[two][:n], dtype=np.int8))
+    t = factors[0] if len(factors[0]) == n else _periodic(factors[0], 0, n)
+    for f in factors[1:]:
+        whole = n - n % len(f)
+        block = t[:whole].reshape(-1, len(f))
+        block *= f
+        t[whole:] *= f[: n - whole]
+    for p in [2, *exps]:
+        if (d // d0) % p == 0:  # p divides the conductor f
+            t[::p] = 0
+    return t if n == m else _periodic(t, 0, m)
+
+
+def _legendre_table(q: int, n: int) -> np.ndarray:
+    """(k/q) for 0 <= k < min(q, n) as int8, q an odd prime, by marking
+    the squares i^2 mod q for 1 <= i <= (q-1)/2 in blocks of _BLOCK."""
+    t = np.full(min(q, n), -1, dtype=np.int8)
+    t[0] = 0
+    half = (q + 1) // 2
+    for lo in range(1, half, _BLOCK):
+        s = np.arange(lo, min(lo + _BLOCK, half), dtype=np.int64)
+        s *= s
+        s %= q
+        t[s if len(t) == q else s[s < len(t)]] = 1
     return t
 
 
@@ -554,12 +593,21 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
 
 
 def _periodic(tbl: np.ndarray, start: int, count: int) -> np.ndarray:
-    """tbl[(start + arange(count)) % len(tbl)], built from slices of tbl
-    rather than by an int64 modulus and gather."""
-    r = start % len(tbl)
-    head = tbl[r : r + count]
-    full, rest = divmod(count - len(head), len(tbl))
-    return np.concatenate([head] + [tbl] * full + [tbl[:rest]])
+    """tbl[(start + arange(count)) % len(tbl)], copied from tbl rather than
+    gathered through an int64 modulus: one period from two slices of tbl,
+    then the filled prefix copied onto the rest, doubling each time."""
+    period = len(tbl)
+    out = np.empty(count, dtype=tbl.dtype)
+    r = start % period
+    head = min(count, period - r)
+    out[:head] = tbl[r : r + head]
+    done = min(count, period)
+    out[head:done] = tbl[: done - head]
+    while done < count:
+        k = min(done, count - done)
+        out[done : done + k] = out[:k]
+        done += k
+    return out
 
 
 def class_number_from_l(d, terms: Optional[int] = None) -> int:

@@ -281,6 +281,11 @@ def cmd_variance(args) -> int:
 
 def cmd_dirichlet_check(args) -> int:
     d = _require_disc(args)
+    if not d.fundamental:
+        # r(n) = w_D sum_{e|n} chi_D(e) holds only for fundamental D
+        raise NotFundamental(
+            f"{d.value} is not a fundamental discriminant; the divisor formula needs one"
+        )
     nmax = args.n_max
     if nmax < 1:
         raise UsageError("--n-max must be >= 1")

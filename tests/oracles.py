@@ -1,12 +1,19 @@
-"""Composition-based reference implementations the tests check the library against.
+"""Reference implementations the tests check the library against.
 
 `reference_structure` is the greedy peeling that classgroup.group_structure
 replays in integer arithmetic: every group operation here is a Gauss
 composition of reduced forms, so it shares nothing with the library's
 coordinate arithmetic but the enumeration of the forms.
+
+`reference_chi_table` fills chi_d multiplicatively with one kronecker
+call per prime, where arith.chi_table multiplies prime-discriminant
+tables.
 """
 from __future__ import annotations
 
+import numpy as np
+
+from classprime.arith import _simple_sieve, kronecker
 from classprime.classgroup import ClassGroup, _factorize
 from classprime.qform import InvariantViolation, compose
 
@@ -105,3 +112,22 @@ def reference_structure(
     if len(table) != g.h:
         raise RuntimeError("basis does not span the class group")
     return tuple(factors), tuple(table[i] for i in range(g.h))
+
+
+def reference_chi_table(d: int, m: int) -> np.ndarray:
+    """chi_d(n) for 0 <= n < m as int8, filled multiplicatively."""
+    t = np.ones(m, dtype=np.int8)
+    if m:
+        t[0] = 0
+    for p in _simple_sieve(m - 1).tolist():
+        v = kronecker(d, p)
+        if v == 0:
+            t[p::p] = 0
+            continue
+        pe = p
+        while pe < m:
+            # multiplies chi(p) in once per power of p dividing n
+            if v == -1:
+                np.negative(t[pe::pe], out=t[pe::pe])
+            pe *= p
+    return t

@@ -36,6 +36,7 @@ from classprime.classgroup import (
     ideal_class_of,
 )
 from classprime.qform import QuadForm, evaluate, is_fundamental, validate_discriminant
+from oracles import reference_chi_table
 
 
 def test_unit_count():
@@ -277,6 +278,33 @@ def test_chi_table_matches_kronecker():
         t = chi_table(d, 2000)
         for n in range(2000):
             assert t[n] == kronecker(d, n)
+
+
+def test_chi_table_matches_reference():
+    # prime-discriminant tables against the per-prime multiplicative fill
+    nonfundamental = [-12, -16, -27, -36, -75, -108, -180, -300, -2700]
+    fundamental = [d for d in range(-2000, -2) if is_fundamental(d)]
+    for d in fundamental + nonfundamental:
+        for m in (0, 1, 2, 37, -d, 3 * -d + 5):
+            t = chi_table(d, m)
+            assert t.dtype == np.int8
+            assert np.array_equal(t, reference_chi_table(d, m)), (d, m)
+    d = -10289639
+    assert np.array_equal(chi_table(d, -d), reference_chi_table(d, -d))
+
+
+def test_chi_table_memory_is_bounded():
+    # one period at |D| ~ 1e7 is 9.8 MiB of int8; a full-length int64
+    # index array would be 78.5 MiB
+    d = -10289639
+    tracemalloc.start()
+    try:
+        t = chi_table(d, -d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t) == -d
+    assert peak < 32 * 2**20
 
 
 def test_l_one_against_closed_forms():

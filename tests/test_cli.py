@@ -227,6 +227,17 @@ def test_exit_2_non_invertible_prime_ideal(argv, capsys):
     assert "error:" in err and "not invertible" in err
 
 
+@pytest.mark.parametrize("d", ["-12", "-27", "-75"])
+def test_dirichlet_check_nonfundamental_exit_2(d, capsys):
+    # the divisor formula holds only for fundamental D (at -12 it fails at
+    # n = 2, at -27 at n = 3), so a non-fundamental D is bad input, not a
+    # counterexample
+    rc, out, err = run_cli(["dirichlet-check", "--disc", d, "--n-max", "100"], capsys)
+    assert rc == 2
+    assert "error:" in err and "not a fundamental discriminant" in err
+    assert out == ""
+
+
 def test_exit_3_identity_violation(monkeypatch, capsys):
     from classprime import stats
 
