@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .classgroup import (
     InvalidIdealBasis,
     _factorize,
     enumerate_reduced_forms,
-    ideal_class_of,
 )
 from .qform import Discriminant, QuadForm, validate_discriminant
 
@@ -82,12 +81,16 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(~is_c)
 
 
+def check_sieve_limit(limit: int, cap: int) -> None:
+    if limit > cap:
+        raise LimitTooLarge(f"sieve limit {limit} exceeds cap {cap}")
+
+
 def iter_prime_blocks(
     lo: int, hi: int, *, cap: int = SIEVE_CAP_DEFAULT, block: int = _BLOCK
 ) -> Iterator[np.ndarray]:
     """Yield primes in [lo, hi] in ascending blocks; memory stays O(sqrt(hi) + block)."""
-    if hi > cap:
-        raise LimitTooLarge(f"sieve limit {hi} exceeds cap {cap}")
+    check_sieve_limit(hi, cap)
     lo = max(lo, 2)
     if hi < lo:
         return
@@ -111,8 +114,7 @@ def iter_prime_blocks(
 
 def sieve_primes(limit: int, *, cap: int = SIEVE_CAP_DEFAULT) -> np.ndarray:
     """All primes <= limit, ascending."""
-    if limit > cap:
-        raise LimitTooLarge(f"sieve limit {limit} exceeds cap {cap}")
+    check_sieve_limit(limit, cap)
     if limit < 2:
         return np.empty(0, dtype=np.int64)
     if limit <= _BLOCK:
@@ -191,6 +193,8 @@ class PrimeClassification:
 _INT64_EXACT = 1 << 31
 # Primes per array pass of prime_classes; bounds the kernel's temporaries.
 _CHUNK = 1 << 14
+# Packed form keys are slot * 2^48 + a * 2^32 + b; |b| <= a < 2^15 for |D| < 2^31.
+_SLOT_SHIFT = 48
 
 
 def _residue_table(q: int) -> np.ndarray:
@@ -337,35 +341,89 @@ def _reduced_keys(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (out_a << 32) + out_b
 
 
-def _classes_chunk(p: np.ndarray, g: ClassGroup, keys: np.ndarray):
-    """prime_classes on one pass; keys are the packed (a, b) of g.elements."""
-    d = g.disc.value
+def _classes_chunk(p: np.ndarray, d: np.ndarray, slot: np.ndarray, keys: np.ndarray):
+    """One pass of (D, p) pairs: chi_D(p) and the position in `keys` of
+    the class above p (-1 for inert p).  keys is the sorted table of
+    packed (slot, a, b) of the forms of every group in the batch; slot[i]
+    names the group of pair i."""
     a = d % p
     chi = np.full(len(p), -1, dtype=np.int8)
-    idx = np.full(len(p), -1, dtype=np.int64)
-    scalar = (p == 2) | (a == 0)
-    for j in np.flatnonzero(scalar).tolist():
-        pj = int(p[j])
-        chi[j] = kronecker(d, pj)
-        b = sqrt_disc_mod_4p(d, pj)
-        if b is not None:
-            idx[j] = ideal_class_of(pj, b, g)
-    odd = np.flatnonzero(~scalar)
+    is_scalar = (p == 2) | (a == 0)
+    odd = np.flatnonzero(~is_scalar)
     is_qr, root = _sqrt_mod_primes(a[odd], p[odd])
     split = odd[is_qr]
-    ps, r = p[split], root[is_qr]
-    b = np.where((r - d) & 1 == 1, ps - r, r)
-    k = _reduced_keys(ps, b, (b * b - d) // (4 * ps))
-    pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-    missing = np.flatnonzero(keys[pos] != k)
+    r = root[is_qr]
+    chi[split] = 1
+    # p = 2 and p | D: chi and b from the scalar route, then the shared lookup
+    sj, sb = [], []
+    for j in np.flatnonzero(is_scalar).tolist():
+        dj, pj = int(d[j]), int(p[j])
+        chi[j] = kronecker(dj, pj)
+        b = sqrt_disc_mod_4p(dj, pj)
+        if b is not None:
+            sj.append(j)
+            sb.append(b)
+    sel = np.concatenate([split, np.array(sj, dtype=np.int64)])
+    b = np.concatenate(
+        [np.where((r - d[split]) & 1 == 1, p[split] - r, r), np.array(sb, dtype=np.int64)]
+    )
+    ps, ds = p[sel], d[sel]
+    k = (slot[sel] << _SLOT_SHIFT) + _reduced_keys(ps, b, (b * b - ds) // (4 * ps))
+    at = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+    missing = np.flatnonzero(keys[at] != k)
     if missing.size:
         # only reachable for non-maximal orders (non-fundamental d)
-        j = missing[0]
+        j = missing[np.argmin(sel[missing])]
         raise InvalidIdealBasis(
-            f"ideal ({ps[j]}, {b[j]}) is not invertible for discriminant {d}"
+            f"ideal ({ps[j]}, {b[j]}) is not invertible for discriminant {ds[j]}"
         )
-    chi[split] = 1
-    idx[split] = pos
+    pos = np.full(len(p), -1, dtype=np.int64)
+    pos[sel] = at
+    return chi, pos
+
+
+def check_disc_limit(d: int) -> None:
+    """LimitTooLarge unless |d| is below 2^31, the prime -> class limit."""
+    if -d >= _INT64_EXACT:
+        raise LimitTooLarge(f"|D| = {-d} is not below 2^31, the prime -> class limit")
+
+
+def prime_classes_batch(
+    primes, slot, groups: Sequence[ClassGroup]
+) -> tuple[np.ndarray, np.ndarray]:
+    """prime_classes for the pairs (groups[slot[i]], primes[i]), in passes of
+    _CHUNK pairs whatever their discriminants.
+
+    Each pair gets the discriminant of its group; one sorted table of
+    packed (slot, a, b) keys covers the forms of all groups.  idx is the
+    class index within the pair's group.  Errors name the discriminant of
+    the failing pair: LimitTooLarge when its |D| or prime is not below
+    2^31, InvalidIdealBasis when the ideal above the prime is not
+    invertible.
+    """
+    primes = np.asarray(primes, dtype=np.int64)
+    slot = np.asarray(slot, dtype=np.int64)
+    if len(groups) > 1 << (62 - _SLOT_SHIFT):  # keys must stay below 2^63
+        raise ValueError(f"{len(groups)} groups do not fit the packed keys")
+    dv = np.array([g.disc.value for g in groups], dtype=np.int64)
+    for g in groups:
+        check_disc_limit(g.disc.value)
+    over = np.flatnonzero(primes >= _INT64_EXACT)
+    if over.size:
+        j = over[0]
+        raise LimitTooLarge(
+            f"prime {primes[j]} at D = {dv[slot[j]]} is not below 2^31, the prime -> class limit"
+        )
+    keys = np.concatenate([(s << _SLOT_SHIFT) + g.form_keys for s, g in enumerate(groups)])
+    starts = np.cumsum([0] + [g.h for g in groups])[:-1]
+    d = dv[slot]
+    chi = np.empty(len(primes), dtype=np.int8)
+    idx = np.empty(len(primes), dtype=np.int64)
+    for lo in range(0, len(primes), _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        chi[sl], idx[sl] = _classes_chunk(primes[sl], d[sl], slot[sl], keys)
+    found = idx >= 0
+    idx[found] -= starts[slot[found]]
     return chi, idx
 
 
@@ -376,28 +434,16 @@ def prime_classes(primes, g: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
     split p the conjugate ideal lies in the inverse class.  b is the square
     root of D mod 4p with b = D (mod 2); the form (p, b, (b^2 - D)/4p) is
     reduced and looked up among g.elements.  Odd p not dividing D run as
-    int64 array code in passes of _CHUNK primes; p = 2 and p | D take the
-    scalar route (kronecker, sqrt_disc_mod_4p, ideal_class_of).  Raises
-    LimitTooLarge when a prime or |D| is not below 2^31, where int64 would
-    stop being exact, and InvalidIdealBasis when the ideal above p is not
-    invertible, which happens only at primes dividing the conductor of a
-    non-fundamental D.
+    int64 array code in passes of _CHUNK primes; p = 2 and p | D get chi
+    and b from the scalar route (kronecker, sqrt_disc_mod_4p) and share
+    the lookup.  Raises LimitTooLarge when a prime or |D| is not below
+    2^31, where int64 would stop being exact, and InvalidIdealBasis when
+    the ideal above p is not invertible, which happens only at primes
+    dividing the conductor of a non-fundamental D.  A batch of one for
+    prime_classes_batch.
     """
-    d = g.disc.value
     primes = np.asarray(primes, dtype=np.int64)
-    if -d >= _INT64_EXACT:
-        raise LimitTooLarge(f"|D| = {-d} is not below 2^31, the prime -> class limit")
-    if primes.size and int(primes.max()) >= _INT64_EXACT:
-        raise LimitTooLarge(
-            f"prime {int(primes.max())} is not below 2^31, the prime -> class limit"
-        )
-    keys = np.array([(f.a << 32) + f.b for f in g.elements], dtype=np.int64)
-    chi = np.empty(len(primes), dtype=np.int8)
-    idx = np.empty(len(primes), dtype=np.int64)
-    for lo in range(0, len(primes), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        chi[sl], idx[sl] = _classes_chunk(primes[sl], g, keys)
-    return chi, idx
+    return prime_classes_batch(primes, np.zeros(len(primes), dtype=np.int64), [g])
 
 
 def classify_prime(p: int, g: ClassGroup) -> PrimeClassification:

@@ -74,6 +74,14 @@ class ClassGroup:
         inv.flags.writeable = False
         return inv
 
+    @cached_property
+    def form_keys(self) -> np.ndarray:
+        """a * 2^32 + b of each element, ascending: the lookup table of the
+        prime -> class kernel."""
+        keys = np.array([(f.a << 32) + f.b for f in self.elements], dtype=np.int64)
+        keys.flags.writeable = False
+        return keys
+
     def index_of(self, f: QuadForm) -> int:
         key = (f.a, f.b, f.c)
         if key not in self._index:

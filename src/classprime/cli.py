@@ -14,12 +14,12 @@ import json
 import math
 import re
 import sys
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import arith, heegner, stats
-from .classgroup import InvalidIdealBasis, NotFundamental, enumerate_reduced_forms
+from .classgroup import ClassGroup, InvalidIdealBasis, NotFundamental, enumerate_reduced_forms
 from .qform import InvariantViolation, NotADiscriminant, validate_discriminant
 from .stats import IdentityMismatch
 
@@ -371,27 +371,120 @@ def _scan_columns(x_rules: list[str]) -> list[str]:
     return cols
 
 
-def _scan_one(dv: int, x_rules, t_rule, w, sieve_cap, h_cap) -> dict:
+class _ScanD(NamedTuple):
+    """One D of a scan that passed its per-D checks."""
+
+    d: int
+    g: ClassGroup
+    xs: list[float]
+    t: float
+
+    @property
+    def sweep_cap(self) -> float:
+        return max(self.xs) if self.xs else 2.0
+
+
+def _scan_prepare(dv: int, x_rules, t_rule, sieve_cap, h_cap) -> _ScanD:
+    """Class group, thresholds and T of one D, and every check that can
+    fail it before it joins a batch: --h-cap, the thresholds, the sieve
+    cap at sqrt(2T) and 2T, and the 2^31 limit on |D|."""
     d = validate_discriminant(dv)
     g = enumerate_reduced_forms(d)
     if g.h > h_cap:
         raise UsageError(f"h = {g.h} exceeds cap {h_cap}")
     absd = -dv
     xs = [eval_scale(r, g.h, absd) for r in x_rules]
-    sweep_cap = max(xs) if xs else 2.0
-    lp, ln, _ = stats._least_sweep(g, sweep_cap, sieve_cap=sieve_cap)
     t = max(2.0, eval_scale(t_rule, g.h, absd))
-    rep = stats.variance_report(g, t, w, sieve_cap=sieve_cap)
-    row: dict = {"d": dv, "h": g.h}
-    for i, x in enumerate(xs, 1):
+    sq, _, hi = stats.psi_limits(t)
+    for limit in (sq, hi):
+        arith.check_sieve_limit(limit, sieve_cap)
+    arith.check_disc_limit(dv)
+    return _ScanD(dv, g, xs, t)
+
+
+def _scan_row(s: _ScanD, lp, ln, rep) -> dict:
+    row: dict = {"d": s.d, "h": s.g.h}
+    for i, x in enumerate(s.xs, 1):
         row[f"x{i}"] = x
         row[f"r{i}_ideal"] = stats.count_exceptional(ln, x)
         row[f"r{i}_prime"] = stats.count_exceptional(lp, x)
     row["max_p"], row["median_p"] = stats.least_prime_summary(lp)
-    row["t"] = t
+    row["t"] = s.t
     row["var"] = rep.variance
-    row["var_ratio"] = rep.variance / (t * math.log(absd) ** 2)
+    row["var_ratio"] = rep.variance / (s.t * math.log(-s.d) ** 2)
     return row
+
+
+# A D whose 2T is at most this takes its psi primes and least-prime sweep
+# from the scan's shared prime table; one past it sieves on its own.
+_SCAN_TABLE_LIMIT = arith._BLOCK
+
+
+def _scan_results(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int):
+    """Yield (D, row or the exception that failed it) for each D, in order.
+
+    Consecutive D form batches of at most arith._CHUNK psi primes, counted
+    on one shared table of primes, which is sieved again only to grow.
+    A D that fails its checks keeps its place in the batch.
+    """
+    table, limit = np.empty(0, dtype=np.int64), 0
+    batch: list = []
+    pairs = 0
+    for dv in discs:
+        try:
+            s = _scan_prepare(dv, x_rules, t_rule, sieve_cap, h_cap)
+        except (InvariantViolation, *_INPUT_ERRORS) as exc:
+            batch.append((dv, exc))
+            continue
+        need = stats.psi_limits(s.t)[2]
+        if need > _SCAN_TABLE_LIMIT:
+            yield from _scan_batch(batch, table, limit, w, sieve_cap)
+            yield from _scan_batch([(dv, s)], table, limit, w, sieve_cap)
+            batch, pairs = [], 0
+            continue
+        if need > limit:
+            limit = min(max(need, 2 * limit), _SCAN_TABLE_LIMIT, sieve_cap)
+            table = arith.sieve_primes(limit, cap=sieve_cap)
+        n = stats.psi_prime_count(s.t, table)
+        if pairs and pairs + n > arith._CHUNK:
+            yield from _scan_batch(batch, table, limit, w, sieve_cap)
+            batch, pairs = [], 0
+        batch.append((dv, s))
+        pairs += n
+    yield from _scan_batch(batch, table, limit, w, sieve_cap)
+
+
+def _scan_batch(batch: list, table: np.ndarray, limit: int, w, sieve_cap: int):
+    """Yield (D, row or the exception that failed it) for one batch, in order.
+
+    batch holds (D, _ScanD or the exception its checks raised).  Every D
+    whose 2T is within the table (primes up to limit) has its psi primes
+    classified in one pass and its least primes swept in rounds, both
+    over the table.  A D past it, or whose sweep runs past it, sieves and
+    classifies on its own, as `variance` and `least-primes` do.
+    """
+    tabled = [
+        s for _, s in batch if isinstance(s, _ScanD) and stats.psi_limits(s.t)[2] <= limit
+    ]
+    psi: dict = {}
+    swept: dict = {}
+    if tabled:
+        ds, groups = [s.d for s in tabled], [s.g for s in tabled]
+        psi = dict(zip(ds, stats.psi_classes(groups, [s.t for s in tabled], table)))
+        swept = dict(zip(ds, stats.least_sweeps(
+            groups, [s.sweep_cap for s in tabled], table, limit, sieve_cap=sieve_cap
+        )))
+    for dv, s in batch:
+        if isinstance(s, _ScanD):
+            try:
+                lp, ln = swept.get(dv) or stats._least_sweep(
+                    s.g, s.sweep_cap, sieve_cap=sieve_cap
+                )[:2]
+                rep = stats.variance_report(s.g, s.t, w, sieve_cap=sieve_cap, classes=psi.get(dv))
+                s = _scan_row(s, lp, ln, rep)
+            except (InvariantViolation, *_INPUT_ERRORS) as exc:
+                s = exc
+        yield dv, s
 
 
 def cmd_scan(args) -> int:
@@ -409,12 +502,12 @@ def cmd_scan(args) -> int:
     ]
     rows = []
     failures: list[Exception] = []
-    for dv in discs:
-        try:
-            rows.append(_scan_one(dv, x_rules, args.t_rule, w, args.sieve_cap, args.h_cap))
-        except (InvariantViolation, *_INPUT_ERRORS) as exc:
-            failures.append(exc)
-            print(f"scan: D={dv} failed: {exc}", file=sys.stderr)
+    for dv, res in _scan_results(discs, x_rules, args.t_rule, w, args.sieve_cap, args.h_cap):
+        if isinstance(res, dict):
+            rows.append(res)
+        else:
+            failures.append(res)
+            print(f"scan: D={dv} failed: {res}", file=sys.stderr)
     cols = _scan_columns(x_rules)
     if args.format == "json":
         json.dump(rows, args.out_stream, indent=2, default=_json_default)

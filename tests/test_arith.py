@@ -20,6 +20,7 @@ from classprime.arith import (
     kronecker,
     l_one_chi,
     prime_classes,
+    prime_classes_batch,
     prime_power_class,
     representation_count,
     representation_counts_upto,
@@ -456,3 +457,47 @@ def test_prime_classes_int64_limit():
     big = validate_discriminant(-(2**31 + 3))
     with pytest.raises(LimitTooLarge):
         prime_classes([3], ClassGroup(disc=big, elements=g.elements, h=g.h))
+
+
+# ---------------------------------------------------------------------------
+# the multi-D kernel against per-D calls
+
+BATCH_DISCS = (-3, -4, -23, -84, -420, -1999, -3299)
+
+
+def test_prime_classes_batch_matches_per_d():
+    groups = [enumerate_reduced_forms(d) for d in BATCH_DISCS]
+    rng = np.random.default_rng(0)
+    slots, primes = [], []
+    for s, g in enumerate(groups):
+        # p = 2, every prime dividing D, and split, inert and large primes
+        ps = sieve_primes(3000).tolist() + [7340033, 998244353, 2**31 - 1]
+        ps += [p for p in sympy.primefactors(g.disc.value) if p not in ps]
+        slots += [s] * len(ps)
+        primes += ps
+    order = rng.permutation(len(primes))  # pairs of all D interleaved
+    slots, primes = np.array(slots)[order], np.array(primes)[order]
+    chi, idx = prime_classes_batch(primes, slots, groups)
+    for s, g in enumerate(groups):
+        mine = slots == s
+        want_chi, want_idx = prime_classes(primes[mine], g)
+        assert chi[mine].tolist() == want_chi.tolist()
+        assert idx[mine].tolist() == want_idx.tolist()
+        assert {0, 1} <= set(chi[mine].tolist())  # ramified and split pairs both present
+
+
+def test_prime_classes_batch_errors_name_the_d():
+    good, bad = enumerate_reduced_forms(-23), enumerate_reduced_forms(-75, strict=False)
+    # 5 divides the conductor of -75 = 5^2 * -3
+    with pytest.raises(InvalidIdealBasis, match="discriminant -75"):
+        prime_classes_batch([2, 3, 5, 7], [0, 0, 1, 0], [good, bad])
+    assert prime_classes_batch([2, 3, 7], [0, 1, 0], [good, bad])[0].tolist() == [1, 0, -1]
+    # the 2^31 limits hold per pair, and the error names the pair's D
+    g84 = enumerate_reduced_forms(-84)
+    chi, _ = prime_classes_batch([2**31 - 1, 5], [0, 1], [good, g84])
+    assert chi.tolist() == [kronecker(-23, 2**31 - 1), kronecker(-84, 5)]
+    with pytest.raises(LimitTooLarge, match="D = -84"):
+        prime_classes_batch([2**31 - 1, 2**31 + 11], [0, 1], [good, g84])
+    big = ClassGroup(disc=validate_discriminant(-(2**31 + 3)), elements=good.elements, h=good.h)
+    with pytest.raises(LimitTooLarge, match=str(2**31 + 3)):
+        prime_classes_batch([3, 5], [0, 0], [good, big])

@@ -6,12 +6,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classprime import classgroup, cli, qform
+from classprime import arith, classgroup, cli, qform, stats
 from classprime.cli import UsageError, eval_scale, fmt_num, parse_scale
 
 
@@ -586,3 +587,86 @@ def test_scan_x_rules_shape_columns(capsys):
     assert rc == 0
     header = out.splitlines()[0].split(",")
     assert header[:8] == ["d", "h", "x1", "r1_ideal", "r1_prime", "x2", "r2_ideal", "r2_prime"]
+
+
+# ---------------------------------------------------------------------------
+# scan's batches: failures stay with their D, rows match the golden tables
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_rows(name: str) -> tuple[str, dict[str, str]]:
+    header, *lines = (GOLDEN / name).read_text().splitlines()
+    return header, {line.split(",", 1)[0]: line for line in lines}
+
+
+def test_scan_sieve_cap_failures_keep_their_d(capsys):
+    rc, out, err = run_cli(["scan", "--range", "-100", "-3", "--sieve-cap", "1000"], capsys)
+    assert rc == 2
+    assert err.splitlines() == [
+        "scan: D=-71 failed: sieve limit 1780 exceeds cap 1000",
+        "scan: D=-87 failed: sieve limit 1435 exceeds cap 1000",
+        "scan: D=-95 failed: sieve limit 2654 exceeds cap 1000",
+        "# failed=3",
+    ]
+    header, want = _golden_rows("scan_-300_-3.csv")
+    lines = out.splitlines()
+    assert lines[0] == header and len(lines) == 1 + 28
+    for line in lines[1:]:
+        assert line == want[line.split(",", 1)[0]]
+
+
+def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
+    real = stats.variance_report
+
+    def broken_at_1003(g, T, w, **kw):
+        if g.disc.value == -1003:
+            raise stats.IdentityMismatch("forced for the exit-code contract")
+        return real(g, T, w, **kw)
+
+    monkeypatch.setattr(stats, "variance_report", broken_at_1003)
+    rc, out, err = run_cli(["scan", "--range", "-2000", "-3"], capsys)
+    assert rc == 3
+    assert err.splitlines() == [
+        "scan: D=-1003 failed: forced for the exit-code contract",
+        "# failed=1",
+    ]
+    want = (GOLDEN / "scan_-2000_-3.csv").read_text().splitlines()
+    assert out.splitlines() == [line for line in want if not line.startswith("-1003,")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--range", "-300", "-3"],
+    ["scan", "--range", "-300", "-3", "--x-rule", "5000", "--t-rule", "50"],
+])
+def test_scan_batches_match_the_single_d_path(argv, monkeypatch, capsys):
+    # tiny passes split the batches and a D's primes across passes; a zero
+    # table limit sends every D down the single-D path of variance and
+    # least-primes; with 2T = 100 the table ends at 100, so 26 D whose
+    # sweeps stay unfilled there finish them alone
+    sweeps = []
+    real = stats._least_sweep
+    monkeypatch.setattr(
+        stats, "_least_sweep", lambda g, *a, **kw: sweeps.append(g) or real(g, *a, **kw)
+    )
+    rc, want, _ = run_cli(argv, capsys)
+    assert len(sweeps) == (26 if "5000" in argv else 0)
+    assert rc == 0
+    monkeypatch.setattr(arith, "_CHUNK", 64)
+    assert run_cli(argv, capsys)[:2] == (0, want)
+    monkeypatch.setattr(cli, "_SCAN_TABLE_LIMIT", 0)
+    assert run_cli(argv, capsys)[:2] == (0, want)
+
+
+def test_scan_memory_stays_bounded(capsys):
+    # tracemalloc peak 3.9 MiB before batching; a batch holds at most
+    # arith._CHUNK psi primes and a table of the primes up to 2^20
+    tracemalloc.start()
+    try:
+        rc = cli.main(["scan", "--range", "-2000", "-3", "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 8 * 2**20

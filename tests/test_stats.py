@@ -27,8 +27,10 @@ from classprime.stats import (
     indicator_weight,
     least_prime_ideal_norms,
     least_primes,
+    least_sweeps,
     psi_by_char,
     psi_by_class,
+    psi_classes,
     psi_from_chars,
     variance,
     variance_report,
@@ -486,3 +488,74 @@ def test_least_sweep_equals_per_prime_loop(d, x_cap):
     lp, ln, capped = _least_sweep(g, x_cap)
     assert (lp, ln) == _least_sweep_reference(g, x_cap)
     assert not capped
+
+
+# ---------------------------------------------------------------------------
+# the sweep's slices and scan's batches against the single-D path
+
+def _counting_prime_classes(monkeypatch) -> list[int]:
+    counted = []
+    real = arith.prime_classes
+
+    def counting(primes, g):
+        counted.append(len(primes))
+        return real(primes, g)
+
+    monkeypatch.setattr(arith, "prime_classes", counting)
+    return counted
+
+
+@pytest.mark.parametrize("d,x_cap", [(-3299, 1e6), (-1999, 1e5)])
+def test_least_sweep_stops_once_classes_are_filled(d, x_cap, monkeypatch):
+    # the parent classified the whole first sieve block: 78,498 and 9,592
+    # primes; -3299 needs its first 144 primes
+    g = _group(d)
+    want = _least_sweep(g, x_cap)
+    counted = _counting_prime_classes(monkeypatch)
+    assert _least_sweep(g, x_cap) == want
+    assert 0 < sum(counted) <= 1000
+    assert all(want[0])
+
+
+def test_least_sweep_slices_double_across_blocks():
+    # h = 1275 starts at 10,200 primes; its last class fills in the third
+    # sieve block (test_least_sweep_equals_per_prime_loop)
+    g = _group(-10000019)
+    lp, ln, _ = _least_sweep(g, 3e6)
+    assert max(lp) > 2 * 2**20 and None not in lp
+
+
+BATCH = ((-3, 2.0), (-4, 150.0), (-23, 1e3), (-84, 3e4), (-420, 1e5), (-1999, 5e4), (-3299, 2e5))
+
+
+def test_psi_classes_match_psi_by_class():
+    groups = [_group(d) for d, _ in BATCH]
+    ts = [t for _, t in BATCH]
+    table = arith.sieve_primes(int(2 * max(ts)))
+    for g, t, classes in zip(groups, ts, psi_classes(groups, ts, table)):
+        for w in (bump_weight(), indicator_weight()):
+            got = psi_by_class(g, t, w, classes=classes).tolist()
+            assert got == psi_by_class(g, t, w).tolist()  # bit for bit
+
+
+@pytest.mark.parametrize("limit", [30, 1998, 10**5])
+def test_least_sweeps_match_least_sweep(limit):
+    # a group still unfilled at the end of the table that its x_cap lets
+    # read further comes back None; every other result is _least_sweep's
+    groups = [_group(d) for d, _ in BATCH] + [_group(-163)]
+    x_caps = [2.0, 3.5, 24, 500, 5000, 3e4, 1e4, 1e3]
+    got = least_sweeps(groups, x_caps, arith.sieve_primes(limit), limit)
+    for g, x, res in zip(groups, x_caps, got):
+        lp, ln, _ = _least_sweep(g, x)
+        if res is None:
+            assert math.ceil(x) - 1 > limit and None in least_primes(g, limit + 1)
+        else:
+            assert res == (lp, ln)
+    # -1999 fills its last class at p = 1999
+    assert (got[5] is None) == (limit < 1999) and (limit == 30) == (got[3] is None)
+
+
+def test_least_sweeps_respect_the_sieve_cap():
+    groups = [_group(-23), _group(-3299)]
+    got = least_sweeps(groups, [1000, 1000], arith.sieve_primes(100), 100, sieve_cap=100)
+    assert got == [_least_sweep(g, 1000, sieve_cap=100)[:2] for g in groups]
