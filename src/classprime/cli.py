@@ -201,6 +201,7 @@ def cmd_forms(args) -> int:
 
 def cmd_least_primes(args) -> int:
     d = _require_disc(args)
+    arith.check_disc_limit(d.value)
     g = enumerate_reduced_forms(d, strict=False)
     absd = -d.value
     x_cap = eval_scale(args.x_cap, g.h, absd)
@@ -255,6 +256,7 @@ def cmd_variance(args) -> int:
     if t is None or not (2 <= t < math.inf):
         raise UsageError("--t must be given, finite and at least 2")
     w = stats.get_weight(args.weight)
+    arith.check_disc_limit(d.value)
     g = enumerate_reduced_forms(d, strict=False)
     rep = stats.variance_report(g, t, w, sieve_cap=args.sieve_cap)
     log2d = math.log(-d.value) ** 2
@@ -324,6 +326,7 @@ def cmd_heegner(args) -> int:
     absd = -d.value
     if args.l_terms is not None and args.l_terms < absd:
         raise UsageError(f"--l-terms must be at least |D| = {absd}")
+    arith.check_disc_limit(d.value)
     g = enumerate_reduced_forms(d, strict=False)
     x_cap = eval_scale(args.x_cap, g.h, absd)
     lp = stats.least_primes(g, x_cap, sieve_cap=args.sieve_cap)
@@ -386,9 +389,11 @@ class _ScanD(NamedTuple):
 
 def _scan_prepare(dv: int, x_rules, t_rule, sieve_cap, h_cap) -> _ScanD:
     """Class group, thresholds and T of one D, and every check that can
-    fail it before it joins a batch: --h-cap, the thresholds, the sieve
-    cap at sqrt(2T) and 2T, and the 2^31 limit on |D|."""
+    fail it before it joins a batch: the 2^31 limit on |D| (before the
+    O(|D|) form enumeration), --h-cap, the thresholds, and the sieve cap
+    at sqrt(2T) and 2T."""
     d = validate_discriminant(dv)
+    arith.check_disc_limit(dv)
     g = enumerate_reduced_forms(d)
     if g.h > h_cap:
         raise UsageError(f"h = {g.h} exceeds cap {h_cap}")
@@ -398,7 +403,6 @@ def _scan_prepare(dv: int, x_rules, t_rule, sieve_cap, h_cap) -> _ScanD:
     sq, _, hi = stats.psi_limits(t)
     for limit in (sq, hi):
         arith.check_sieve_limit(limit, sieve_cap)
-    arith.check_disc_limit(dv)
     return _ScanD(dv, g, xs, t)
 
 
@@ -415,19 +419,14 @@ def _scan_row(s: _ScanD, lp, ln, rep) -> dict:
     return row
 
 
-# A D whose 2T is at most this takes its psi primes and least-prime sweep
-# from the scan's shared prime table; one past it sieves on its own.
-_SCAN_TABLE_LIMIT = arith._BLOCK
-
-
 def _scan_results(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int):
     """Yield (D, row or the exception that failed it) for each D, in order.
 
     Consecutive D form batches of at most arith._CHUNK psi primes, counted
-    on one shared table of primes, which is sieved again only to grow.
-    A D that fails its checks keeps its place in the batch.
+    on one prime source shared by the whole scan; a D that fails its
+    checks keeps its place in the batch.
     """
-    table, limit = np.empty(0, dtype=np.int64), 0
+    source = stats.PrimeSource(sieve_cap)
     batch: list = []
     pairs = 0
     for dv in discs:
@@ -436,52 +435,38 @@ def _scan_results(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int):
         except (InvariantViolation, *_INPUT_ERRORS) as exc:
             batch.append((dv, exc))
             continue
-        need = stats.psi_limits(s.t)[2]
-        if need > _SCAN_TABLE_LIMIT:
-            yield from _scan_batch(batch, table, limit, w, sieve_cap)
-            yield from _scan_batch([(dv, s)], table, limit, w, sieve_cap)
-            batch, pairs = [], 0
-            continue
-        if need > limit:
-            limit = min(max(need, 2 * limit), _SCAN_TABLE_LIMIT, sieve_cap)
-            table = arith.sieve_primes(limit, cap=sieve_cap)
-        n = stats.psi_prime_count(s.t, table)
+        sq, seg_start, hi = stats.psi_limits(s.t)
+        n = source.count(seg_start, hi) + source.count(2, sq)
         if pairs and pairs + n > arith._CHUNK:
-            yield from _scan_batch(batch, table, limit, w, sieve_cap)
+            yield from _scan_batch(batch, source, w)
             batch, pairs = [], 0
         batch.append((dv, s))
         pairs += n
-    yield from _scan_batch(batch, table, limit, w, sieve_cap)
+    yield from _scan_batch(batch, source, w)
 
 
-def _scan_batch(batch: list, table: np.ndarray, limit: int, w, sieve_cap: int):
+def _scan_batch(batch: list, source: stats.PrimeSource, w):
     """Yield (D, row or the exception that failed it) for one batch, in order.
 
-    batch holds (D, _ScanD or the exception its checks raised).  Every D
-    whose 2T is within the table (primes up to limit) has its psi primes
-    classified in one pass and its least primes swept in rounds, both
-    over the table.  A D past it, or whose sweep runs past it, sieves and
-    classifies on its own, as `variance` and `least-primes` do.
+    batch holds (D, _ScanD or the exception its checks raised).  The psi
+    and least-prime sweep jobs of every D that passed run in one
+    stats.run_jobs call; an error there fails each of these D.
     """
-    tabled = [
-        s for _, s in batch if isinstance(s, _ScanD) and stats.psi_limits(s.t)[2] <= limit
-    ]
-    psi: dict = {}
-    swept: dict = {}
-    if tabled:
-        ds, groups = [s.d for s in tabled], [s.g for s in tabled]
-        psi = dict(zip(ds, stats.psi_classes(groups, [s.t for s in tabled], table)))
-        swept = dict(zip(ds, stats.least_sweeps(
-            groups, [s.sweep_cap for s in tabled], table, limit, sieve_cap=sieve_cap
-        )))
+    ok = [s for _, s in batch if isinstance(s, _ScanD)]
+    jobs = []
+    for slot, s in enumerate(ok):
+        jobs.append((slot, stats.psi_job(s.g, s.t, w, source)))
+        jobs.append((slot, stats.sweep_job(s.g, s.sweep_cap, source)))
+    try:
+        done = iter(stats.run_jobs([s.g for s in ok], jobs))
+    except (InvariantViolation, *_INPUT_ERRORS) as exc:
+        yield from ((dv, exc if isinstance(s, _ScanD) else s) for dv, s in batch)
+        return
     for dv, s in batch:
         if isinstance(s, _ScanD):
+            psa, (lp, ln, _) = next(done), next(done)
             try:
-                lp, ln = swept.get(dv) or stats._least_sweep(
-                    s.g, s.sweep_cap, sieve_cap=sieve_cap
-                )[:2]
-                rep = stats.variance_report(s.g, s.t, w, sieve_cap=sieve_cap, classes=psi.get(dv))
-                s = _scan_row(s, lp, ln, rep)
+                s = _scan_row(s, lp, ln, stats.variance_report(s.g, s.t, w, psa=psa))
             except (InvariantViolation, *_INPUT_ERRORS) as exc:
                 s = exc
         yield dv, s

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import statistics
+import weakref
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Generator, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,22 +78,105 @@ class ClassifiedPrimes(NamedTuple):
     chi: np.ndarray
     idx: np.ndarray
 
-    def part(self, sl: slice) -> "ClassifiedPrimes":
-        return ClassifiedPrimes(*(a[sl] for a in self))
+
+# Primes up to this come from a PrimeSource's table; past it, from sieve blocks.
+_TABLE_LIMIT = arith._BLOCK
+_NO_PRIMES = np.empty(0, dtype=np.int64)
 
 
-def _classify_parts(
-    parts: list[np.ndarray], slots: Sequence[int], groups: Sequence[ClassGroup]
-) -> list[ClassifiedPrimes]:
-    """Classify parts[i] against groups[slots[i]], all in one
-    arith.prime_classes_batch call."""
-    lens = [len(part) for part in parts]
-    chi, idx = arith.prime_classes_batch(np.concatenate(parts), np.repeat(slots, lens), groups)
-    bounds = np.cumsum([0] + lens).tolist()
-    return [
-        ClassifiedPrimes(part, chi[lo:hi], idx[lo:hi])
-        for part, lo, hi in zip(parts, bounds, bounds[1:])
-    ]
+class PrimeSource:
+    """Ascending primes for the jobs of run_jobs, shared by every job of a
+    run (scan keeps one for its whole range).
+
+    The primes up to _TABLE_LIMIT are slices of one table, sieved again
+    only when a request passes its end, then to at least twice its old
+    limit.  Past it the integers fall into fixed blocks of arith._BLOCK;
+    jobs reading a block share one copy of its primes, sieved once while
+    any of them holds a slice of it.  So memory stays O(sqrt(hi) + block)
+    per block in use, whatever range is asked for.
+    """
+
+    def __init__(self, sieve_cap: int = arith.SIEVE_CAP_DEFAULT):
+        self.cap = sieve_cap
+        self.limit = 0
+        self.table = np.empty(0, dtype=np.int64)
+        self.blocks: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def _tabled(self, lo: int, hi: int) -> np.ndarray:
+        """The primes in [lo, min(hi, _TABLE_LIMIT)], from the table."""
+        top = min(hi, _TABLE_LIMIT)
+        if lo <= top and top > self.limit:
+            self.limit = min(max(top, 2 * self.limit), _TABLE_LIMIT, self.cap)
+            self.table = arith.sieve_primes(self.limit, cap=self.cap)
+        i, j = np.searchsorted(self.table, [lo, top + 1]).tolist()
+        return self.table[i:j]
+
+    def primes(self, lo: int, hi: int) -> Iterator[np.ndarray]:
+        """The primes in [lo, hi] in ascending parts: a slice of the table,
+        then slices of sieve blocks.  LimitTooLarge when hi is past the
+        sieve cap."""
+        arith.check_sieve_limit(hi, self.cap)
+        if lo <= _TABLE_LIMIT:
+            yield self._tabled(lo, hi)
+        size, first = arith._BLOCK, _TABLE_LIMIT + 1
+        for start in range(first + max(0, lo - first) // size * size, hi + 1, size):
+            block = self.blocks.get(start)
+            if block is None:
+                stop = min(start + size - 1, self.cap)
+                block = next(arith.iter_prime_blocks(start, stop, cap=self.cap), _NO_PRIMES)
+                self.blocks[start] = block
+            i, j = np.searchsorted(block, [lo, hi + 1]).tolist()
+            if i < j:
+                yield block[i:j]
+
+    def count(self, lo: int, hi: int) -> int:
+        """At least the number of primes in [lo, hi]: exact on the table,
+        and every integer past _TABLE_LIMIT counts."""
+        return len(self._tabled(lo, hi)) + max(0, hi - max(lo - 1, _TABLE_LIMIT))
+
+
+# A job asks for ascending arrays of primes and is sent each back classified
+# against its group; its return value is its result.
+Job = Generator[np.ndarray, ClassifiedPrimes, object]
+
+# (D, p) pairs a round of run_jobs classifies, unless one request has more.
+_ROUND_PAIRS = 1 << 16
+
+
+def run_jobs(groups: Sequence[ClassGroup], jobs: Sequence[tuple[int, Job]]) -> list:
+    """Run each (slot, job) against groups[slot] and return the results.
+
+    Each round moves unfinished jobs on by one request each, in turn, as
+    many as fit in _ROUND_PAIRS: one arith.prime_classes_batch call
+    classifies the primes of all of them.
+    """
+    results: list = [None] * len(jobs)
+    asks: dict[int, np.ndarray] = {}  # in the order the jobs get their turn
+
+    def advance(i: int, classified: Optional[ClassifiedPrimes]) -> None:
+        try:
+            asks[i] = jobs[i][1].send(classified)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(jobs)):
+        advance(i, None)
+    while asks:
+        live, total = [], 0
+        for i, part in asks.items():
+            if live and total + len(part) > _ROUND_PAIRS:
+                break
+            live.append(i)
+            total += len(part)
+        parts = [asks.pop(i) for i in live]
+        lens = [len(part) for part in parts]
+        slots = np.repeat([jobs[i][0] for i in live], lens)
+        chi, idx = arith.prime_classes_batch(np.concatenate(parts), slots, groups)
+        bounds = np.cumsum([0] + lens).tolist()
+        for i, part, lo, hi in zip(live, parts, bounds, bounds[1:]):
+            advance(i, ClassifiedPrimes(part, chi[lo:hi], idx[lo:hi]))
+        del parts, part, slots, chi, idx  # so no round's arrays outlive it
+    return results
 
 
 def psi_limits(T: float) -> tuple[int, int, int]:
@@ -104,13 +188,21 @@ def psi_limits(T: float) -> tuple[int, int, int]:
     return sq, max(sq + 1, int(T)), hi
 
 
+def psi_job(g: ClassGroup, T: float, w: Weight, source: PrimeSource) -> Job:
+    """psi_by_class as a job of run_jobs: the primes up to sqrt(2T) in one
+    request, then the segment part by part."""
+    if T < 2:
+        raise ValueError("T must be >= 2")
+    sq, seg_start, hi = psi_limits(T)
+    small = yield np.concatenate(list(source.primes(2, sq)))
+    acc = np.array(_psi_small_primes(g, T, w, small))
+    for part in source.primes(seg_start, hi):
+        _psi_add_segment(acc, g, T, w, (yield part))
+    return acc
+
+
 def psi_by_class(
-    g: ClassGroup,
-    T: float,
-    w: Weight,
-    *,
-    sieve_cap: int = arith.SIEVE_CAP_DEFAULT,
-    classes: Optional[ClassifiedPrimes] = None,
+    g: ClassGroup, T: float, w: Weight, *, sieve_cap: int = arith.SIEVE_CAP_DEFAULT
 ) -> np.ndarray:
     """Per-class sums psi_A = sum Lambda(n) w(N(n)/T) over prime-power ideals.
 
@@ -118,54 +210,10 @@ def psi_by_class(
     plus prime powers and inert squares from primes up to sqrt(2T).
     Terms are scalar products (math.log, weight_eval) added in ascending
     prime order, a split prime's conjugate directly after it, so the result
-    is bit-identical to a per-prime loop.  The primes are sieved and
-    classified here one block at a time, unless `classes` already holds
-    the primes of psi_limits(T), classified (scan's batches).
+    is bit-identical to a per-prime loop.  A run of one psi_job.
     """
-    if T < 2:
-        raise ValueError("T must be >= 2")
-    sq, seg_start, hi = psi_limits(T)
-    if classes is None:
-        small = arith.sieve_primes(sq, cap=sieve_cap)
-        small = ClassifiedPrimes(small, *arith.prime_classes(small, g))
-        segment = (
-            ClassifiedPrimes(block, *arith.prime_classes(block, g))
-            for block in arith.iter_prime_blocks(seg_start, hi, cap=sieve_cap)
-        )
-    else:
-        cut = int(np.searchsorted(classes.primes, sq, side="right"))
-        small, segment = classes.part(slice(cut)), [classes.part(slice(cut, None))]
-    acc = np.array(_psi_small_primes(g, T, w, small))
-    for part in segment:
-        _psi_add_segment(acc, g, T, w, part)
+    [acc] = run_jobs([g], [(0, psi_job(g, T, w, PrimeSource(sieve_cap)))])
     return acc
-
-
-def _psi_cuts(T: float, primes: np.ndarray) -> tuple[int, int, int]:
-    """Indices i <= j <= k with primes[:i] and primes[j:k] the primes of
-    psi_limits(T), for an ascending table of primes reaching 2T."""
-    sq, seg_start, hi = psi_limits(T)
-    i, j, k = np.searchsorted(primes, [sq + 1, seg_start, hi + 1]).tolist()
-    return i, j, k
-
-
-def psi_prime_count(T: float, primes: np.ndarray) -> int:
-    """How many primes psi_by_class reads at T, counted on a table."""
-    i, j, k = _psi_cuts(T, primes)
-    return i + k - j
-
-
-def psi_classes(
-    groups: Sequence[ClassGroup], ts: Sequence[float], primes: np.ndarray
-) -> list[ClassifiedPrimes]:
-    """The primes psi_by_class(groups[i], ts[i]) reads, taken from one
-    ascending table of primes that reaches every 2T and classified by one
-    prime_classes_batch call; each entry is that psi_by_class's `classes`."""
-    parts = []
-    for T in ts:
-        i, j, k = _psi_cuts(T, primes)
-        parts.append(np.concatenate([primes[:i], primes[j:k]]))
-    return _classify_parts(parts, range(len(parts)), groups)
 
 
 def _psi_small_primes(g: ClassGroup, T: float, w: Weight, small: ClassifiedPrimes) -> list[float]:
@@ -270,16 +318,17 @@ def variance_report(
     w: Weight,
     *,
     sieve_cap: int = arith.SIEVE_CAP_DEFAULT,
-    classes: Optional[ClassifiedPrimes] = None,
+    psa: Optional[np.ndarray] = None,
 ) -> PsiReport:
     """psi sums plus the variance, computed both ways and cross-checked.
 
     Definitional: sum_A |psi_A - psi/h|^2.  Spectral: (1/h) * sum over
     nontrivial chi of |psi_chi|^2.  Disagreement beyond 1e-9 relative
-    raises IdentityMismatch, as does a failed Fourier roundtrip.
-    `classes` goes to psi_by_class.
+    raises IdentityMismatch, as does a failed Fourier roundtrip.  psa,
+    when given, is psi_by_class(g, T, w), already computed.
     """
-    psa = psi_by_class(g, T, w, sieve_cap=sieve_cap, classes=classes)
+    if psa is None:
+        psa = psi_by_class(g, T, w, sieve_cap=sieve_cap)
     ptot = float(psa.sum())
     h = g.h
 
@@ -320,58 +369,49 @@ def variance(g: ClassGroup, T: float, w: Weight, **kw) -> float:
 # ---------------------------------------------------------------------------
 # least primes and exceptional classes
 
-class _LeastPrimes:
-    """Least prime per class of one group, filled from ascending slices of
-    classified primes.  The norm variant differs only at the principal
-    class, which inert primes reach with norm p^2."""
+def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
+    """_least_sweep as a job of run_jobs.
 
-    def __init__(self, g: ClassGroup):
-        self.g = g
-        self.least = np.zeros(g.h, dtype=np.int64)  # 0: no prime found yet
-        self.filled = 0
-        self.first_inert: Optional[int] = None
+    Each part from the source is asked for in slices of 8h primes at
+    first, doubling, and the sweep stops after the slice that fills the
+    last class: later primes cannot improve either vector.  The norm
+    variant differs only at the principal class, which inert primes
+    reach with norm p^2.
+    """
+    hi = math.ceil(x_cap) - 1
+    least = np.zeros(g.h, dtype=np.int64)  # 0: no prime found yet
+    filled, first_inert = 0, None
+    none = np.iinfo(np.int64).max
 
-    @property
-    def done(self) -> bool:
-        return self.filled == self.g.h
-
-    def add(self, part: ClassifiedPrimes) -> None:
-        """Take the next slice.  Once every class has a prime (done), later
-        primes cannot improve either vector."""
+    def take(part: ClassifiedPrimes) -> int:
+        """Fill the classes that part reaches first; how many it filled."""
+        nonlocal first_inert
         primes, chis, idxs = part
-        if self.first_inert is None:
+        if first_inert is None:
             inert = np.flatnonzero(chis == -1)
             if inert.size:
-                self.first_inert = int(primes[inert[0]])
+                first_inert = int(primes[inert[0]])
         kept, split = chis != -1, chis == 1
-        cls = np.concatenate([idxs[kept], self.g.inverse[idxs[split]]])
-        none = np.iinfo(np.int64).max
-        first = np.full(self.g.h, none, dtype=np.int64)
+        cls = np.concatenate([idxs[kept], g.inverse[idxs[split]]])
+        first = np.full(g.h, none, dtype=np.int64)
         np.minimum.at(first, cls, np.concatenate([primes[kept], primes[split]]))
-        new = (self.least == 0) & (first < none)
-        self.least[new] = first[new]
-        self.filled += int(np.count_nonzero(new))
+        new = (least == 0) & (first < none)
+        least[new] = first[new]
+        return int(np.count_nonzero(new))
 
-    def result(self, x_cap: float) -> tuple[list[Optional[int]], list[Optional[int]]]:
-        """(least prime per class, least prime-ideal norm per class)."""
-        least_p = [p or None for p in self.least.tolist()]
-        least_norm = list(least_p)
-        fi = self.first_inert
-        if fi is not None and fi * fi < x_cap:
-            if least_norm[0] is None or fi * fi < least_norm[0]:
-                least_norm[0] = fi * fi
-        return least_p, least_norm
-
-
-def _sweep_limit(x_cap: float, sieve_cap: int) -> tuple[int, bool]:
-    """(largest prime a sweep below x_cap reads, whether sieve_cap cut it)."""
-    hi = math.ceil(x_cap) - 1
-    return min(hi, sieve_cap), hi > sieve_cap
-
-
-def _first_slice(g: ClassGroup) -> int:
-    """Primes in a group's first sweep slice; each later slice doubles."""
-    return 8 * g.h
+    n = 8 * g.h
+    for block in source.primes(2, min(hi, source.cap)):
+        lo = 0
+        while lo < len(block) and filled < g.h:
+            filled += take((yield block[lo : lo + n]))
+            lo, n = lo + n, 2 * n
+        if filled == g.h:
+            break
+    least_p = [p or None for p in least.tolist()]
+    least_norm = list(least_p)
+    if first_inert is not None and first_inert**2 < min(x_cap, least_norm[0] or math.inf):
+        least_norm[0] = first_inert**2
+    return least_p, least_norm, hi > source.cap
 
 
 def _least_sweep(
@@ -380,59 +420,10 @@ def _least_sweep(
     """One ascending sweep over primes p < x_cap.
 
     Returns (least prime per class, least prime-ideal norm per class,
-    capped).  Each sieve block is classified in slices of 8h primes,
-    doubling, and the sweep stops after the slice that fills the last
-    class.
+    capped).  A run of one sweep_job.
     """
-    st = _LeastPrimes(g)
-    hi, capped = _sweep_limit(x_cap, sieve_cap)
-    n = _first_slice(g)
-    if hi >= 2:
-        for block in arith.iter_prime_blocks(2, hi, cap=sieve_cap):
-            lo = 0
-            while lo < len(block) and not st.done:
-                part = block[lo : lo + n]
-                st.add(ClassifiedPrimes(part, *arith.prime_classes(part, g)))
-                lo, n = lo + n, 2 * n
-            if st.done:
-                break
-    return (*st.result(x_cap), capped)
-
-
-def least_sweeps(
-    groups: Sequence[ClassGroup],
-    x_caps: Sequence[float],
-    primes: np.ndarray,
-    limit: int,
-    *,
-    sieve_cap: int = arith.SIEVE_CAP_DEFAULT,
-) -> list[Optional[tuple[list[Optional[int]], list[Optional[int]]]]]:
-    """_least_sweep for many groups over one table of the primes up to limit.
-
-    Runs in rounds: each group whose sweep is not over gets its next slice
-    of the table (8h primes, doubling), and one prime_classes_batch call
-    classifies the slices of all of them.  Returns (least primes, least
-    norms) per group, or None for a group still unfilled at the end of
-    the table that x_cap and sieve_cap let read further; the caller
-    sweeps that one alone.
-    """
-    states = [_LeastPrimes(g) for g in groups]
-    his = [_sweep_limit(x, sieve_cap)[0] for x in x_caps]
-    ends = np.searchsorted(primes, his, side="right").tolist()
-    starts = [0] * len(groups)
-    sizes = [_first_slice(g) for g in groups]
-    active = [i for i, e in enumerate(ends) if e > 0]
-    while active:
-        parts = [primes[starts[i] : min(starts[i] + sizes[i], ends[i])] for i in active]
-        for i, part in zip(active, _classify_parts(parts, active, groups)):
-            states[i].add(part)
-            starts[i] += len(part.primes)
-            sizes[i] *= 2
-        active = [i for i in active if not states[i].done and starts[i] < ends[i]]
-    return [
-        st.result(x) if st.done or hi <= limit else None
-        for st, x, hi in zip(states, x_caps, his)
-    ]
+    [res] = run_jobs([g], [(0, sweep_job(g, x_cap, PrimeSource(sieve_cap)))])
+    return res
 
 
 def least_primes(g: ClassGroup, x_cap: float, **kw) -> list[Optional[int]]:

@@ -640,21 +640,18 @@ def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
     ["scan", "--range", "-300", "-3", "--x-rule", "5000", "--t-rule", "50"],
 ])
 def test_scan_batches_match_the_single_d_path(argv, monkeypatch, capsys):
-    # tiny passes split the batches and a D's primes across passes; a zero
-    # table limit sends every D down the single-D path of variance and
-    # least-primes; with 2T = 100 the table ends at 100, so 26 D whose
-    # sweeps stay unfilled there finish them alone
-    sweeps = []
-    real = stats._least_sweep
-    monkeypatch.setattr(
-        stats, "_least_sweep", lambda g, *a, **kw: sweeps.append(g) or real(g, *a, **kw)
-    )
+    # tiny passes and rounds split the batches, a D's primes across passes
+    # and its jobs' requests across rounds; a table ending at 2000 mixes D
+    # inside and past it in one batch, and sends sweeps across its end; a
+    # zero table limit streams every prime of every D in sieve blocks
     rc, want, _ = run_cli(argv, capsys)
-    assert len(sweeps) == (26 if "5000" in argv else 0)
     assert rc == 0
     monkeypatch.setattr(arith, "_CHUNK", 64)
+    monkeypatch.setattr(stats, "_ROUND_PAIRS", 64)
     assert run_cli(argv, capsys)[:2] == (0, want)
-    monkeypatch.setattr(cli, "_SCAN_TABLE_LIMIT", 0)
+    monkeypatch.setattr(stats, "_TABLE_LIMIT", 2000)
+    assert run_cli(argv, capsys)[:2] == (0, want)
+    monkeypatch.setattr(stats, "_TABLE_LIMIT", 0)
     assert run_cli(argv, capsys)[:2] == (0, want)
 
 
@@ -670,3 +667,43 @@ def test_scan_memory_stays_bounded(capsys):
     capsys.readouterr()
     assert rc == 0
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the 2^31 limit on |D| is checked before the O(|D|) form enumeration
+
+@pytest.mark.parametrize("cmd", [["variance", "--t", "100"], ["least-primes"], ["heegner"]])
+def test_disc_limit_fails_before_enumeration(cmd, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_reduced_forms", lambda *a, **kw: calls.append(a))
+    rc, out, err = run_cli(cmd + ["--disc", "-2147483651"], capsys)
+    assert rc == 2 and out == "" and calls == []
+    assert err == "error: |D| = 2147483651 is not below 2^31, the prime -> class limit\n"
+
+
+def test_perfbench_wraps_names_that_exist():
+    # perfbench/tracing.py skips a name no module binds, which would zero
+    # its layer metrics silently
+    checkout = Path(cli.__file__).resolve().parents[2]
+    code = textwrap.dedent(
+        """
+        import tracing
+
+        missing = []
+        real = tracing._replace
+
+        def checking(modules, attr, wrapper):
+            if not any(hasattr(mod, attr) for mod in modules):
+                missing.append(attr)
+            real(modules, attr, wrapper)
+
+        tracing._replace = checking
+        tracing.install(tracing.Tracer())
+        print(missing)
+        """
+    )
+    path = os.pathsep.join([str(checkout / "src"), str(checkout / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -15,6 +15,7 @@ from classprime.classgroup import (
     ideal_class_of,
 )
 from classprime.qform import QuadForm, evaluate
+from classprime import stats
 from classprime.stats import (
     _BUMP_NORM,
     IdentityMismatch,
@@ -27,11 +28,12 @@ from classprime.stats import (
     indicator_weight,
     least_prime_ideal_norms,
     least_primes,
-    least_sweeps,
     psi_by_char,
     psi_by_class,
-    psi_classes,
     psi_from_chars,
+    psi_job,
+    run_jobs,
+    sweep_job,
     variance,
     variance_report,
     weight_eval,
@@ -495,13 +497,13 @@ def test_least_sweep_equals_per_prime_loop(d, x_cap):
 
 def _counting_prime_classes(monkeypatch) -> list[int]:
     counted = []
-    real = arith.prime_classes
+    real = arith.prime_classes_batch
 
-    def counting(primes, g):
+    def counting(primes, slot, groups):
         counted.append(len(primes))
-        return real(primes, g)
+        return real(primes, slot, groups)
 
-    monkeypatch.setattr(arith, "prime_classes", counting)
+    monkeypatch.setattr(arith, "prime_classes_batch", counting)
     return counted
 
 
@@ -525,37 +527,97 @@ def test_least_sweep_slices_double_across_blocks():
     assert max(lp) > 2 * 2**20 and None not in lp
 
 
+def test_least_sweep_stops_sieving_once_classes_are_filled(monkeypatch):
+    # the sieve cap, not x_cap, bounds this sweep; its last class fills in
+    # the third sieve block, so no prime past 3 * 2^20 is ever sieved
+    g = _group(-10000019)
+    largest = [0]
+    real_blocks, real_sieve = arith.iter_prime_blocks, arith.sieve_primes
+
+    def blocks(*args, **kw):
+        for block in real_blocks(*args, **kw):
+            largest[0] = max(largest[0], int(block[-1]))
+            yield block
+
+    def sieve(*args, **kw):
+        primes = real_sieve(*args, **kw)
+        largest[0] = max(largest[0], int(primes[-1]) if len(primes) else 0)
+        return primes
+
+    monkeypatch.setattr(arith, "iter_prime_blocks", blocks)
+    monkeypatch.setattr(arith, "sieve_primes", sieve)
+    lp, _, capped = _least_sweep(g, 1e12)
+    assert capped and None not in lp
+    assert 2 * 2**20 < largest[0] < 4 * 2**20
+
+
 BATCH = ((-3, 2.0), (-4, 150.0), (-23, 1e3), (-84, 3e4), (-420, 1e5), (-1999, 5e4), (-3299, 2e5))
+LIMITS = (30, 1998, 10**5)
 
 
-def test_psi_classes_match_psi_by_class():
+def test_psi_classes_match_psi_by_class(monkeypatch):
+    # psi jobs of many groups in one run, their primes from one source whose
+    # table ends before, inside or past the segments, against psi_by_class
     groups = [_group(d) for d, _ in BATCH]
-    ts = [t for _, t in BATCH]
-    table = arith.sieve_primes(int(2 * max(ts)))
-    for g, t, classes in zip(groups, ts, psi_classes(groups, ts, table)):
-        for w in (bump_weight(), indicator_weight()):
-            got = psi_by_class(g, t, w, classes=classes).tolist()
-            assert got == psi_by_class(g, t, w).tolist()  # bit for bit
+    weights = (bump_weight(), indicator_weight())
+    want = [psi_by_class(g, t, w).tolist() for g, (_, t) in zip(groups, BATCH) for w in weights]
+    for limit in LIMITS:
+        monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
+        source = stats.PrimeSource()
+        jobs = [
+            (i, psi_job(g, t, w, source))
+            for i, (g, (_, t)) in enumerate(zip(groups, BATCH))
+            for w in weights
+        ]
+        got = run_jobs(groups, jobs)
+        assert [psa.tolist() for psa in got] == want  # bit for bit
 
 
-@pytest.mark.parametrize("limit", [30, 1998, 10**5])
-def test_least_sweeps_match_least_sweep(limit):
-    # a group still unfilled at the end of the table that its x_cap lets
-    # read further comes back None; every other result is _least_sweep's
+@pytest.mark.parametrize("limit", LIMITS)
+def test_least_sweeps_match_least_sweep(limit, monkeypatch):
+    # sweeps of many groups in one run, reading past the end of the table
+    # where their x_cap lets them, against _least_sweep
     groups = [_group(d) for d, _ in BATCH] + [_group(-163)]
     x_caps = [2.0, 3.5, 24, 500, 5000, 3e4, 1e4, 1e3]
-    got = least_sweeps(groups, x_caps, arith.sieve_primes(limit), limit)
-    for g, x, res in zip(groups, x_caps, got):
-        lp, ln, _ = _least_sweep(g, x)
-        if res is None:
-            assert math.ceil(x) - 1 > limit and None in least_primes(g, limit + 1)
-        else:
-            assert res == (lp, ln)
-    # -1999 fills its last class at p = 1999
-    assert (got[5] is None) == (limit < 1999) and (limit == 30) == (got[3] is None)
+    want = [_least_sweep(g, x) for g, x in zip(groups, x_caps)]
+    monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
+    blocks = []
+    real = arith.iter_prime_blocks
+    monkeypatch.setattr(
+        arith, "iter_prime_blocks", lambda *a, **kw: blocks.append(a) or real(*a, **kw)
+    )
+    source = stats.PrimeSource()
+    jobs = [(i, sweep_job(g, x, source)) for i, (g, x) in enumerate(zip(groups, x_caps))]
+    assert run_jobs(groups, jobs) == want
+    # the sweeps that read past the table share its first sieve block
+    assert len(blocks) == (limit < 3e4)
+    # -1999 fills its last class at p = 1999, past a table ending at 30 or 1998
+    assert max(want[5][0]) == 1999
+
+
+def test_rounds_keep_to_their_pair_budget(monkeypatch):
+    # a round takes the jobs' requests in turn while they fit in
+    # _ROUND_PAIRS, or one request alone, however many jobs a run has
+    groups = [_group(d) for d, _ in BATCH]
+    want = [_least_sweep(g, 1e4) for g in groups]
+    monkeypatch.setattr(stats, "_ROUND_PAIRS", 100)
+    rounds = []
+    real = arith.prime_classes_batch
+
+    def recording(primes, slot, gs):
+        rounds.append((len(primes), len(set(slot.tolist()))))
+        return real(primes, slot, gs)
+
+    monkeypatch.setattr(arith, "prime_classes_batch", recording)
+    source = stats.PrimeSource()
+    assert run_jobs(groups, [(i, sweep_job(g, 1e4, source)) for i, g in enumerate(groups)]) == want
+    assert all(pairs <= 100 or jobs == 1 for pairs, jobs in rounds)
+    assert max(jobs for _, jobs in rounds) > 1
 
 
 def test_least_sweeps_respect_the_sieve_cap():
     groups = [_group(-23), _group(-3299)]
-    got = least_sweeps(groups, [1000, 1000], arith.sieve_primes(100), 100, sieve_cap=100)
-    assert got == [_least_sweep(g, 1000, sieve_cap=100)[:2] for g in groups]
+    source = stats.PrimeSource(100)
+    got = run_jobs(groups, [(i, sweep_job(g, 1000, source)) for i, g in enumerate(groups)])
+    assert got == [_least_sweep(g, 1000, sieve_cap=100) for g in groups]
+    assert all(capped for _, _, capped in got)
