@@ -15,9 +15,10 @@ import numpy as np
 
 from .classgroup import (
     ClassGroup,
-    InvalidIdealBasis,
     _factorize,
+    _passes,
     enumerate_reduced_forms,
+    ideal_class_of,
 )
 from .qform import Discriminant, QuadForm, validate_discriminant
 
@@ -188,198 +189,14 @@ class PrimeClassification:
     classes: frozenset[int]
 
 
-# p and |D| below 2^31 keep every product of two residues, b^2 - D and
-# every step of the form reduction below 2^62, so int64 arithmetic is exact.
+# The prime -> class limit: primes and |D| below 2^31 keep 4 a hi, the
+# largest square root the form box takes, below 2^48, so float64 square
+# roots and int64 arithmetic stay exact.
 _INT64_EXACT = 1 << 31
-# Primes per array pass of prime_classes; bounds the kernel's temporaries.
-_CHUNK = 1 << 14
-# Packed form keys are slot * 2^48 + a * 2^32 + b; |b| <= a < 2^15 for |D| < 2^31.
-_SLOT_SHIFT = 48
-
-
-def _residue_table(q: int) -> np.ndarray:
-    """is_residue[n] for 0 <= n < q; 0 counts as a residue."""
-    table = np.zeros(q, dtype=bool)
-    table[np.arange(q) ** 2 % q] = True
-    return table
-
-
-# Odd primes tried as the non-residue of Tonelli-Shanks, with their residue
-# tables; over all primes p = 1 mod 8 below 2^31 the least non-residue is
-# at most 83 (at p = 898716289).
-_NONRESIDUE_BASES = tuple((q, _residue_table(q)) for q in _simple_sieve(1 << 8)[1:].tolist())
-
-
-def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base ** exp % mod elementwise, by right-to-left binary powering."""
-    result = np.ones_like(base)
-    while True:
-        result = np.where(exp & 1 == 1, result * base % mod, result)
-        exp = exp >> 1
-        if not exp.any():
-            return result
-        base = base * base % mod
-
-
-def _square_times(x: np.ndarray, k: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x ** (2 ** k) % p elementwise, for k >= 0."""
-    for step in range(int(k.max(initial=0))):
-        x = np.where(step < k, x * x % p, x)
-    return x
-
-
-def _order_exponent(t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Least i >= 0 with t ** (2 ** i) = 1 mod p; t must have 2-power order."""
-    i = np.zeros_like(t)
-    pending = np.flatnonzero(t != 1)
-    u, q = t[pending], p[pending]
-    step = 0
-    while pending.size:
-        step += 1
-        u = u * u % q
-        done = u == 1
-        i[pending[done]] = step
-        keep = ~done
-        pending, u, q = pending[keep], u[keep], q[keep]
-    return i
-
-
-def _nonresidues(p: np.ndarray) -> np.ndarray:
-    """A quadratic non-residue mod each prime p = 1 mod 8.
-
-    2 is a residue mod such p, and by reciprocity (q/p) = (p mod q / q) for
-    odd primes q, so the least odd prime q whose residue table misses
-    p mod q is the least non-residue.  q = p never serves: p mod q = 0
-    counts as a residue.
-    """
-    z = np.zeros_like(p)
-    pending = np.arange(len(p))
-    for q, residues in _NONRESIDUE_BASES:
-        if not pending.size:
-            break
-        found = ~residues[p[pending] % q]
-        z[pending[found]] = q
-        pending = pending[~found]
-    if pending.size:
-        raise RuntimeError(f"no quadratic non-residue below 2^8 mod {int(p[pending[0]])}")
-    return z
-
-
-def _tonelli_shanks(r, t, i, s, q, p) -> np.ndarray:
-    """Finish Tonelli-Shanks for residues a mod primes p = q 2^s + 1.
-
-    Starts from r = a^((q+1)/2), t = a^q and i, the least exponent with
-    t^(2^i) = 1; r^2 = a t holds throughout and the loop ends at t = 1.
-    """
-    c = _powmod(_nonresidues(p), q, p)
-    m = s
-    act = np.flatnonzero(i > 0)
-    while act.size:
-        pa, ia = p[act], i[act]
-        b = _square_times(c[act], m[act] - ia - 1, pa)
-        r[act] = r[act] * b % pa
-        c[act] = b * b % pa
-        t[act] = t[act] * c[act] % pa
-        m[act] = ia
-        i[act] = _order_exponent(t[act], pa)
-        act = act[i[act] > 0]
-    return r
-
-
-def _sqrt_mod_primes(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a is a square mod p, a square root of a where it is), elementwise
-    for odd primes p and 0 < a < p.
-
-    One modular power per prime: r = a^((p+1)/4) for p = 3 mod 4, Atkin's
-    v = (2a)^((p-5)/8) for p = 5 mod 8, and x = a^((q-1)/2) with
-    p - 1 = q 2^s for p = 1 mod 8, which gives t = a^q for Euler's
-    criterion and starts Tonelli-Shanks on the residues only (Cohen, A
-    Course in Computational Algebraic Number Theory, section 1.5).
-    """
-    m8 = p & 7
-    c58, c18 = m8 == 5, m8 == 1
-    low = (p - 1) & (1 - p)  # 2^s, the 2-part of p - 1
-    q = (p - 1) // low
-    base = np.where(c58, 2 * a % p, a)
-    exp = np.where(m8 & 3 == 3, (p + 1) >> 2, np.where(c58, (p - 5) >> 3, (q - 1) >> 1))
-    x = _powmod(base, exp, p)
-    # Atkin: i = 2a v^2 squares to -1 when a is a residue mod p = 5 mod 8
-    i = base * x % p * x % p
-    root = np.where(c58, a * x % p * (i - 1) % p, x)
-    is_qr = root * root % p == a
-
-    sel = np.flatnonzero(c18)
-    ps, xs, as_ = p[sel], x[sel], a[sel]
-    t = xs * xs % ps * as_ % ps
-    order = _order_exponent(t, ps)
-    s = np.log2(low[sel]).astype(np.int64)
-    qr = order < s  # Euler: a^((p-1)/2) = t^(2^(s-1)) = 1
-    is_qr[sel] = qr
-    root[sel[qr]] = _tonelli_shanks(
-        xs[qr] * as_[qr] % ps[qr], t[qr], order[qr], s[qr], q[sel][qr], ps[qr]
-    )
-    return is_qr, root
-
-
-def _reduced_keys(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """a * 2^32 + b of the reduced form equivalent to each (a, b, c).
-
-    The same steps as qform._reduce_triple, on the triples not yet reduced.
-    """
-    out_a = np.empty_like(a)
-    out_b = np.empty_like(b)
-    act = np.arange(len(a))
-    while act.size:
-        r = (a - b) // (2 * a)
-        c = c + r * (b + a * r)
-        b = b + 2 * r * a
-        swap = a > c
-        done = ~swap
-        out_a[act[done]] = a[done]
-        out_b[act[done]] = np.where((a == c) & (b < 0), -b, b)[done]
-        act, a, b, c = act[swap], c[swap], -b[swap], a[swap]
-    return (out_a << 32) + out_b
-
-
-def _classes_chunk(p: np.ndarray, d: np.ndarray, slot: np.ndarray, keys: np.ndarray):
-    """One pass of (D, p) pairs: chi_D(p) and the position in `keys` of
-    the class above p (-1 for inert p).  keys is the sorted table of
-    packed (slot, a, b) of the forms of every group in the batch; slot[i]
-    names the group of pair i."""
-    a = d % p
-    chi = np.full(len(p), -1, dtype=np.int8)
-    is_scalar = (p == 2) | (a == 0)
-    odd = np.flatnonzero(~is_scalar)
-    is_qr, root = _sqrt_mod_primes(a[odd], p[odd])
-    split = odd[is_qr]
-    r = root[is_qr]
-    chi[split] = 1
-    # p = 2 and p | D: chi and b from the scalar route, then the shared lookup
-    sj, sb = [], []
-    for j in np.flatnonzero(is_scalar).tolist():
-        dj, pj = int(d[j]), int(p[j])
-        chi[j] = kronecker(dj, pj)
-        b = sqrt_disc_mod_4p(dj, pj)
-        if b is not None:
-            sj.append(j)
-            sb.append(b)
-    sel = np.concatenate([split, np.array(sj, dtype=np.int64)])
-    b = np.concatenate(
-        [np.where((r - d[split]) & 1 == 1, p[split] - r, r), np.array(sb, dtype=np.int64)]
-    )
-    ps, ds = p[sel], d[sel]
-    k = (slot[sel] << _SLOT_SHIFT) + _reduced_keys(ps, b, (b * b - ds) // (4 * ps))
-    at = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-    missing = np.flatnonzero(keys[at] != k)
-    if missing.size:
-        # only reachable for non-maximal orders (non-fundamental d)
-        j = missing[np.argmin(sel[missing])]
-        raise InvalidIdealBasis(
-            f"ideal ({ps[j]}, {b[j]}) is not invertible for discriminant {ds[j]}"
-        )
-    pos = np.full(len(p), -1, dtype=np.int64)
-    pos[sel] = at
-    return chi, pos
+# Form rows and lattice points per array pass of interval_classes; they
+# bound its temporaries.
+_PASS_ROWS = 1 << 13
+_PASS_POINTS = 1 << 16
 
 
 def check_disc_limit(d: int) -> None:
@@ -388,43 +205,20 @@ def check_disc_limit(d: int) -> None:
         raise LimitTooLarge(f"|D| = {-d} is not below 2^31, the prime -> class limit")
 
 
-def prime_classes_batch(
-    primes, slot, groups: Sequence[ClassGroup]
-) -> tuple[np.ndarray, np.ndarray]:
-    """prime_classes for the pairs (groups[slot[i]], primes[i]), in passes of
-    _CHUNK pairs whatever their discriminants.
+def check_prime_limit(primes: np.ndarray, d: int) -> None:
+    """LimitTooLarge, naming d, unless |d| and every prime of the
+    ascending array primes are below 2^31."""
+    check_disc_limit(d)
+    if len(primes) and primes[-1] >= _INT64_EXACT:
+        p = primes[np.searchsorted(primes, _INT64_EXACT)]
+        raise LimitTooLarge(f"prime {p} at D = {d} is not below 2^31, the prime -> class limit")
 
-    Each pair gets the discriminant of its group; one sorted table of
-    packed (slot, a, b) keys covers the forms of all groups.  idx is the
-    class index within the pair's group.  Errors name the discriminant of
-    the failing pair: LimitTooLarge when its |D| or prime is not below
-    2^31, InvalidIdealBasis when the ideal above the prime is not
-    invertible.
-    """
-    primes = np.asarray(primes, dtype=np.int64)
-    slot = np.asarray(slot, dtype=np.int64)
-    if len(groups) > 1 << (62 - _SLOT_SHIFT):  # keys must stay below 2^63
-        raise ValueError(f"{len(groups)} groups do not fit the packed keys")
-    dv = np.array([g.disc.value for g in groups], dtype=np.int64)
-    for g in groups:
-        check_disc_limit(g.disc.value)
-    over = np.flatnonzero(primes >= _INT64_EXACT)
-    if over.size:
-        j = over[0]
-        raise LimitTooLarge(
-            f"prime {primes[j]} at D = {dv[slot[j]]} is not below 2^31, the prime -> class limit"
-        )
-    keys = np.concatenate([(s << _SLOT_SHIFT) + g.form_keys for s, g in enumerate(groups)])
-    starts = np.cumsum([0] + [g.h for g in groups])[:-1]
-    d = dv[slot]
-    chi = np.empty(len(primes), dtype=np.int8)
-    idx = np.empty(len(primes), dtype=np.int64)
-    for lo in range(0, len(primes), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        chi[sl], idx[sl] = _classes_chunk(primes[sl], d[sl], slot[sl], keys)
-    found = idx >= 0
-    idx[found] -= starts[slot[found]]
-    return chi, idx
+
+def _scalar_class(p: int, g: ClassGroup) -> tuple[int, int]:
+    """chi_D(p) and the class of the ideal (p, b) above p, -1 for inert p."""
+    d = g.disc.value
+    b = sqrt_disc_mod_4p(d, p)
+    return kronecker(d, p), (-1 if b is None else ideal_class_of(p, b, g))
 
 
 def prime_classes(primes, g: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -432,18 +226,140 @@ def prime_classes(primes, g: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (chi, idx) aligned with `primes`; idx is -1 for inert p.  For
     split p the conjugate ideal lies in the inverse class.  b is the square
-    root of D mod 4p with b = D (mod 2); the form (p, b, (b^2 - D)/4p) is
-    reduced and looked up among g.elements.  Odd p not dividing D run as
-    int64 array code in passes of _CHUNK primes; p = 2 and p | D get chi
-    and b from the scalar route (kronecker, sqrt_disc_mod_4p) and share
-    the lookup.  Raises LimitTooLarge when a prime or |D| is not below
-    2^31, where int64 would stop being exact, and InvalidIdealBasis when
-    the ideal above p is not invertible, which happens only at primes
-    dividing the conductor of a non-fundamental D.  A batch of one for
-    prime_classes_batch.
+    root of D mod 4p with b = D (mod 2) from sqrt_disc_mod_4p; the form
+    (p, b, (b^2 - D)/4p) is reduced and looked up among g.elements.  This
+    scalar route is the oracle of interval_classes, which gives the same
+    chi and, for split p, this class or its inverse.  Raises LimitTooLarge
+    when a prime or |D| is not below 2^31, and InvalidIdealBasis when the
+    ideal above p is not invertible, which happens only at primes dividing
+    the conductor of a non-fundamental D.
     """
     primes = np.asarray(primes, dtype=np.int64)
-    return prime_classes_batch(primes, np.zeros(len(primes), dtype=np.int64), [g])
+    check_prime_limit(np.sort(primes), g.disc.value)
+    chi = np.empty(len(primes), dtype=np.int8)
+    idx = np.empty(len(primes), dtype=np.int64)
+    for j, p in enumerate(primes.tolist()):
+        chi[j], idx[j] = _scalar_class(p, g)
+    return chi, idx
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) elementwise for 0 <= n < 2^52."""
+    r = np.sqrt(n).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
+
+
+def box_points(g: ClassGroup, lo: int, hi: int) -> int:
+    """About the lattice points interval_classes enumerates for [lo, hi]
+    against g: per form with b >= 0, the area pi (hi - lo) / (2 sqrt|D|)
+    of its odd values over y >= 0, plus one."""
+    absd = -g.disc.value
+    per_form = math.pi * max(hi - lo + 1, 0) / (2 * math.sqrt(absd)) + 1
+    return int(len(g.box_forms) * per_form)
+
+
+def _box_runs(a, b, c, cls, absd, lo, hi, shift, rows):
+    """The form boxes of some forms as runs of points.
+
+    Entry i is the form (a, b, c)[i] of class cls[i] against discriminant
+    -absd[i] over the norms lo[i]..hi[i], with rows[i] rows y >= 0.  Run
+    j has count[j] points; its k-th point is an odd value v = f(x, y) in
+    [lo, hi], marked at label position ((alpha k + beta) k + gamma) >> 1
+    = (v + shift) >> 1 with cls[j].  Row y takes the x with s = 2ax + by
+    and 4a lo <= s^2 + |D| y^2 <= 4a hi, one run for s >= 0 and one for
+    s < 0; f(x, y) = x (a + by) + cy (mod 2) gives a step of 2 through
+    one parity of x, every x, or none.
+    """
+    row = np.repeat(np.arange(len(a)), rows)
+    y = np.arange(len(row)) - np.repeat(np.cumsum(rows) - rows, rows)
+    a, b, c, cls, absd, shift = a[row], b[row], c[row], cls[row], absd[row], shift[row]
+    dy = absd * y * y
+    s_hi = _isqrt(4 * a * hi[row] - dy)
+    low = np.maximum(4 * a * lo[row] - dy, 0)
+    s_lo = _isqrt(low)
+    s_lo += s_lo * s_lo < low
+    by, a2 = b * y, 2 * a
+    odd = (a + by) & 1  # 1: a step of 2 through one parity of x
+    live = odd | (c * y) & 1  # 0: every value of the row is even
+    first = np.concatenate([-((by - s_lo) // a2), -((by + s_hi) // a2)])
+    last = np.concatenate([(s_hi - by) // a2, (-np.maximum(s_lo, 1) - by) // a2])
+    a, by, cy2, odd, live, cls, shift = (
+        np.tile(v, 2) for v in (a, by, c * y * y, odd, live, cls, shift)
+    )
+    step = 1 + odd
+    x0 = first + (odd & (1 + cy2 + first))  # cy^2 and cy have one parity
+    count = np.where((live == 1) & (last >= x0), (last - x0) // step + 1, 0)
+    keep = count > 0
+    alpha = (a * step * step)[keep]
+    beta = (step * (2 * a * x0 + by))[keep]
+    gamma = ((a * x0 + by) * x0 + cy2 + shift)[keep]
+    return count[keep], alpha, beta, gamma, cls[keep]
+
+
+def interval_classes(requests, groups: Sequence[ClassGroup]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """chi_D(p) and a class above p for the primes of each request.
+
+    A request is (slot, lo, hi, primes): the ascending primes of the norm
+    interval [lo, hi], classified against groups[slot].  Returns (chi,
+    idx) per request, aligned with its primes; idx is -1 for inert p.
+
+    An odd prime p not dividing D is a value of a reduced form exactly
+    when the ideals above p lie in the form's class or its inverse (Cox,
+    Primes of the form x^2 + ny^2, the form-ideal correspondence).  So
+    the form box marks the odd values in [lo, hi] of every reduced form
+    with b >= 0 (g.box_forms, one per class up to inversion, so no prime
+    is reached by two of them) with the form's class, and each prime
+    reads its mark: a split p gets the class of (p, b) or its inverse,
+    and a prime no form reaches is inert.  p = 2 and p | D take the
+    scalar route of prime_classes.  No modular arithmetic is done.
+    Rows are enumerated in passes of at most _PASS_ROWS over every
+    request together, and their points in passes of at most
+    _PASS_POINTS, so memory beyond that is two bytes per norm of the
+    intervals.  Errors name the discriminant of the failing request:
+    LimitTooLarge when its |D| or a prime is not below 2^31,
+    InvalidIdealBasis when the ideal above a prime is not invertible.
+    """
+    if not requests:
+        return []
+    requests = [(s, lo, hi, np.asarray(p, dtype=np.int64)) for s, lo, hi, p in requests]
+    d = np.array([groups[s].disc.value for s, *_ in requests], dtype=np.int64)
+    for (_, _, _, primes), dv in zip(requests, d.tolist()):
+        check_prime_limit(primes, dv)
+    lo, hi = (np.array([q[i] for q in requests], dtype=np.int64) for i in (1, 2))
+    # odd n of request i is marked at off[i] + (n - base[i]) // 2
+    base = lo & ~1
+    size = np.maximum(hi - base, -1) // 2 + 1
+    off = np.cumsum(size) - size
+    label = np.full(int(size.sum()), -1, dtype=np.int32)
+    forms = [groups[s].box_forms for s, *_ in requests]
+    r = np.repeat(np.arange(len(requests)), [len(f) for f in forms])
+    # one column per (request, form): a, b, c, class, |D|, lo, hi, shift
+    cols = np.vstack([np.concatenate(forms).T, -d[r], lo[r], hi[r], 2 * off[r] - base[r]])
+    rows = _isqrt(4 * cols[0] * cols[6] // cols[4]) + 1  # y = 0 .. isqrt(4 a hi / |D|)
+    for i, j in _passes(rows, _PASS_ROWS):
+        count, alpha, beta, gamma, mark = _box_runs(*cols[:, i:j], rows[i:j])
+        for u, v in _passes(count, _PASS_POINTS):
+            n = count[u:v]
+            k = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+            q = np.repeat(alpha[u:v], n)
+            q *= k
+            q += np.repeat(beta[u:v], n)
+            q *= k
+            q += np.repeat(gamma[u:v], n)
+            q >>= 1
+            label[q] = np.repeat(mark[u:v], n)
+            del k, q
+    lens = [len(primes) for *_, primes in requests]
+    primes = np.concatenate([primes for *_, primes in requests])
+    r = np.repeat(np.arange(len(requests)), lens)
+    idx = label[off[r] + ((primes - base[r]) >> 1)].astype(np.int64)
+    chi = np.where(idx >= 0, 1, -1).astype(np.int8)
+    for i in np.flatnonzero((primes == 2) | (d[r] % primes == 0)).tolist():
+        chi[i], idx[i] = _scalar_class(int(primes[i]), groups[requests[r[i]][0]])
+    cuts = np.cumsum(lens)[:-1]
+    return list(zip(np.split(chi, cuts), np.split(idx, cuts)))
 
 
 def classify_prime(p: int, g: ClassGroup) -> PrimeClassification:
@@ -633,8 +549,9 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
     tbl = chi_table(d.value, m)
     value = 0.0
     for lo in range(1, terms + 1, _BLOCK):
-        n = np.arange(lo, min(lo + _BLOCK, terms + 1))
-        value += float(_periodic(tbl, lo, len(n)) @ (1.0 / n))
+        recip = np.arange(lo, min(lo + _BLOCK, terms + 1), dtype=float)
+        np.divide(1.0, recip, out=recip)
+        value += float(_periodic(tbl, lo, len(recip)) @ recip)
     return LOneEstimate(value, m / terms, terms)
 
 

@@ -13,7 +13,7 @@ import math
 import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -75,12 +75,13 @@ class ClassGroup:
         return inv
 
     @cached_property
-    def form_keys(self) -> np.ndarray:
-        """a * 2^32 + b of each element, ascending: the lookup table of the
-        prime -> class kernel."""
-        keys = np.array([(f.a << 32) + f.b for f in self.elements], dtype=np.int64)
-        keys.flags.writeable = False
-        return keys
+    def box_forms(self) -> np.ndarray:
+        """(a, b, c, index) of each element with b >= 0, one per class up
+        to inversion: the forms whose values arith.interval_classes marks."""
+        rows = [(*f, i) for i, f in enumerate(self.elements) if f.b >= 0]
+        forms = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        forms.flags.writeable = False
+        return forms
 
     def index_of(self, f: QuadForm) -> int:
         key = (f.a, f.b, f.c)
@@ -129,11 +130,30 @@ class ClassGroup:
         return tuple(n for _, n in self.basis)
 
 
+# (a, b) pairs per array pass of enumerate_reduced_forms
+_FORM_PAIRS = 1 << 16
+
+
+def _passes(sizes: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive slices [i, j) of the items whose sizes sum to at most
+    budget, or of one larger item alone."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < len(ends):
+        done = int(ends[i] - sizes[i])
+        j = max(i + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        yield i, j
+        i = j
+
+
 def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
     """Build the class group skeleton: all primitive reduced forms of d.
 
     strict=True raises NotFundamental for valid but non-fundamental d
-    (scan mode); strict=False accepts it and sets a warning flag.
+    (scan mode); strict=False accepts it and sets a warning flag.  The
+    pairs (a, b) with 1 <= a <= sqrt(|d|/3), 0 <= b <= a and b = d (mod 2)
+    are tested in numpy passes of _FORM_PAIRS: 4a | b^2 - d, c >= a and
+    gcd(a, b, c) = 1, with the twin (a, -b, c) unless |b| = a or a = c.
     """
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
@@ -142,24 +162,24 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
         raise NotFundamental(f"{d.value} is not a fundamental discriminant")
     dv = d.value
     parity = dv & 1
-    forms = []
-    amax = math.isqrt(-dv // 3)
-    for a in range(1, amax + 1):
-        fa = 4 * a
-        for b in range(parity, a + 1, 2):
-            cc = b * b - dv
-            if cc % fa:
-                continue
-            c = cc // fa
-            if c < a:
-                continue
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue  # imprimitive forms only occur for non-fundamental d
-            forms.append(QuadForm(a, b, c))
-            # negative-b twin unless on the boundary |b| = a or a = c
-            if 0 < b < a and c > a:
-                forms.append(QuadForm(a, -b, c))
-    forms.sort()
+    a_all = np.arange(1, math.isqrt(-dv // 3) + 1, dtype=np.int64)
+    per_a = (a_all - parity) // 2 + 1  # b = parity, parity + 2, ..., <= a
+    found = []
+    for i, j in _passes(per_a, _FORM_PAIRS):
+        n = per_a[i:j]
+        a = np.repeat(a_all[i:j], n)
+        b = parity + 2 * (np.arange(len(a)) - np.repeat(np.cumsum(n) - n, n))
+        cc = b * b - dv
+        ok = cc % (4 * a) == 0
+        a, b, c = a[ok], b[ok], cc[ok] // (4 * a[ok])
+        # imprimitive forms only occur for non-fundamental d
+        ok = (c >= a) & (np.gcd(np.gcd(a, b), c) == 1)
+        a, b, c = a[ok], b[ok], c[ok]
+        twin = (0 < b) & (b < a) & (c > a)
+        found += [np.stack([a, b, c]), np.stack([a[twin], -b[twin], c[twin]])]
+    a, b, c = np.concatenate(found, axis=1)
+    order = np.lexsort((b, a))
+    forms = list(map(QuadForm, a[order].tolist(), b[order].tolist(), c[order].tolist()))
     if not forms or forms[0] != identity_form(dv):
         raise InvariantViolation(f"identity form missing from the forms of {dv}")
     g = ClassGroup(disc=d, elements=tuple(forms), h=len(forms), nonfundamental=nonfund)

@@ -422,13 +422,14 @@ def _scan_row(s: _ScanD, lp, ln, rep) -> dict:
 def _scan_results(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int):
     """Yield (D, row or the exception that failed it) for each D, in order.
 
-    Consecutive D form batches of at most arith._CHUNK psi primes, counted
-    on one prime source shared by the whole scan; a D that fails its
-    checks keeps its place in the batch.
+    Consecutive D form batches of at most one round of run_jobs
+    (stats._ROUND_POINTS lattice points of the form box) for their psi
+    norms, on one prime source shared by the whole scan; a D that fails
+    its checks keeps its place in the batch.
     """
     source = stats.PrimeSource(sieve_cap)
     batch: list = []
-    pairs = 0
+    points = 0
     for dv in discs:
         try:
             s = _scan_prepare(dv, x_rules, t_rule, sieve_cap, h_cap)
@@ -436,12 +437,12 @@ def _scan_results(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int):
             batch.append((dv, exc))
             continue
         sq, seg_start, hi = stats.psi_limits(s.t)
-        n = source.count(seg_start, hi) + source.count(2, sq)
-        if pairs and pairs + n > arith._CHUNK:
+        n = arith.box_points(s.g, seg_start, hi) + arith.box_points(s.g, 2, sq)
+        if points and points + n > stats._ROUND_POINTS:
             yield from _scan_batch(batch, source, w)
-            batch, pairs = [], 0
+            batch, points = [], 0
         batch.append((dv, s))
-        pairs += n
+        points += n
     yield from _scan_batch(batch, source, w)
 
 
@@ -450,23 +451,22 @@ def _scan_batch(batch: list, source: stats.PrimeSource, w):
 
     batch holds (D, _ScanD or the exception its checks raised).  The psi
     and least-prime sweep jobs of every D that passed run in one
-    stats.run_jobs call; an error there fails each of these D.
+    stats.run_jobs call; a job that fails there fails its own D only.
     """
     ok = [s for _, s in batch if isinstance(s, _ScanD)]
     jobs = []
     for slot, s in enumerate(ok):
         jobs.append((slot, stats.psi_job(s.g, s.t, w, source)))
         jobs.append((slot, stats.sweep_job(s.g, s.sweep_cap, source)))
-    try:
-        done = iter(stats.run_jobs([s.g for s in ok], jobs))
-    except (InvariantViolation, *_INPUT_ERRORS) as exc:
-        yield from ((dv, exc if isinstance(s, _ScanD) else s) for dv, s in batch)
-        return
+    done = iter(stats.run_jobs([s.g for s in ok], jobs))
     for dv, s in batch:
         if isinstance(s, _ScanD):
-            psa, (lp, ln, _) = next(done), next(done)
+            psa, sweep = next(done), next(done)
             try:
-                s = _scan_row(s, lp, ln, stats.variance_report(s.g, s.t, w, psa=psa))
+                for res in (psa, sweep):
+                    if isinstance(res, Exception):
+                        raise res
+                s = _scan_row(s, *sweep[:2], stats.variance_report(s.g, s.t, w, psa=psa))
             except (InvariantViolation, *_INPUT_ERRORS) as exc:
                 s = exc
         yield dv, s

@@ -71,12 +71,23 @@ def weight_eval(w: Weight, x: float) -> float:
 # psi sums
 
 class ClassifiedPrimes(NamedTuple):
-    """Ascending primes with chi_D(p) and the class above p, as
-    arith.prime_classes gives them."""
+    """The ascending primes of a norm interval with chi_D(p) and a class
+    above p (-1 for inert p), as arith.interval_classes gives them: for
+    split p the class of (p, b) or its inverse, which every consumer here
+    treats alike."""
 
     primes: np.ndarray
     chi: np.ndarray
     idx: np.ndarray
+
+
+class Interval(NamedTuple):
+    """The norms lo..hi a job asks to have classified, with the primes
+    among them."""
+
+    lo: int
+    hi: int
+    primes: np.ndarray
 
 
 # Primes up to this come from a PrimeSource's table; past it, from sieve blocks.
@@ -85,8 +96,8 @@ _NO_PRIMES = np.empty(0, dtype=np.int64)
 
 
 class PrimeSource:
-    """Ascending primes for the jobs of run_jobs, shared by every job of a
-    run (scan keeps one for its whole range).
+    """Norm intervals with their primes for the jobs of run_jobs, shared by
+    every job of a run (scan keeps one for its whole range).
 
     The primes up to _TABLE_LIMIT are slices of one table, sieved again
     only when a request passes its end, then to at least twice its old
@@ -111,13 +122,16 @@ class PrimeSource:
         i, j = np.searchsorted(self.table, [lo, top + 1]).tolist()
         return self.table[i:j]
 
-    def primes(self, lo: int, hi: int) -> Iterator[np.ndarray]:
-        """The primes in [lo, hi] in ascending parts: a slice of the table,
-        then slices of sieve blocks.  LimitTooLarge when hi is past the
-        sieve cap."""
+    def intervals(self, lo: int, hi: int) -> Iterator[Interval]:
+        """[lo, hi] in ascending parts that hold a prime: up to
+        _TABLE_LIMIT from the table, then one part per sieve block.
+        LimitTooLarge when hi is past the sieve cap."""
         arith.check_sieve_limit(hi, self.cap)
         if lo <= _TABLE_LIMIT:
-            yield self._tabled(lo, hi)
+            top = min(hi, _TABLE_LIMIT)
+            primes = self._tabled(lo, top)
+            if len(primes):
+                yield Interval(lo, top, primes)
         size, first = arith._BLOCK, _TABLE_LIMIT + 1
         for start in range(first + max(0, lo - first) // size * size, hi + 1, size):
             block = self.blocks.get(start)
@@ -125,58 +139,78 @@ class PrimeSource:
                 stop = min(start + size - 1, self.cap)
                 block = next(arith.iter_prime_blocks(start, stop, cap=self.cap), _NO_PRIMES)
                 self.blocks[start] = block
-            i, j = np.searchsorted(block, [lo, hi + 1]).tolist()
+            part = max(lo, start), min(hi, start + size - 1)
+            i, j = np.searchsorted(block, [part[0], part[1] + 1]).tolist()
             if i < j:
-                yield block[i:j]
+                yield Interval(*part, block[i:j])
 
-    def count(self, lo: int, hi: int) -> int:
-        """At least the number of primes in [lo, hi]: exact on the table,
-        and every integer past _TABLE_LIMIT counts."""
-        return len(self._tabled(lo, hi)) + max(0, hi - max(lo - 1, _TABLE_LIMIT))
+    def interval(self, lo: int, hi: int) -> Interval:
+        """[lo, hi] as one interval, with the primes of all its parts."""
+        parts = [iv.primes for iv in self.intervals(lo, hi)]
+        return Interval(lo, hi, np.concatenate(parts) if parts else _NO_PRIMES)
 
 
-# A job asks for ascending arrays of primes and is sent each back classified
-# against its group; its return value is its result.
-Job = Generator[np.ndarray, ClassifiedPrimes, object]
+# A job asks for norm intervals and is sent the primes of each back
+# classified against its group; its return value is its result.
+Job = Generator[Interval, ClassifiedPrimes, object]
 
-# (D, p) pairs a round of run_jobs classifies, unless one request has more.
-_ROUND_PAIRS = 1 << 16
+# Lattice points a round of run_jobs covers (arith.box_points), unless one
+# request has more.
+_ROUND_POINTS = 1 << 16
 
 
 def run_jobs(groups: Sequence[ClassGroup], jobs: Sequence[tuple[int, Job]]) -> list:
     """Run each (slot, job) against groups[slot] and return the results.
 
     Each round moves unfinished jobs on by one request each, in turn, as
-    many as fit in _ROUND_PAIRS: one arith.prime_classes_batch call
-    classifies the primes of all of them.
+    many as fit in _ROUND_POINTS lattice points of the form box, or one
+    larger request alone: one arith.interval_classes call classifies the
+    primes of all of them.  A request whose prime or |D| is past the
+    2^31 prime -> class limit never reaches it: the LimitTooLarge naming
+    its D, like one the job raises itself, ends that job and is its
+    result, and the other jobs go on.
     """
     results: list = [None] * len(jobs)
-    asks: dict[int, np.ndarray] = {}  # in the order the jobs get their turn
+    asks: dict[int, Interval] = {}  # in the order the jobs get their turn
 
     def advance(i: int, classified: Optional[ClassifiedPrimes]) -> None:
+        slot, job = jobs[i]
         try:
-            asks[i] = jobs[i][1].send(classified)
+            ask = job.send(classified)
+            arith.check_prime_limit(ask.primes, groups[slot].disc.value)
+            asks[i] = ask
         except StopIteration as stop:
             results[i] = stop.value
+        except arith.LimitTooLarge as exc:
+            job.close()
+            results[i] = exc
 
     for i in range(len(jobs)):
         advance(i, None)
     while asks:
         live, total = [], 0
         for i, part in asks.items():
-            if live and total + len(part) > _ROUND_PAIRS:
+            n = arith.box_points(groups[jobs[i][0]], part.lo, part.hi)
+            if live and total + n > _ROUND_POINTS:
                 break
             live.append(i)
-            total += len(part)
+            total += n
         parts = [asks.pop(i) for i in live]
-        lens = [len(part) for part in parts]
-        slots = np.repeat([jobs[i][0] for i in live], lens)
-        chi, idx = arith.prime_classes_batch(np.concatenate(parts), slots, groups)
-        bounds = np.cumsum([0] + lens).tolist()
-        for i, part, lo, hi in zip(live, parts, bounds, bounds[1:]):
-            advance(i, ClassifiedPrimes(part, chi[lo:hi], idx[lo:hi]))
-        del parts, part, slots, chi, idx  # so no round's arrays outlive it
+        classified = arith.interval_classes(
+            [(jobs[i][0], *part) for i, part in zip(live, parts)], groups
+        )
+        for i, part, (chi, idx) in zip(live, parts, classified):
+            advance(i, ClassifiedPrimes(part.primes, chi, idx))
+        del parts, part, classified, chi, idx  # so no round's arrays outlive it
     return results
+
+
+def _run_one(g: ClassGroup, job: Job):
+    """The result of one job run alone; the error that ended it is raised."""
+    [res] = run_jobs([g], [(0, job)])
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def psi_limits(T: float) -> tuple[int, int, int]:
@@ -189,14 +223,14 @@ def psi_limits(T: float) -> tuple[int, int, int]:
 
 
 def psi_job(g: ClassGroup, T: float, w: Weight, source: PrimeSource) -> Job:
-    """psi_by_class as a job of run_jobs: the primes up to sqrt(2T) in one
+    """psi_by_class as a job of run_jobs: the norms up to sqrt(2T) in one
     request, then the segment part by part."""
     if T < 2:
         raise ValueError("T must be >= 2")
     sq, seg_start, hi = psi_limits(T)
-    small = yield np.concatenate(list(source.primes(2, sq)))
+    small = yield source.interval(2, sq)
     acc = np.array(_psi_small_primes(g, T, w, small))
-    for part in source.primes(seg_start, hi):
+    for part in source.intervals(seg_start, hi):
         _psi_add_segment(acc, g, T, w, (yield part))
     return acc
 
@@ -208,12 +242,12 @@ def psi_by_class(
 
     Norm support is [T, 2T]: split and ramified primes in the segment,
     plus prime powers and inert squares from primes up to sqrt(2T).
-    Terms are scalar products (math.log, weight_eval) added in ascending
-    prime order, a split prime's conjugate directly after it, so the result
-    is bit-identical to a per-prime loop.  A run of one psi_job.
+    Terms are products of math.log and weight_eval's value (math.exp on
+    each prime, the rest in numpy, which rounds the same), added in
+    ascending prime order, a split prime's conjugate directly after it, so
+    the result is bit-identical to a per-prime loop.  A run of one psi_job.
     """
-    [acc] = run_jobs([g], [(0, psi_job(g, T, w, PrimeSource(sieve_cap)))])
-    return acc
+    return _run_one(g, psi_job(g, T, w, PrimeSource(sieve_cap)))
 
 
 def _psi_small_primes(g: ClassGroup, T: float, w: Weight, small: ClassifiedPrimes) -> list[float]:
@@ -249,14 +283,27 @@ def _psi_small_primes(g: ClassGroup, T: float, w: Weight, small: ClassifiedPrime
     return out
 
 
+def _weights(w: Weight, x: np.ndarray) -> np.ndarray:
+    """weight_eval(w, x) for each x, bit for bit: the IEEE arithmetic in
+    numpy, which rounds as Python does, and math.exp on each value."""
+    if w.kind == "indicator":
+        return ((1.0 <= x) & (x < 2.0)).astype(float)
+    out = np.zeros(len(x))
+    inside = (x > 1.0) & (x < 2.0)
+    xi = x[inside]
+    arg = -1.0 / ((xi - 1.0) * (2.0 - xi))
+    out[inside] = w.normalization * np.fromiter(map(math.exp, arg.tolist()), float, len(arg))
+    return out
+
+
 def _psi_add_segment(
     acc: np.ndarray, g: ClassGroup, T: float, w: Weight, seg: ClassifiedPrimes
 ) -> None:
     """Add the first powers of segment primes (higher powers exceed 2T)."""
-    logf = math.log
     kept = seg.chi != -1  # inert p has norm p^2 > 2T
     ps, cls, split = seg.primes[kept], seg.idx[kept], seg.chi[kept] == 1
-    lw = np.array([logf(p) * weight_eval(w, p / T) for p in ps.tolist()])
+    logs = np.fromiter(map(math.log, ps.tolist()), float, len(ps))
+    lw = logs * _weights(w, ps / T)
     # row i: prime i's class, then its conjugate's; C order adds them
     # prime by prime, as a per-prime loop would
     targets = np.stack([cls, g.inverse[cls]], axis=1)
@@ -372,13 +419,15 @@ def variance(g: ClassGroup, T: float, w: Weight, **kw) -> float:
 def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
     """_least_sweep as a job of run_jobs.
 
-    Each part from the source is asked for in slices of 8h primes at
-    first, doubling, and the sweep stops after the slice that fills the
-    last class: later primes cannot improve either vector.  The norm
-    variant differs only at the principal class, which inert primes
-    reach with norm p^2.
+    Asks for the norms up to 16h + 64 first, then for norm intervals that
+    double, each in the source's parts, and stops after the part that
+    fills the last class: later primes cannot improve either vector.  So
+    the source sieves only about as far as the sweep reaches.  The norm
+    variant differs only at the principal class, which inert primes reach
+    with norm p^2.
     """
     hi = math.ceil(x_cap) - 1
+    top = min(hi, source.cap)
     least = np.zeros(g.h, dtype=np.int64)  # 0: no prime found yet
     filled, first_inert = 0, None
     none = np.iinfo(np.int64).max
@@ -399,14 +448,13 @@ def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
         least[new] = first[new]
         return int(np.count_nonzero(new))
 
-    n = 8 * g.h
-    for block in source.primes(2, min(hi, source.cap)):
-        lo = 0
-        while lo < len(block) and filled < g.h:
-            filled += take((yield block[lo : lo + n]))
-            lo, n = lo + n, 2 * n
-        if filled == g.h:
-            break
+    lo, end = 2, 16 * g.h + 64
+    while lo <= top and filled < g.h:
+        for part in source.intervals(lo, min(end, top)):
+            filled += take((yield part))
+            if filled == g.h:
+                break
+        lo, end = end + 1, 2 * end
     least_p = [p or None for p in least.tolist()]
     least_norm = list(least_p)
     if first_inert is not None and first_inert**2 < min(x_cap, least_norm[0] or math.inf):
@@ -422,8 +470,7 @@ def _least_sweep(
     Returns (least prime per class, least prime-ideal norm per class,
     capped).  A run of one sweep_job.
     """
-    [res] = run_jobs([g], [(0, sweep_job(g, x_cap, PrimeSource(sieve_cap)))])
-    return res
+    return _run_one(g, sweep_job(g, x_cap, PrimeSource(sieve_cap)))
 
 
 def least_primes(g: ClassGroup, x_cap: float, **kw) -> list[Optional[int]]:

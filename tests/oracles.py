@@ -8,14 +8,19 @@ coordinate arithmetic but the enumeration of the forms.
 `reference_chi_table` fills chi_d multiplicatively with one kronecker
 call per prime, where arith.chi_table multiplies prime-discriminant
 tables.
+
+`reference_reduced_forms` is the pair-by-pair loop that
+classgroup.enumerate_reduced_forms runs as numpy passes.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from classprime.arith import _simple_sieve, kronecker
 from classprime.classgroup import ClassGroup, _factorize
-from classprime.qform import InvariantViolation, compose
+from classprime.qform import InvariantViolation, QuadForm, compose
 
 
 def compose_idx(g: ClassGroup, i: int, j: int) -> int:
@@ -131,3 +136,22 @@ def reference_chi_table(d: int, m: int) -> np.ndarray:
                 np.negative(t[pe::pe], out=t[pe::pe])
             pe *= p
     return t
+
+
+def reference_reduced_forms(dv: int) -> list[QuadForm]:
+    """The primitive reduced forms of discriminant dv, sorted."""
+    parity = dv & 1
+    forms = []
+    for a in range(1, math.isqrt(-dv // 3) + 1):
+        for b in range(parity, a + 1, 2):
+            cc = b * b - dv
+            if cc % (4 * a):
+                continue
+            c = cc // (4 * a)
+            if c < a or math.gcd(math.gcd(a, b), c) != 1:
+                continue
+            forms.append(QuadForm(a, b, c))
+            # negative-b twin unless on the boundary |b| = a or a = c
+            if 0 < b < a and c > a:
+                forms.append(QuadForm(a, -b, c))
+    return sorted(forms)

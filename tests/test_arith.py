@@ -16,11 +16,11 @@ from classprime.arith import (
     classify_prime,
     dirichlet_r,
     dirichlet_r_upto,
+    interval_classes,
     iter_prime_blocks,
     kronecker,
     l_one_chi,
     prime_classes,
-    prime_classes_batch,
     prime_power_class,
     representation_count,
     representation_counts_upto,
@@ -414,10 +414,35 @@ def _scalar_classes(primes, g):
     return chi, idx
 
 
+def _assert_box_matches_scalar(requests, groups):
+    # chi exactly; for split p other than 2 the class of (p, b) or its
+    # inverse, and exactly the scalar class for ramified p, inert p and p = 2
+    for (s, lo, hi, primes), (chi, idx) in zip(requests, interval_classes(requests, groups)):
+        g = groups[s]
+        assert chi.dtype == np.int8 and idx.dtype == np.int64
+        want_chi, want_idx = prime_classes(primes, g)
+        assert chi.tolist() == want_chi.tolist()
+        primes = np.asarray(primes, dtype=np.int64)
+        either = (want_chi == 1) & (primes != 2)
+        assert (idx[~either] == want_idx[~either]).all()
+        mine, inverse = idx[either], g.inverse[want_idx[either]]
+        assert ((mine == want_idx[either]) | (mine == inverse)).all()
+
+
+def _primes_in(lo, hi):
+    return np.concatenate(
+        [np.empty(0, dtype=np.int64)] + list(iter_prime_blocks(lo, hi, cap=2**31))
+    )
+
+
 def _assert_kernel_matches_scalar(primes, g):
     chi, idx = prime_classes(primes, g)
     assert chi.dtype == np.int8 and idx.dtype == np.int64
     assert (chi.tolist(), idx.tolist()) == _scalar_classes(list(primes), g)
+    # one request per run of primes without a gap of 2^16
+    primes = np.asarray(primes, dtype=np.int64)
+    runs = np.split(primes, np.flatnonzero(np.diff(primes) > 2**16) + 1)
+    _assert_box_matches_scalar([(0, run[0], run[-1], run) for run in runs if len(run)], [g])
 
 
 @pytest.mark.parametrize("d", KERNEL_DISCS)
@@ -435,10 +460,9 @@ def test_prime_classes_matches_scalar_route(d):
     st.integers(1, 3000),
 )
 def test_prime_classes_random_windows(d, lo, width):
-    primes = np.concatenate(
-        [np.empty(0, dtype=np.int64)] + list(iter_prime_blocks(lo, lo + width, cap=2**31))
-    )
-    _assert_kernel_matches_scalar(primes.tolist(), enumerate_reduced_forms(d))
+    g = enumerate_reduced_forms(d)
+    _assert_kernel_matches_scalar(_primes_in(lo, lo + width).tolist(), g)
+    _assert_box_matches_scalar([(0, lo, lo + width, _primes_in(lo, lo + width))], [g])
 
 
 @pytest.mark.parametrize("d", [-12, -27, -75, -36])
@@ -460,7 +484,31 @@ def test_prime_classes_int64_limit():
 
 
 # ---------------------------------------------------------------------------
-# the multi-D kernel against per-D calls
+# the form box over many (D, interval) requests
+
+def test_interval_classes_match_scalar_route():
+    # every D's p = 2 and primes dividing D, and intervals crossing 2^20,
+    # near 10^7 and just below 2^31, interleaved across D
+    groups = [enumerate_reduced_forms(d) for d in KERNEL_DISCS]
+    spans = [(2, 3000), (2**20 - 5000, 2**20 + 5000), (10**7, 10**7 + 3000), (2**31 - 3000, 2**31 - 1)]
+    requests = []
+    for s, g in enumerate(groups):
+        ramified = [(p, p) for p in sympy.primefactors(g.disc.value)]
+        requests += [(s, lo, hi, _primes_in(lo, hi)) for lo, hi in spans + ramified]
+    order = np.random.default_rng(1).permutation(len(requests))
+    _assert_box_matches_scalar([requests[i] for i in order], groups)
+
+
+def test_interval_classes_mark_only_their_own_interval():
+    # intervals that share no norm: each request reads only its own marks
+    g = enumerate_reduced_forms(-3299)
+    primes = _primes_in(2, 5000)
+    whole = interval_classes([(0, 2, 5000, primes)], [g])[0]
+    cuts = [(2, 999), (1000, 1000), (1001, 4096), (4097, 5000)]
+    parts = interval_classes([(0, lo, hi, primes[(primes >= lo) & (primes <= hi)]) for lo, hi in cuts], [g])
+    assert np.concatenate([chi for chi, _ in parts]).tolist() == whole[0].tolist()
+    assert np.concatenate([idx for _, idx in parts]).tolist() == whole[1].tolist()
+
 
 BATCH_DISCS = (-3, -4, -23, -84, -420, -1999, -3299)
 
@@ -468,36 +516,40 @@ BATCH_DISCS = (-3, -4, -23, -84, -420, -1999, -3299)
 def test_prime_classes_batch_matches_per_d():
     groups = [enumerate_reduced_forms(d) for d in BATCH_DISCS]
     rng = np.random.default_rng(0)
-    slots, primes = [], []
+    spans = [(2, 3000), (7340000, 7340100), (998244300, 998244400), (2**31 - 100, 2**31 - 1)]
+    requests = []
     for s, g in enumerate(groups):
         # p = 2, every prime dividing D, and split, inert and large primes
-        ps = sieve_primes(3000).tolist() + [7340033, 998244353, 2**31 - 1]
-        ps += [p for p in sympy.primefactors(g.disc.value) if p not in ps]
-        slots += [s] * len(ps)
-        primes += ps
-    order = rng.permutation(len(primes))  # pairs of all D interleaved
-    slots, primes = np.array(slots)[order], np.array(primes)[order]
-    chi, idx = prime_classes_batch(primes, slots, groups)
+        ramified = [(p, p) for p in sympy.primefactors(g.disc.value) if p > 3000]
+        requests += [(s, lo, hi, _primes_in(lo, hi)) for lo, hi in spans + ramified]
+    order = rng.permutation(len(requests))  # requests of all D interleaved
+    requests = [requests[i] for i in order]
+    got = interval_classes(requests, groups)
     for s, g in enumerate(groups):
-        mine = slots == s
-        want_chi, want_idx = prime_classes(primes[mine], g)
-        assert chi[mine].tolist() == want_chi.tolist()
-        assert idx[mine].tolist() == want_idx.tolist()
-        assert {0, 1} <= set(chi[mine].tolist())  # ramified and split pairs both present
+        mine = [i for i, req in enumerate(requests) if req[0] == s]
+        want = interval_classes([(0, *requests[i][1:]) for i in mine], [g])
+        chi = np.concatenate([got[i][0] for i in mine])
+        for i, (want_chi, want_idx) in zip(mine, want):
+            assert got[i][0].tolist() == want_chi.tolist()
+            assert got[i][1].tolist() == want_idx.tolist()
+        assert {0, 1} <= set(chi.tolist())  # ramified and split primes both present
 
 
 def test_prime_classes_batch_errors_name_the_d():
     good, bad = enumerate_reduced_forms(-23), enumerate_reduced_forms(-75, strict=False)
     # 5 divides the conductor of -75 = 5^2 * -3
     with pytest.raises(InvalidIdealBasis, match="discriminant -75"):
-        prime_classes_batch([2, 3, 5, 7], [0, 0, 1, 0], [good, bad])
-    assert prime_classes_batch([2, 3, 7], [0, 1, 0], [good, bad])[0].tolist() == [1, 0, -1]
-    # the 2^31 limits hold per pair, and the error names the pair's D
+        interval_classes([(0, 2, 3, [2, 3]), (1, 5, 5, [5]), (0, 7, 7, [7])], [good, bad])
+    got = interval_classes([(0, 2, 2, [2]), (1, 3, 3, [3]), (0, 7, 7, [7])], [good, bad])
+    assert [chi.tolist() for chi, _ in got] == [[1], [0], [-1]]
+    # the 2^31 limits hold per request, and the error names the request's D
     g84 = enumerate_reduced_forms(-84)
-    chi, _ = prime_classes_batch([2**31 - 1, 5], [0, 1], [good, g84])
-    assert chi.tolist() == [kronecker(-23, 2**31 - 1), kronecker(-84, 5)]
+    p = 2**31 - 1
+    got = interval_classes([(0, p, p, [p]), (1, 5, 5, [5])], [good, g84])
+    assert [chi.tolist() for chi, _ in got] == [[kronecker(-23, p)], [kronecker(-84, 5)]]
+    q = 2**31 + 11
     with pytest.raises(LimitTooLarge, match="D = -84"):
-        prime_classes_batch([2**31 - 1, 2**31 + 11], [0, 1], [good, g84])
+        interval_classes([(0, p, p, [p]), (1, q, q, [q])], [good, g84])
     big = ClassGroup(disc=validate_discriminant(-(2**31 + 3)), elements=good.elements, h=good.h)
     with pytest.raises(LimitTooLarge, match=str(2**31 + 3)):
-        prime_classes_batch([3, 5], [0, 0], [good, big])
+        interval_classes([(0, 3, 3, [3]), (1, 5, 5, [5])], [good, big])

@@ -26,7 +26,7 @@ from classprime.qform import (
     power,
     validate_discriminant,
 )
-from oracles import reference_structure
+from oracles import reference_reduced_forms, reference_structure
 
 # class numbers h(D) recomputed independently via the analytic formula in
 # test_arith; here the pinned values guard the enumerator itself
@@ -293,3 +293,18 @@ def test_structure_of_a_broken_group_is_an_invariant_violation():
     )
     with pytest.raises(InvariantViolation):
         group_structure(g)
+
+
+def test_enumeration_matches_the_pair_loop(monkeypatch):
+    # every discriminant down to -3000, non-fundamental ones included, and
+    # one near -10^7; small passes split the pairs of one a across passes
+    discs = [d for d in range(-3, -3001, -1) if d % 4 in (0, 1)] + [-10000019]
+    for d in discs:
+        g = classgroup.enumerate_reduced_forms(d, strict=False)
+        assert list(g.elements) == reference_reduced_forms(d)
+        assert all(type(f) is QuadForm and type(f.a) is int for f in g.elements[:2])
+    monkeypatch.setattr(classgroup, "_FORM_PAIRS", 7)
+    for d in (-3, -4, -84, -3299, -2700):
+        assert list(classgroup.enumerate_reduced_forms(d, strict=False).elements) == (
+            reference_reduced_forms(d)
+        )

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -640,14 +641,14 @@ def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
     ["scan", "--range", "-300", "-3", "--x-rule", "5000", "--t-rule", "50"],
 ])
 def test_scan_batches_match_the_single_d_path(argv, monkeypatch, capsys):
-    # tiny passes and rounds split the batches, a D's primes across passes
-    # and its jobs' requests across rounds; a table ending at 2000 mixes D
+    # tiny passes and rounds split the batches, a D's form boxes across
+    # passes and its jobs' requests across rounds; a table ending at 2000 mixes D
     # inside and past it in one batch, and sends sweeps across its end; a
     # zero table limit streams every prime of every D in sieve blocks
     rc, want, _ = run_cli(argv, capsys)
     assert rc == 0
-    monkeypatch.setattr(arith, "_CHUNK", 64)
-    monkeypatch.setattr(stats, "_ROUND_PAIRS", 64)
+    monkeypatch.setattr(arith, "_PASS_POINTS", 64)
+    monkeypatch.setattr(stats, "_ROUND_POINTS", 64)
     assert run_cli(argv, capsys)[:2] == (0, want)
     monkeypatch.setattr(stats, "_TABLE_LIMIT", 2000)
     assert run_cli(argv, capsys)[:2] == (0, want)
@@ -655,9 +656,32 @@ def test_scan_batches_match_the_single_d_path(argv, monkeypatch, capsys):
     assert run_cli(argv, capsys)[:2] == (0, want)
 
 
+def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
+    # a request past the prime -> class limit (lowered here from 2^31 to
+    # 3000) fails the D that made it; the rest of its batch keeps its rows
+    monkeypatch.setattr(arith, "_INT64_EXACT", 3000)
+    rc, out, err = run_cli(["scan", "--range", "-200", "-3"], capsys)
+    assert rc == 2
+    *lines, tail = err.splitlines()
+    failed = [int(line.split()[1][2:]) for line in lines]
+    assert tail == f"# failed={len(failed)}" and 0 < len(failed) < 20
+    for d, line in zip(failed, lines):
+        assert re.fullmatch(
+            rf"scan: D={d} failed: prime \d+ at D = {d} is not below 2\^31, "
+            r"the prime -> class limit",
+            line,
+        )
+    header, want = _golden_rows("scan_-300_-3.csv")
+    rows = out.splitlines()
+    assert rows[0] == header
+    assert rows[1:] == [
+        line for d, line in want.items() if -200 <= int(d) and int(d) not in failed
+    ]
+
+
 def test_scan_memory_stays_bounded(capsys):
     # tracemalloc peak 3.9 MiB before batching; a batch holds at most
-    # arith._CHUNK psi primes and a table of the primes up to 2^20
+    # stats._ROUND_POINTS psi lattice points and a table of the primes up to 2^20
     tracemalloc.start()
     try:
         rc = cli.main(["scan", "--range", "-2000", "-3", "--out", os.devnull])
@@ -667,6 +691,24 @@ def test_scan_memory_stays_bounded(capsys):
     capsys.readouterr()
     assert rc == 0
     assert peak < 8 * 2**20
+
+
+def test_variance_memory_stays_bounded(capsys):
+    # about 3 * 10^5 lattice points in the block [2^20 + 1, 2 * 10^6] of the
+    # segment: enumerated in one pass, the tracemalloc peak is 11.4 MiB; in
+    # passes of arith._PASS_POINTS it is 7.1 MiB
+    enumerate_reduced_forms = classgroup.enumerate_reduced_forms
+    enumerate_reduced_forms(-23)  # numpy's first-use allocations stay outside
+    tracemalloc.start()
+    try:
+        argv = ["variance", "--disc", "-10000019", "--t", "1e6", "--out", os.devnull]
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,15 @@ def test_bump_value_against_mpmath():
         assert bw(x) == pytest.approx(expect, rel=1e-9)
 
 
+def test_weights_are_weight_eval_bit_for_bit():
+    rng = np.random.default_rng(3)
+    edges = [0.5, 1.0, np.nextafter(1.0, 2.0), 1.5, np.nextafter(2.0, 1.0), 2.0, 2.5]
+    x = np.concatenate([edges, rng.uniform(0.9, 2.1, 20000), 1e7 / rng.uniform(5e6, 1e7, 20000)])
+    for w in (bump_weight(), indicator_weight()):
+        want = [weight_eval(w, v) for v in x.tolist()]
+        assert stats._weights(w, x).tolist() == want
+
+
 def test_get_weight():
     assert get_weight("bump").kind == "bump"
     assert get_weight("indicator").kind == "indicator"
@@ -497,13 +506,13 @@ def test_least_sweep_equals_per_prime_loop(d, x_cap):
 
 def _counting_prime_classes(monkeypatch) -> list[int]:
     counted = []
-    real = arith.prime_classes_batch
+    real = arith.interval_classes
 
-    def counting(primes, slot, groups):
-        counted.append(len(primes))
-        return real(primes, slot, groups)
+    def counting(requests, groups):
+        counted.append(sum(len(primes) for *_, primes in requests))
+        return real(requests, groups)
 
-    monkeypatch.setattr(arith, "prime_classes_batch", counting)
+    monkeypatch.setattr(arith, "interval_classes", counting)
     return counted
 
 
@@ -549,6 +558,24 @@ def test_least_sweep_stops_sieving_once_classes_are_filled(monkeypatch):
     lp, _, capped = _least_sweep(g, 1e12)
     assert capped and None not in lp
     assert 2 * 2**20 < largest[0] < 4 * 2**20
+
+
+def test_single_d_sweep_sieves_about_as_far_as_it_reaches(monkeypatch):
+    # the parent sieved a whole table of the primes up to 2^20 for a sweep
+    # whose largest least prime is 827
+    g = _group(-3299)
+    largest = [0]
+    real = arith.sieve_primes
+
+    def sieve(*args, **kw):
+        primes = real(*args, **kw)
+        largest[0] = max(largest[0], int(primes[-1]) if len(primes) else 0)
+        return primes
+
+    monkeypatch.setattr(arith, "sieve_primes", sieve)
+    lp, _, capped = _least_sweep(g, 1e6)
+    assert not capped and None not in lp
+    assert 0 < largest[0] < 4 * max(lp)
 
 
 BATCH = ((-3, 2.0), (-4, 150.0), (-23, 1e3), (-84, 3e4), (-420, 1e5), (-1999, 5e4), (-3299, 2e5))
@@ -597,21 +624,23 @@ def test_least_sweeps_match_least_sweep(limit, monkeypatch):
 
 def test_rounds_keep_to_their_pair_budget(monkeypatch):
     # a round takes the jobs' requests in turn while they fit in
-    # _ROUND_PAIRS, or one request alone, however many jobs a run has
+    # _ROUND_POINTS lattice points, or one request alone, however many
+    # jobs a run has
     groups = [_group(d) for d, _ in BATCH]
     want = [_least_sweep(g, 1e4) for g in groups]
-    monkeypatch.setattr(stats, "_ROUND_PAIRS", 100)
+    monkeypatch.setattr(stats, "_ROUND_POINTS", 200)
     rounds = []
-    real = arith.prime_classes_batch
+    real = arith.interval_classes
 
-    def recording(primes, slot, gs):
-        rounds.append((len(primes), len(set(slot.tolist()))))
-        return real(primes, slot, gs)
+    def recording(requests, gs):
+        points = sum(arith.box_points(gs[s], lo, hi) for s, lo, hi, _ in requests)
+        rounds.append((points, len({s for s, *_ in requests})))
+        return real(requests, gs)
 
-    monkeypatch.setattr(arith, "prime_classes_batch", recording)
+    monkeypatch.setattr(arith, "interval_classes", recording)
     source = stats.PrimeSource()
     assert run_jobs(groups, [(i, sweep_job(g, 1e4, source)) for i, g in enumerate(groups)]) == want
-    assert all(pairs <= 100 or jobs == 1 for pairs, jobs in rounds)
+    assert all(points <= 200 or jobs == 1 for points, jobs in rounds)
     assert max(jobs for _, jobs in rounds) > 1
 
 
