@@ -90,24 +90,31 @@ def check_sieve_limit(limit: int, cap: int) -> None:
 def iter_prime_blocks(
     lo: int, hi: int, *, cap: int = SIEVE_CAP_DEFAULT, block: int = _BLOCK
 ) -> Iterator[np.ndarray]:
-    """Yield primes in [lo, hi] in ascending blocks; memory stays O(sqrt(hi) + block)."""
+    """Yield primes in [lo, hi] in ascending blocks of `block` integers;
+    memory stays O(sqrt(hi) + block).
+
+    Each block sieves its odd integers only, one bool per odd number, and
+    p = 2 is added by hand (Bays and Hudson, The segmented sieve of
+    Eratosthenes, BIT 17, 1977).
+    """
     check_sieve_limit(hi, cap)
     lo = max(lo, 2)
     if hi < lo:
         return
-    base = _simple_sieve(math.isqrt(hi))
+    base = _simple_sieve(math.isqrt(hi))[1:]  # the odd base primes
     start = lo
     while start <= hi:
         stop = min(start + block - 1, hi)
-        seg = np.ones(stop - start + 1, dtype=bool)
-        if start <= 1:
-            seg[: 2 - start] = False
+        first = start | 1  # seg[i] stands for the odd number first + 2i
+        seg = np.ones((stop - first) // 2 + 1, dtype=bool)
         for p in base.tolist():
             if p * p > stop:
                 break
-            first = max(p * p, ((start + p - 1) // p) * p)
-            seg[first - start :: p] = False
-        primes = np.flatnonzero(seg).astype(np.int64) + start
+            q = max(p, -(-start // p)) | 1  # p q: the first odd multiple to cross off
+            seg[(p * q - first) // 2 :: p] = False
+        primes = 2 * np.flatnonzero(seg) + first
+        if start == 2:
+            primes = np.concatenate([[2], primes])
         if len(primes):
             yield primes
         start = stop + 1
@@ -316,9 +323,10 @@ def interval_classes(requests, groups: Sequence[ClassGroup]) -> list[tuple[np.nd
     scalar route of prime_classes.  No modular arithmetic is done.
     Rows are enumerated in passes of at most _PASS_ROWS over every
     request together, and their points in passes of at most
-    _PASS_POINTS, so memory beyond that is two bytes per norm of the
-    intervals.  Errors name the discriminant of the failing request:
-    LimitTooLarge when its |D| or a prime is not below 2^31,
+    _PASS_POINTS, so memory beyond that is one byte per norm of the
+    intervals (an int16 label per odd norm; int32 when a group of the
+    call has h >= 2^15).  Errors name the discriminant of the failing
+    request: LimitTooLarge when its |D| or a prime is not below 2^31,
     InvalidIdealBasis when the ideal above a prime is not invertible.
     """
     if not requests:
@@ -328,15 +336,18 @@ def interval_classes(requests, groups: Sequence[ClassGroup]) -> list[tuple[np.nd
     for (_, _, _, primes), dv in zip(requests, d.tolist()):
         check_prime_limit(primes, dv)
     lo, hi = (np.array([q[i] for q in requests], dtype=np.int64) for i in (1, 2))
-    # odd n of request i is marked at off[i] + (n - base[i]) // 2
+    # odd n of request i is marked at off[i] + (n - base[i]) // 2, that is
+    # at (n + shift[i]) >> 1
     base = lo & ~1
     size = np.maximum(hi - base, -1) // 2 + 1
     off = np.cumsum(size) - size
-    label = np.full(int(size.sum()), -1, dtype=np.int32)
+    shift = 2 * off - base
     forms = [groups[s].box_forms for s, *_ in requests]
+    h = max(groups[s].h for s, *_ in requests)
+    label = np.full(int(size.sum()), -1, dtype=np.int16 if h < 1 << 15 else np.int32)
     r = np.repeat(np.arange(len(requests)), [len(f) for f in forms])
     # one column per (request, form): a, b, c, class, |D|, lo, hi, shift
-    cols = np.vstack([np.concatenate(forms).T, -d[r], lo[r], hi[r], 2 * off[r] - base[r]])
+    cols = np.vstack([np.concatenate(forms).T, -d[r], lo[r], hi[r], shift[r]])
     rows = _isqrt(4 * cols[0] * cols[6] // cols[4]) + 1  # y = 0 .. isqrt(4 a hi / |D|)
     for i, j in _passes(rows, _PASS_ROWS):
         count, alpha, beta, gamma, mark = _box_runs(*cols[:, i:j], rows[i:j])
@@ -352,14 +363,20 @@ def interval_classes(requests, groups: Sequence[ClassGroup]) -> list[tuple[np.nd
             label[q] = np.repeat(mark[u:v], n)
             del k, q
     lens = [len(primes) for *_, primes in requests]
+    ends = np.cumsum(lens)
     primes = np.concatenate([primes for *_, primes in requests])
-    r = np.repeat(np.arange(len(requests)), lens)
-    idx = label[off[r] + ((primes - base[r]) >> 1)].astype(np.int64)
-    chi = np.where(idx >= 0, 1, -1).astype(np.int8)
-    for i in np.flatnonzero((primes == 2) | (d[r] % primes == 0)).tolist():
-        chi[i], idx[i] = _scalar_class(int(primes[i]), groups[requests[r[i]][0]])
-    cuts = np.cumsum(lens)[:-1]
-    return list(zip(np.split(chi, cuts), np.split(idx, cuts)))
+    at = np.repeat(shift, lens)
+    at += primes
+    at >>= 1
+    idx = label[at].astype(np.int64)
+    del label, at  # so the read-out holds few arrays of the primes' size at once
+    chi = np.where(idx >= 0, np.int8(1), np.int8(-1))
+    scalar = np.repeat(d, lens) % primes == 0
+    scalar |= primes == 2
+    hits = np.flatnonzero(scalar)
+    for i, j in zip(hits.tolist(), np.searchsorted(ends, hits, side="right").tolist()):
+        chi[i], idx[i] = _scalar_class(int(primes[i]), groups[requests[j][0]])
+    return list(zip(np.split(chi, ends[:-1]), np.split(idx, ends[:-1])))
 
 
 def classify_prime(p: int, g: ClassGroup) -> PrimeClassification:
@@ -551,7 +568,9 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
     for lo in range(1, terms + 1, _BLOCK):
         recip = np.arange(lo, min(lo + _BLOCK, terms + 1), dtype=float)
         np.divide(1.0, recip, out=recip)
-        value += float(_periodic(tbl, lo, len(recip)) @ recip)
+        # numpy's own sum, not a BLAS dot, whose rounding follows its thread count
+        np.multiply(recip, _periodic(tbl, lo, len(recip)), out=recip)
+        value += float(recip.sum())
     return LOneEstimate(value, m / terms, terms)
 
 

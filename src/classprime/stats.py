@@ -90,8 +90,10 @@ class Interval(NamedTuple):
     primes: np.ndarray
 
 
-# Primes up to this come from a PrimeSource's table; past it, from sieve blocks.
-_TABLE_LIMIT = arith._BLOCK
+# Norms per PrimeSource block: its primes up to _TABLE_LIMIT come from its
+# table; past it, from sieve blocks of _BLOCK integers.
+_BLOCK = 1 << 21
+_TABLE_LIMIT = _BLOCK
 _NO_PRIMES = np.empty(0, dtype=np.int64)
 
 
@@ -99,12 +101,12 @@ class PrimeSource:
     """Norm intervals with their primes for the jobs of run_jobs, shared by
     every job of a run (scan keeps one for its whole range).
 
-    The primes up to _TABLE_LIMIT are slices of one table, sieved again
-    only when a request passes its end, then to at least twice its old
-    limit.  Past it the integers fall into fixed blocks of arith._BLOCK;
-    jobs reading a block share one copy of its primes, sieved once while
-    any of them holds a slice of it.  So memory stays O(sqrt(hi) + block)
-    per block in use, whatever range is asked for.
+    The primes up to _TABLE_LIMIT are slices of one table; when a request
+    passes its end, the table grows to at least twice its old limit, and
+    only the new part is sieved.  Past it the integers fall into fixed
+    blocks of _BLOCK; jobs reading a block share one copy of its primes,
+    sieved once while any of them holds a slice of it.  So memory stays
+    O(sqrt(hi) + block) per block in use, whatever range is asked for.
     """
 
     def __init__(self, sieve_cap: int = arith.SIEVE_CAP_DEFAULT):
@@ -117,8 +119,10 @@ class PrimeSource:
         """The primes in [lo, min(hi, _TABLE_LIMIT)], from the table."""
         top = min(hi, _TABLE_LIMIT)
         if lo <= top and top > self.limit:
-            self.limit = min(max(top, 2 * self.limit), _TABLE_LIMIT, self.cap)
-            self.table = arith.sieve_primes(self.limit, cap=self.cap)
+            new = min(max(top, 2 * self.limit), _TABLE_LIMIT, self.cap)
+            more = arith.iter_prime_blocks(self.limit + 1, new, cap=self.cap, block=_BLOCK)
+            self.table = np.concatenate([self.table, *more])
+            self.limit = new
         i, j = np.searchsorted(self.table, [lo, top + 1]).tolist()
         return self.table[i:j]
 
@@ -132,12 +136,14 @@ class PrimeSource:
             primes = self._tabled(lo, top)
             if len(primes):
                 yield Interval(lo, top, primes)
-        size, first = arith._BLOCK, _TABLE_LIMIT + 1
+        size, first = _BLOCK, _TABLE_LIMIT + 1
         for start in range(first + max(0, lo - first) // size * size, hi + 1, size):
             block = self.blocks.get(start)
             if block is None:
                 stop = min(start + size - 1, self.cap)
-                block = next(arith.iter_prime_blocks(start, stop, cap=self.cap), _NO_PRIMES)
+                block = next(
+                    arith.iter_prime_blocks(start, stop, cap=self.cap, block=size), _NO_PRIMES
+                )
                 self.blocks[start] = block
             part = max(lo, start), min(hi, start + size - 1)
             i, j = np.searchsorted(block, [part[0], part[1] + 1]).tolist()
@@ -301,15 +307,16 @@ def _psi_add_segment(
 ) -> None:
     """Add the first powers of segment primes (higher powers exceed 2T)."""
     kept = seg.chi != -1  # inert p has norm p^2 > 2T
-    ps, cls, split = seg.primes[kept], seg.idx[kept], seg.chi[kept] == 1
+    ps, cls = seg.primes[kept], seg.idx[kept]
     logs = np.fromiter(map(math.log, ps.tolist()), float, len(ps))
     lw = logs * _weights(w, ps / T)
     # row i: prime i's class, then its conjugate's; C order adds them
-    # prime by prime, as a per-prime loop would
+    # prime by prime, as a per-prime loop would.  A ramified prime's second
+    # term is 0.0, as is every term of zero weight, which the loop skips:
+    # adding 0.0 changes no bit of a sum that is not -0.0, and none is
     targets = np.stack([cls, g.inverse[cls]], axis=1)
-    nz = lw != 0.0
-    add = np.stack([nz, nz & split], axis=1)
-    np.add.at(acc, targets[add], np.stack([lw, lw], axis=1)[add])
+    terms = np.stack([lw, lw * (seg.chi[kept] == 1)], axis=1)
+    np.add.at(acc, targets.ravel(), terms.ravel())
 
 
 def _char_grid(g: ClassGroup) -> tuple[tuple[int, ...], np.ndarray]:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import jacobi_symbol
 
+import classprime
 from classprime.arith import (
     LimitTooLarge,
     _periodic,
@@ -123,6 +128,22 @@ def test_segmented_sieve_matches_simple():
     mid = np.concatenate(list(iter_prime_blocks(99000, 150000, block=4096)))
     assert np.array_equal(mid, ps[(ps >= 99000) & (ps <= 150000)])
     assert list(iter_prime_blocks(20, 10)) == []
+
+
+# lo of 0 to 3, and more even and odd lo; 5003^2, a prime square, starts
+# the first block and, from 64 below it, a later block of 1, 2 or 64
+# integers; two ranges cross 2^21, the table limit of a PrimeSource
+@pytest.mark.parametrize(
+    "lo", [0, 1, 2, 3, 4, 97, 5003**2, 5003**2 - 64, 2**21 - 500, 2**21 - 501]
+)
+def test_odd_only_sieve_matches_simple(lo):
+    hi = lo + 1000
+    ref = _simple_sieve(hi)
+    want = ref[ref >= lo].tolist()
+    for block in (1, 2, 7, 64, 4093, 2**21):
+        got = list(iter_prime_blocks(lo, hi, block=block))
+        assert all(b.dtype == np.int64 and len(b) for b in got)
+        assert np.concatenate(got).tolist() == want, block
 
 
 def test_sieve_cap_enforced():
@@ -357,6 +378,20 @@ def test_l_one_memory_is_bounded_in_terms():
 
     # correctly rounded sum of the same terms
     assert est.value == pytest.approx(math.fsum(each_term()), rel=1e-13)
+
+
+def test_l_one_sum_repeats_across_blas_thread_counts():
+    # a BLAS dot splits its sum by thread: at the seed this read
+    # 6.427331612811388 with one OpenBLAS thread and 6.42733161281139 with two
+    src = str(Path(classprime.__file__).resolve().parents[1])
+    code = "from classprime.arith import l_one_chi; print(repr(l_one_chi(-10289639, 20579278).value))"
+    values = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        values.add(res.stdout)
+    assert len(values) == 1, values
 
 
 @pytest.mark.parametrize(

@@ -681,7 +681,7 @@ def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
 
 def test_scan_memory_stays_bounded(capsys):
     # tracemalloc peak 3.9 MiB before batching; a batch holds at most
-    # stats._ROUND_POINTS psi lattice points and a table of the primes up to 2^20
+    # stats._ROUND_POINTS psi lattice points and a table of the primes up to 2^21
     tracemalloc.start()
     try:
         rc = cli.main(["scan", "--range", "-2000", "-3", "--out", os.devnull])
@@ -694,9 +694,10 @@ def test_scan_memory_stays_bounded(capsys):
 
 
 def test_variance_memory_stays_bounded(capsys):
-    # about 3 * 10^5 lattice points in the block [2^20 + 1, 2 * 10^6] of the
-    # segment: enumerated in one pass, the tracemalloc peak is 11.4 MiB; in
-    # passes of arith._PASS_POINTS it is 7.1 MiB
+    # about 3 * 10^5 lattice points in the segment [10^6, 2 * 10^6], one
+    # part of the table of the primes up to 2^21: enumerated in one pass,
+    # the tracemalloc peak is 10.9 MiB; in passes of arith._PASS_POINTS it
+    # is 6.1 MiB
     enumerate_reduced_forms = classgroup.enumerate_reduced_forms
     enumerate_reduced_forms(-23)  # numpy's first-use allocations stay outside
     tracemalloc.start()

@@ -529,17 +529,15 @@ def test_least_sweep_stops_once_classes_are_filled(d, x_cap, monkeypatch):
 
 
 def test_least_sweep_slices_double_across_blocks():
-    # h = 1275 starts at 10,200 primes; its last class fills in the third
-    # sieve block (test_least_sweep_equals_per_prime_loop)
+    # h = 1275 starts at 10,200 primes; its last class fills in the first
+    # sieve block past the table (test_least_sweep_equals_per_prime_loop)
     g = _group(-10000019)
     lp, ln, _ = _least_sweep(g, 3e6)
     assert max(lp) > 2 * 2**20 and None not in lp
 
 
-def test_least_sweep_stops_sieving_once_classes_are_filled(monkeypatch):
-    # the sieve cap, not x_cap, bounds this sweep; its last class fills in
-    # the third sieve block, so no prime past 3 * 2^20 is ever sieved
-    g = _group(-10000019)
+def _largest_sieved(monkeypatch) -> list[int]:
+    """[the largest prime sieved so far], kept up to date from here on."""
     largest = [0]
     real_blocks, real_sieve = arith.iter_prime_blocks, arith.sieve_primes
 
@@ -555,6 +553,15 @@ def test_least_sweep_stops_sieving_once_classes_are_filled(monkeypatch):
 
     monkeypatch.setattr(arith, "iter_prime_blocks", blocks)
     monkeypatch.setattr(arith, "sieve_primes", sieve)
+    return largest
+
+
+def test_least_sweep_stops_sieving_once_classes_are_filled(monkeypatch):
+    # the sieve cap, not x_cap, bounds this sweep; its last class fills in
+    # the first sieve block past the table of the primes up to 2^21, so no
+    # prime past 2^22 is ever sieved
+    g = _group(-10000019)
+    largest = _largest_sieved(monkeypatch)
     lp, _, capped = _least_sweep(g, 1e12)
     assert capped and None not in lp
     assert 2 * 2**20 < largest[0] < 4 * 2**20
@@ -564,15 +571,7 @@ def test_single_d_sweep_sieves_about_as_far_as_it_reaches(monkeypatch):
     # the parent sieved a whole table of the primes up to 2^20 for a sweep
     # whose largest least prime is 827
     g = _group(-3299)
-    largest = [0]
-    real = arith.sieve_primes
-
-    def sieve(*args, **kw):
-        primes = real(*args, **kw)
-        largest[0] = max(largest[0], int(primes[-1]) if len(primes) else 0)
-        return primes
-
-    monkeypatch.setattr(arith, "sieve_primes", sieve)
+    largest = _largest_sieved(monkeypatch)
     lp, _, capped = _least_sweep(g, 1e6)
     assert not capped and None not in lp
     assert 0 < largest[0] < 4 * max(lp)
@@ -608,11 +607,15 @@ def test_least_sweeps_match_least_sweep(limit, monkeypatch):
     x_caps = [2.0, 3.5, 24, 500, 5000, 3e4, 1e4, 1e3]
     want = [_least_sweep(g, x) for g, x in zip(groups, x_caps)]
     monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
-    blocks = []
+    blocks = []  # block sieves; the table's own extensions end at its limit
     real = arith.iter_prime_blocks
-    monkeypatch.setattr(
-        arith, "iter_prime_blocks", lambda *a, **kw: blocks.append(a) or real(*a, **kw)
-    )
+
+    def sieve(lo, hi, **kw):
+        if lo > limit:
+            blocks.append((lo, hi))
+        return real(lo, hi, **kw)
+
+    monkeypatch.setattr(arith, "iter_prime_blocks", sieve)
     source = stats.PrimeSource()
     jobs = [(i, sweep_job(g, x, source)) for i, (g, x) in enumerate(zip(groups, x_caps))]
     assert run_jobs(groups, jobs) == want
@@ -620,6 +623,29 @@ def test_least_sweeps_match_least_sweep(limit, monkeypatch):
     assert len(blocks) == (limit < 3e4)
     # -1999 fills its last class at p = 1999, past a table ending at 30 or 1998
     assert max(want[5][0]) == 1999
+
+
+def test_table_growth_sieves_each_prime_once(monkeypatch):
+    # a sweep's doubling requests grow the table from 16h + 64 = 20464 to
+    # 2^21; each growth sieves only past the old limit
+    want = arith.sieve_primes(stats._TABLE_LIMIT)
+    sieved = []
+    real = arith.iter_prime_blocks
+
+    def blocks(*args, **kw):
+        for block in real(*args, **kw):
+            sieved.append(block)
+            yield block
+
+    monkeypatch.setattr(arith, "iter_prime_blocks", blocks)
+    source = stats.PrimeSource()
+    lo, end = 2, 20464
+    while lo <= stats._TABLE_LIMIT:
+        for part in source.intervals(lo, min(end, stats._TABLE_LIMIT)):
+            assert part.primes.tolist() == want[(want >= part.lo) & (want <= part.hi)].tolist()
+        lo, end = end + 1, 2 * end
+    assert source.limit == stats._TABLE_LIMIT and len(sieved) == 8
+    assert np.concatenate(sieved).tolist() == want.tolist()
 
 
 def test_rounds_keep_to_their_pair_budget(monkeypatch):
