@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
 import tempfile
 import time
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import arith, cli, stats
 from .classgroup import enumerate_reduced_forms
-from .qform import validate_discriminant
+from .qform import fundamental_discriminants, validate_discriminant
 from .stats import bump_weight, get_weight, indicator_weight
 
 
@@ -31,15 +30,6 @@ class CriterionResult:
     passed: bool
     detail: str
     seconds: float
-
-
-def _fundamental_range(lo: int, hi: int):
-    """Fundamental discriminants dv with lo <= dv <= hi, descending from hi."""
-    for dv in range(hi, lo - 1, -1):
-        if dv < 0 and dv % 4 in (0, 1):
-            d = validate_discriminant(dv)
-            if d.fundamental:
-                yield d
 
 
 def sample_discriminants(n: int = 20, lo: int = -(10**5), hi: int = -(10**3)) -> list[int]:
@@ -63,14 +53,14 @@ def criterion_1() -> CriterionResult:
     t0 = time.perf_counter()
     total = agree = 0
     first_bad = None
-    for d in _fundamental_range(-9999, -4):
-        g = enumerate_reduced_forms(d)
-        h_formula = arith.class_number_from_l(d, 100 * -d.value)
+    for dv in fundamental_discriminants(-9999, -4):
+        g = enumerate_reduced_forms(dv)
+        h_formula = arith.class_number_from_l(g.disc, 100 * -dv)
         total += 1
         if g.h == h_formula:
             agree += 1
         elif first_bad is None:
-            first_bad = (d.value, g.h, h_formula)
+            first_bad = (dv, g.h, h_formula)
     dt = time.perf_counter() - t0
     ok = agree == total and dt < 60
     detail = f"{agree}/{total} agree"
@@ -85,21 +75,11 @@ def criterion_2() -> CriterionResult:
     nmax = 5000
     bad = []
     for dv in (-3, -4, -8, -23, -47, -71, -163):
-        d = validate_discriminant(dv)
-        counts = arith.representation_counts_upto(nmax, d)
-        formula = arith.dirichlet_r_upto(nmax, d)
-        if not np.array_equal(counts[1:], formula[1:]):
-            n = int(np.nonzero(counts[1:] != formula[1:])[0][0]) + 1
+        n, split_r = arith.divisor_formula_check(nmax, dv)
+        if n is not None:
             bad.append(f"D={dv} first mismatch n={n}")
-            continue
-        if dv < -4:
-            split_r = [
-                int(counts[p])
-                for p in arith.sieve_primes(nmax).tolist()
-                if dv % p and arith.kronecker(dv, p) == 1
-            ]
-            if max(split_r) != 4 or any(r != 4 for r in split_r):
-                bad.append(f"D={dv} split r(p) != 4")
+        elif dv < -4 and set(split_r.tolist()) != {4}:
+            bad.append(f"D={dv} split r(p) != 4")
     dt = time.perf_counter() - t0
     detail = "7 discriminants, n <= 5000 all exact" if not bad else "; ".join(bad)
     return CriterionResult(2, "Dirichlet formula", not bad and dt < 60, detail, dt)
@@ -333,8 +313,7 @@ CRITERIA: list[Callable[[], CriterionResult]] = [
 ]
 
 
-def run(numbers: Optional[list[int]] = None, stream=None) -> list[CriterionResult]:
-    stream = stream or sys.stdout
+def run(numbers: Optional[list[int]] = None) -> list[CriterionResult]:
     results = []
     # criteria 3 and 4 share one computation of the grid, timed by the first to run
     grid = functools.cache(variance_grid_reports)
@@ -344,8 +323,8 @@ def run(numbers: Optional[list[int]] = None, stream=None) -> list[CriterionResul
         res = fn(grid) if fn in (criterion_3, criterion_4) else fn()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        stream.write(
-            f"{status} criterion {res.number} ({res.name}): {res.detail} [{res.seconds:.1f}s]\n"
+        print(
+            f"{status} criterion {res.number} ({res.name}): {res.detail} [{res.seconds:.1f}s]",
+            flush=True,
         )
-        stream.flush()
     return results

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -305,50 +305,56 @@ def _box_runs(a, b, c, cls, absd, lo, hi, shift, rows):
     return count[keep], alpha, beta, gamma, cls[keep]
 
 
-def interval_classes(requests, groups: Sequence[ClassGroup]) -> list[tuple[np.ndarray, np.ndarray]]:
+def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     """chi_D(p) and a class above p for the primes of each request.
 
-    A request is (slot, lo, hi, primes): the ascending primes of the norm
-    interval [lo, hi], classified against groups[slot].  Returns (chi,
-    idx) per request, aligned with its primes; idx is -1 for inert p.
+    A request is (g, primes): ascending primes, classified against the
+    class group g.  Returns (chi, idx) per request, aligned with its
+    primes, as int8 and int64 arrays; idx is -1 for inert p.  A request
+    without primes gets empty arrays.
 
     An odd prime p not dividing D is a value of a reduced form exactly
     when the ideals above p lie in the form's class or its inverse (Cox,
     Primes of the form x^2 + ny^2, the form-ideal correspondence).  So
-    the form box marks the odd values in [lo, hi] of every reduced form
-    with b >= 0 (g.box_forms, one per class up to inversion, so no prime
-    is reached by two of them) with the form's class, and each prime
-    reads its mark: a split p gets the class of (p, b) or its inverse,
-    and a prime no form reaches is inert.  p = 2 and p | D take the
-    scalar route of prime_classes.  No modular arithmetic is done.
-    Rows are enumerated in passes of at most _PASS_ROWS over every
-    request together, and their points in passes of at most
-    _PASS_POINTS, so memory beyond that is one byte per norm of the
-    intervals (an int16 label per odd norm; int32 when a group of the
-    call has h >= 2^15).  Errors name the discriminant of the failing
-    request: LimitTooLarge when its |D| or a prime is not below 2^31,
-    InvalidIdealBasis when the ideal above a prime is not invertible.
+    the form box marks the odd values, over the norms from a request's
+    first prime to its last, of every reduced form with b >= 0
+    (g.box_forms, one per class up to inversion, so no prime is reached
+    by two of them) with the form's class, and each prime reads its
+    mark: a split p gets the class of (p, b) or its inverse, and a prime
+    no form reaches is inert.  p = 2 and p | D take the scalar route of
+    prime_classes.  No modular arithmetic is done.  Rows are enumerated
+    in passes of at most _PASS_ROWS over every request together, and
+    their points in passes of at most _PASS_POINTS, so memory beyond
+    that is one byte per norm of the boxes (an int16 label per odd norm;
+    int32 when a group of the call has h >= 2^15).  Errors name the
+    discriminant of the failing request: LimitTooLarge when its |D| or a
+    prime is not below 2^31, InvalidIdealBasis when the ideal above a
+    prime is not invertible.
     """
     if not requests:
         return []
-    requests = [(s, lo, hi, np.asarray(p, dtype=np.int64)) for s, lo, hi, p in requests]
-    d = np.array([groups[s].disc.value for s, *_ in requests], dtype=np.int64)
-    for (_, _, _, primes), dv in zip(requests, d.tolist()):
+    requests = [(g, np.asarray(p, dtype=np.int64)) for g, p in requests]
+    d = np.array([g.disc.value for g, _ in requests], dtype=np.int64)
+    for (_, primes), dv in zip(requests, d.tolist()):
         check_prime_limit(primes, dv)
-    lo, hi = (np.array([q[i] for q in requests], dtype=np.int64) for i in (1, 2))
+    # request i's box covers the norms lo[i]..hi[i], its first prime to its
+    # last; a request without primes gets the empty box 2..1
+    spans = [p[[0, -1]] if len(p) else (2, 1) for _, p in requests]
+    lo, hi = np.array(spans, dtype=np.int64).T
     # odd n of request i is marked at off[i] + (n - base[i]) // 2, that is
     # at (n + shift[i]) >> 1
     base = lo & ~1
     size = np.maximum(hi - base, -1) // 2 + 1
     off = np.cumsum(size) - size
     shift = 2 * off - base
-    forms = [groups[s].box_forms for s, *_ in requests]
-    h = max(groups[s].h for s, *_ in requests)
+    forms = [g.box_forms for g, _ in requests]
+    h = max(g.h for g, _ in requests)
     label = np.full(int(size.sum()), -1, dtype=np.int16 if h < 1 << 15 else np.int32)
     r = np.repeat(np.arange(len(requests)), [len(f) for f in forms])
     # one column per (request, form): a, b, c, class, |D|, lo, hi, shift
     cols = np.vstack([np.concatenate(forms).T, -d[r], lo[r], hi[r], shift[r]])
-    rows = _isqrt(4 * cols[0] * cols[6] // cols[4]) + 1  # y = 0 .. isqrt(4 a hi / |D|)
+    # y = 0 .. isqrt(4 a hi / |D|), and no row for an empty box
+    rows = (_isqrt(4 * cols[0] * cols[6] // cols[4]) + 1) * (cols[5] <= cols[6])
     for i, j in _passes(rows, _PASS_ROWS):
         count, alpha, beta, gamma, mark = _box_runs(*cols[:, i:j], rows[i:j])
         for u, v in _passes(count, _PASS_POINTS):
@@ -362,9 +368,9 @@ def interval_classes(requests, groups: Sequence[ClassGroup]) -> list[tuple[np.nd
             q >>= 1
             label[q] = np.repeat(mark[u:v], n)
             del k, q
-    lens = [len(primes) for *_, primes in requests]
+    lens = [len(primes) for _, primes in requests]
     ends = np.cumsum(lens)
-    primes = np.concatenate([primes for *_, primes in requests])
+    primes = np.concatenate([primes for _, primes in requests])
     at = np.repeat(shift, lens)
     at += primes
     at >>= 1
@@ -375,7 +381,7 @@ def interval_classes(requests, groups: Sequence[ClassGroup]) -> list[tuple[np.nd
     scalar |= primes == 2
     hits = np.flatnonzero(scalar)
     for i, j in zip(hits.tolist(), np.searchsorted(ends, hits, side="right").tolist()):
-        chi[i], idx[i] = _scalar_class(int(primes[i]), groups[requests[j][0]])
+        chi[i], idx[i] = _scalar_class(int(primes[i]), requests[j][0])
     return list(zip(np.split(chi, ends[:-1]), np.split(idx, ends[:-1])))
 
 
@@ -484,6 +490,21 @@ def dirichlet_r_upto(nmax: int, d) -> np.ndarray:
             out[e::e] += ce
     out[0] = 0
     return out * unit_count(dv)
+
+
+def divisor_formula_check(nmax: int, d) -> tuple[Optional[int], np.ndarray]:
+    """Brute-force r(n, d) against dirichlet_r_upto for 1 <= n <= nmax.
+
+    Returns the first n where they differ (None if none) and r(p, d) at
+    the primes p <= nmax with chi_d(p) = 1, read from chi_table.
+    """
+    if not isinstance(d, Discriminant):
+        d = validate_discriminant(d)
+    counts = representation_counts_upto(nmax, d)
+    bad = np.flatnonzero(counts[1:] != dirichlet_r_upto(nmax, d)[1:])
+    primes = sieve_primes(nmax)
+    split = primes[chi_table(d.value, nmax + 1)[primes] == 1]
+    return (int(bad[0]) + 1 if len(bad) else None), counts[split]
 
 
 # One period of the character of each even prime discriminant.

@@ -20,7 +20,12 @@ import numpy as np
 
 from . import arith, heegner, stats
 from .classgroup import ClassGroup, InvalidIdealBasis, NotFundamental, enumerate_reduced_forms
-from .qform import InvariantViolation, NotADiscriminant, validate_discriminant
+from .qform import (
+    InvariantViolation,
+    NotADiscriminant,
+    fundamental_discriminants,
+    validate_discriminant,
+)
 from .stats import IdentityMismatch
 
 
@@ -157,7 +162,7 @@ def emit_rows(rows: list[dict], columns: list[str], out) -> None:
         out.write(",".join(fmt_num(row[c]) for c in columns) + "\n")
 
 
-def emit(payload, rows, columns, fmt: str, out, summary_stream=None) -> None:
+def emit(payload, rows, columns, fmt: str, out) -> None:
     """CSV: table to `out`, summary lines to stderr.  JSON: one object."""
     if fmt == "json":
         json.dump(payload, out, indent=2, default=_json_default)
@@ -166,9 +171,8 @@ def emit(payload, rows, columns, fmt: str, out, summary_stream=None) -> None:
     emit_rows(rows, columns, out)
     summary = payload.get("summary") if isinstance(payload, dict) else None
     if summary:
-        stream = summary_stream if summary_stream is not None else sys.stderr
         for k, v in summary.items():
-            stream.write(f"# {k}={fmt_num(v) if not isinstance(v, str) else v}\n")
+            sys.stderr.write(f"# {k}={fmt_num(v) if not isinstance(v, str) else v}\n")
 
 
 def _json_default(v):
@@ -291,23 +295,13 @@ def cmd_dirichlet_check(args) -> int:
     nmax = args.n_max
     if nmax < 1:
         raise UsageError("--n-max must be >= 1")
-    counts = arith.representation_counts_upto(nmax, d)
-    formula = arith.dirichlet_r_upto(nmax, d)
-    mismatch = None
-    for n in range(1, nmax + 1):
-        if counts[n] != formula[n]:
-            mismatch = n
-            break
-    max_split_r = 0
-    for p in arith.sieve_primes(nmax).tolist():
-        if d.value % p and arith.kronecker(d.value, p) == 1:
-            max_split_r = max(max_split_r, int(counts[p]))
+    mismatch, split_r = arith.divisor_formula_check(nmax, d)
     row = {
         "d": d.value,
         "n_max": nmax,
         "status": "ok" if mismatch is None else "mismatch",
         "first_mismatch": mismatch if mismatch is not None else "",
-        "max_split_r": max_split_r,
+        "max_split_r": int(split_r.max(initial=0)),
         "w_d": arith.unit_count(d.value),
     }
     emit({"rows": [row]}, [row], list(row.keys()), args.format, args.out_stream)
@@ -455,10 +449,10 @@ def _scan_batch(batch: list, source: stats.PrimeSource, w):
     """
     ok = [s for _, s in batch if isinstance(s, _ScanD)]
     jobs = []
-    for slot, s in enumerate(ok):
-        jobs.append((slot, stats.psi_job(s.g, s.t, w, source)))
-        jobs.append((slot, stats.sweep_job(s.g, s.sweep_cap, source)))
-    done = iter(stats.run_jobs([s.g for s in ok], jobs))
+    for s in ok:
+        jobs.append((s.g, stats.psi_job(s.g, s.t, w, source)))
+        jobs.append((s.g, stats.sweep_job(s.g, s.sweep_cap, source)))
+    done = iter(stats.run_jobs(jobs))
     for dv, s in batch:
         if isinstance(s, _ScanD):
             psa, sweep = next(done), next(done)
@@ -480,11 +474,7 @@ def cmd_scan(args) -> int:
     w = stats.get_weight(args.weight)
     for r in x_rules + [args.t_rule]:
         parse_scale(r)  # validate up front -> usage error, not mid-scan
-    discs = [
-        dv
-        for dv in range(hi, lo - 1, -1)  # decreasing D
-        if dv < 0 and dv % 4 in (0, 1) and validate_discriminant(dv).fundamental
-    ]
+    discs = fundamental_discriminants(lo, hi)
     rows = []
     failures: list[Exception] = []
     for dv, res in _scan_results(discs, x_rules, args.t_rule, w, args.sieve_cap, args.h_cap):

@@ -9,7 +9,7 @@ overflow to worry about, only time.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
 class NotADiscriminant(ValueError):
@@ -69,6 +69,14 @@ def is_fundamental(d: int) -> bool:
         m = d // 4
         return m % 4 in (2, 3) and _squarefree(m)
     return False
+
+
+def fundamental_discriminants(lo: int, hi: int) -> Iterator[int]:
+    """The negative fundamental discriminants d with lo <= d <= hi, in
+    decreasing d."""
+    for d in range(min(hi, -1), lo - 1, -1):
+        if is_fundamental(d):
+            yield d
 
 
 def validate_discriminant(d: int) -> Discriminant:

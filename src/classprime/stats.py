@@ -12,7 +12,7 @@ import math
 import statistics
 import weakref
 from dataclasses import dataclass
-from typing import Generator, Iterator, NamedTuple, Optional, Sequence
+from typing import Generator, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -70,26 +70,6 @@ def weight_eval(w: Weight, x: float) -> float:
 # ---------------------------------------------------------------------------
 # psi sums
 
-class ClassifiedPrimes(NamedTuple):
-    """The ascending primes of a norm interval with chi_D(p) and a class
-    above p (-1 for inert p), as arith.interval_classes gives them: for
-    split p the class of (p, b) or its inverse, which every consumer here
-    treats alike."""
-
-    primes: np.ndarray
-    chi: np.ndarray
-    idx: np.ndarray
-
-
-class Interval(NamedTuple):
-    """The norms lo..hi a job asks to have classified, with the primes
-    among them."""
-
-    lo: int
-    hi: int
-    primes: np.ndarray
-
-
 # Norms per PrimeSource block: its primes up to _TABLE_LIMIT come from its
 # table; past it, from sieve blocks of _BLOCK integers.
 _BLOCK = 1 << 21
@@ -98,8 +78,8 @@ _NO_PRIMES = np.empty(0, dtype=np.int64)
 
 
 class PrimeSource:
-    """Norm intervals with their primes for the jobs of run_jobs, shared by
-    every job of a run (scan keeps one for its whole range).
+    """The primes the jobs of run_jobs ask for, shared by every job of a
+    run (scan keeps one for its whole range).
 
     The primes up to _TABLE_LIMIT are slices of one table; when a request
     passes its end, the table grows to at least twice its old limit, and
@@ -126,16 +106,15 @@ class PrimeSource:
         i, j = np.searchsorted(self.table, [lo, top + 1]).tolist()
         return self.table[i:j]
 
-    def intervals(self, lo: int, hi: int) -> Iterator[Interval]:
-        """[lo, hi] in ascending parts that hold a prime: up to
-        _TABLE_LIMIT from the table, then one part per sieve block.
-        LimitTooLarge when hi is past the sieve cap."""
+    def parts(self, lo: int, hi: int) -> Iterator[np.ndarray]:
+        """The primes in [lo, hi] as nonempty ascending arrays: up to
+        _TABLE_LIMIT one slice of the table, then one slice per sieve
+        block.  LimitTooLarge when hi is past the sieve cap."""
         arith.check_sieve_limit(hi, self.cap)
         if lo <= _TABLE_LIMIT:
-            top = min(hi, _TABLE_LIMIT)
-            primes = self._tabled(lo, top)
+            primes = self._tabled(lo, hi)
             if len(primes):
-                yield Interval(lo, top, primes)
+                yield primes
         size, first = _BLOCK, _TABLE_LIMIT + 1
         for start in range(first + max(0, lo - first) // size * size, hi + 1, size):
             block = self.blocks.get(start)
@@ -145,46 +124,44 @@ class PrimeSource:
                     arith.iter_prime_blocks(start, stop, cap=self.cap, block=size), _NO_PRIMES
                 )
                 self.blocks[start] = block
-            part = max(lo, start), min(hi, start + size - 1)
-            i, j = np.searchsorted(block, [part[0], part[1] + 1]).tolist()
+            i, j = np.searchsorted(block, [lo, hi + 1]).tolist()
             if i < j:
-                yield Interval(*part, block[i:j])
-
-    def interval(self, lo: int, hi: int) -> Interval:
-        """[lo, hi] as one interval, with the primes of all its parts."""
-        parts = [iv.primes for iv in self.intervals(lo, hi)]
-        return Interval(lo, hi, np.concatenate(parts) if parts else _NO_PRIMES)
+                yield block[i:j]
 
 
-# A job asks for norm intervals and is sent the primes of each back
-# classified against its group; its return value is its result.
-Job = Generator[Interval, ClassifiedPrimes, object]
+# A job yields nonempty ascending prime arrays and is sent, for each,
+# (chi, idx) as arith.interval_classes gives them against its group:
+# chi_D(p) and a class above p, -1 for inert p; for split p the class of
+# (p, b) or its inverse, which every consumer here treats alike.  Its
+# return value is its result.
+Job = Generator[np.ndarray, tuple[np.ndarray, np.ndarray], object]
 
 # Lattice points a round of run_jobs covers (arith.box_points), unless one
 # request has more.
 _ROUND_POINTS = 1 << 16
 
 
-def run_jobs(groups: Sequence[ClassGroup], jobs: Sequence[tuple[int, Job]]) -> list:
-    """Run each (slot, job) against groups[slot] and return the results.
+def run_jobs(jobs: Sequence[tuple[ClassGroup, Job]]) -> list:
+    """Run each (group, job) and return the results.
 
     Each round moves unfinished jobs on by one request each, in turn, as
-    many as fit in _ROUND_POINTS lattice points of the form box, or one
-    larger request alone: one arith.interval_classes call classifies the
-    primes of all of them.  A request whose prime or |D| is past the
-    2^31 prime -> class limit never reaches it: the LimitTooLarge naming
-    its D, like one the job raises itself, ends that job and is its
-    result, and the other jobs go on.
+    many as fit in _ROUND_POINTS lattice points of the form box over the
+    norms from each request's first prime to its last, or one larger
+    request alone: one arith.interval_classes call classifies the primes
+    of all of them.  A request whose prime or |D| is past the 2^31 prime
+    -> class limit never reaches it: the LimitTooLarge naming its D, like
+    one the job raises itself, ends that job and is its result, and the
+    other jobs go on.
     """
     results: list = [None] * len(jobs)
-    asks: dict[int, Interval] = {}  # in the order the jobs get their turn
+    asks: dict[int, np.ndarray] = {}  # in the order the jobs get their turn
 
-    def advance(i: int, classified: Optional[ClassifiedPrimes]) -> None:
-        slot, job = jobs[i]
+    def advance(i: int, classified: Optional[tuple[np.ndarray, np.ndarray]]) -> None:
+        g, job = jobs[i]
         try:
-            ask = job.send(classified)
-            arith.check_prime_limit(ask.primes, groups[slot].disc.value)
-            asks[i] = ask
+            primes = job.send(classified)
+            arith.check_prime_limit(primes, g.disc.value)
+            asks[i] = primes
         except StopIteration as stop:
             results[i] = stop.value
         except arith.LimitTooLarge as exc:
@@ -195,25 +172,22 @@ def run_jobs(groups: Sequence[ClassGroup], jobs: Sequence[tuple[int, Job]]) -> l
         advance(i, None)
     while asks:
         live, total = [], 0
-        for i, part in asks.items():
-            n = arith.box_points(groups[jobs[i][0]], part.lo, part.hi)
+        for i, primes in asks.items():
+            n = arith.box_points(jobs[i][0], primes[0], primes[-1])
             if live and total + n > _ROUND_POINTS:
                 break
             live.append(i)
             total += n
-        parts = [asks.pop(i) for i in live]
-        classified = arith.interval_classes(
-            [(jobs[i][0], *part) for i, part in zip(live, parts)], groups
-        )
-        for i, part, (chi, idx) in zip(live, parts, classified):
-            advance(i, ClassifiedPrimes(part.primes, chi, idx))
-        del parts, part, classified, chi, idx  # so no round's arrays outlive it
+        classified = arith.interval_classes([(jobs[i][0], asks.pop(i)) for i in live])
+        for i, chi_idx in zip(live, classified):
+            advance(i, chi_idx)
+        del classified, chi_idx  # so no round's arrays outlive it
     return results
 
 
 def _run_one(g: ClassGroup, job: Job):
     """The result of one job run alone; the error that ended it is raised."""
-    [res] = run_jobs([g], [(0, job)])
+    [res] = run_jobs([(g, job)])
     if isinstance(res, Exception):
         raise res
     return res
@@ -229,15 +203,17 @@ def psi_limits(T: float) -> tuple[int, int, int]:
 
 
 def psi_job(g: ClassGroup, T: float, w: Weight, source: PrimeSource) -> Job:
-    """psi_by_class as a job of run_jobs: the norms up to sqrt(2T) in one
-    request, then the segment part by part."""
+    """psi_by_class as a job of run_jobs: the source's parts of the norms
+    up to sqrt(2T), then of the segment, each added to one accumulator as
+    it comes back classified."""
     if T < 2:
         raise ValueError("T must be >= 2")
     sq, seg_start, hi = psi_limits(T)
-    small = yield source.interval(2, sq)
-    acc = np.array(_psi_small_primes(g, T, w, small))
-    for part in source.intervals(seg_start, hi):
-        _psi_add_segment(acc, g, T, w, (yield part))
+    acc = np.zeros(g.h)
+    for primes in source.parts(2, sq):
+        _psi_add_small_primes(acc, g, T, w, primes, *(yield primes))
+    for primes in source.parts(seg_start, hi):
+        _psi_add_segment(acc, g, T, w, primes, *(yield primes))
     return acc
 
 
@@ -256,22 +232,24 @@ def psi_by_class(
     return _run_one(g, psi_job(g, T, w, PrimeSource(sieve_cap)))
 
 
-def _psi_small_primes(g: ClassGroup, T: float, w: Weight, small: ClassifiedPrimes) -> list[float]:
-    """psi_A over all prime powers of norm up to 2T from primes p <= sqrt(2T).
+def _psi_add_small_primes(
+    acc: np.ndarray, g: ClassGroup, T: float, w: Weight, primes, chis, idxs
+) -> None:
+    """Add to acc the terms of every prime power of norm up to 2T over the
+    primes p <= sqrt(2T) given, in ascending p.
 
     A prime power's class is looked up only where its weight is nonzero.
     """
-    out = [0.0] * g.h
     logf = math.log
     hi = int(2 * T)
-    for p, chi, c in zip(small.primes.tolist(), small.chi.tolist(), small.idx.tolist()):
+    for p, chi, c in zip(primes.tolist(), chis.tolist(), idxs.tolist()):
         if chi == -1:
             lam = 2.0 * logf(p)
             n = p * p
             while n <= hi:
                 wv = weight_eval(w, n / T)
                 if wv:
-                    out[0] += lam * wv
+                    acc[0] += lam * wv
                 n *= p * p
             continue
         lam = logf(p)
@@ -280,13 +258,12 @@ def _psi_small_primes(g: ClassGroup, T: float, w: Weight, small: ClassifiedPrime
         while n <= hi:
             wv = weight_eval(w, n / T)
             if wv:
-                out[g.power_idx(c, k)] += lam * wv
+                acc[g.power_idx(c, k)] += lam * wv
                 if chi == 1:
                     # the conjugate prime-power ideal, possibly in the same class
-                    out[g.power_idx(ci, k)] += lam * wv
+                    acc[g.power_idx(ci, k)] += lam * wv
             n *= p
             k += 1
-    return out
 
 
 def _weights(w: Weight, x: np.ndarray) -> np.ndarray:
@@ -303,11 +280,11 @@ def _weights(w: Weight, x: np.ndarray) -> np.ndarray:
 
 
 def _psi_add_segment(
-    acc: np.ndarray, g: ClassGroup, T: float, w: Weight, seg: ClassifiedPrimes
+    acc: np.ndarray, g: ClassGroup, T: float, w: Weight, primes, chis, idxs
 ) -> None:
     """Add the first powers of segment primes (higher powers exceed 2T)."""
-    kept = seg.chi != -1  # inert p has norm p^2 > 2T
-    ps, cls = seg.primes[kept], seg.idx[kept]
+    kept = chis != -1  # inert p has norm p^2 > 2T
+    ps, cls = primes[kept], idxs[kept]
     logs = np.fromiter(map(math.log, ps.tolist()), float, len(ps))
     lw = logs * _weights(w, ps / T)
     # row i: prime i's class, then its conjugate's; C order adds them
@@ -315,7 +292,7 @@ def _psi_add_segment(
     # term is 0.0, as is every term of zero weight, which the loop skips:
     # adding 0.0 changes no bit of a sum that is not -0.0, and none is
     targets = np.stack([cls, g.inverse[cls]], axis=1)
-    terms = np.stack([lw, lw * (seg.chi[kept] == 1)], axis=1)
+    terms = np.stack([lw, lw * (chis[kept] == 1)], axis=1)
     np.add.at(acc, targets.ravel(), terms.ravel())
 
 
@@ -426,10 +403,10 @@ def variance(g: ClassGroup, T: float, w: Weight, **kw) -> float:
 def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
     """_least_sweep as a job of run_jobs.
 
-    Asks for the norms up to 16h + 64 first, then for norm intervals that
-    double, each in the source's parts, and stops after the part that
-    fills the last class: later primes cannot improve either vector.  So
-    the source sieves only about as far as the sweep reaches.  The norm
+    Asks for the source's parts of the norms up to 16h + 64 first, then
+    of norm intervals that double, and stops after the part that fills
+    the last class: later primes cannot improve either vector.  So the
+    source sieves only about as far as the sweep reaches.  The norm
     variant differs only at the principal class, which inert primes reach
     with norm p^2.
     """
@@ -439,10 +416,9 @@ def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
     filled, first_inert = 0, None
     none = np.iinfo(np.int64).max
 
-    def take(part: ClassifiedPrimes) -> int:
-        """Fill the classes that part reaches first; how many it filled."""
+    def take(primes: np.ndarray, chis: np.ndarray, idxs: np.ndarray) -> int:
+        """Fill the classes that primes reach first; how many they filled."""
         nonlocal first_inert
-        primes, chis, idxs = part
         if first_inert is None:
             inert = np.flatnonzero(chis == -1)
             if inert.size:
@@ -457,8 +433,8 @@ def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
 
     lo, end = 2, 16 * g.h + 64
     while lo <= top and filled < g.h:
-        for part in source.intervals(lo, min(end, top)):
-            filled += take((yield part))
+        for primes in source.parts(lo, min(end, top)):
+            filled += take(primes, *(yield primes))
             if filled == g.h:
                 break
         lo, end = end + 1, 2 * end

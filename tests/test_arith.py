@@ -449,11 +449,10 @@ def _scalar_classes(primes, g):
     return chi, idx
 
 
-def _assert_box_matches_scalar(requests, groups):
+def _assert_box_matches_scalar(requests):
     # chi exactly; for split p other than 2 the class of (p, b) or its
     # inverse, and exactly the scalar class for ramified p, inert p and p = 2
-    for (s, lo, hi, primes), (chi, idx) in zip(requests, interval_classes(requests, groups)):
-        g = groups[s]
+    for (g, primes), (chi, idx) in zip(requests, interval_classes(requests)):
         assert chi.dtype == np.int8 and idx.dtype == np.int64
         want_chi, want_idx = prime_classes(primes, g)
         assert chi.tolist() == want_chi.tolist()
@@ -477,7 +476,7 @@ def _assert_kernel_matches_scalar(primes, g):
     # one request per run of primes without a gap of 2^16
     primes = np.asarray(primes, dtype=np.int64)
     runs = np.split(primes, np.flatnonzero(np.diff(primes) > 2**16) + 1)
-    _assert_box_matches_scalar([(0, run[0], run[-1], run) for run in runs if len(run)], [g])
+    _assert_box_matches_scalar([(g, run) for run in runs if len(run)])
 
 
 @pytest.mark.parametrize("d", KERNEL_DISCS)
@@ -497,7 +496,7 @@ def test_prime_classes_matches_scalar_route(d):
 def test_prime_classes_random_windows(d, lo, width):
     g = enumerate_reduced_forms(d)
     _assert_kernel_matches_scalar(_primes_in(lo, lo + width).tolist(), g)
-    _assert_box_matches_scalar([(0, lo, lo + width, _primes_in(lo, lo + width))], [g])
+    _assert_box_matches_scalar([(g, _primes_in(lo, lo + width))])
 
 
 @pytest.mark.parametrize("d", [-12, -27, -75, -36])
@@ -527,22 +526,35 @@ def test_interval_classes_match_scalar_route():
     groups = [enumerate_reduced_forms(d) for d in KERNEL_DISCS]
     spans = [(2, 3000), (2**20 - 5000, 2**20 + 5000), (10**7, 10**7 + 3000), (2**31 - 3000, 2**31 - 1)]
     requests = []
-    for s, g in enumerate(groups):
+    for g in groups:
         ramified = [(p, p) for p in sympy.primefactors(g.disc.value)]
-        requests += [(s, lo, hi, _primes_in(lo, hi)) for lo, hi in spans + ramified]
+        requests += [(g, _primes_in(lo, hi)) for lo, hi in spans + ramified]
     order = np.random.default_rng(1).permutation(len(requests))
-    _assert_box_matches_scalar([requests[i] for i in order], groups)
+    _assert_box_matches_scalar([requests[i] for i in order])
 
 
 def test_interval_classes_mark_only_their_own_interval():
-    # intervals that share no norm: each request reads only its own marks
+    # intervals that share no norm: each request reads only its own marks;
+    # 1000..1000 holds no prime
     g = enumerate_reduced_forms(-3299)
     primes = _primes_in(2, 5000)
-    whole = interval_classes([(0, 2, 5000, primes)], [g])[0]
+    whole = interval_classes([(g, primes)])[0]
     cuts = [(2, 999), (1000, 1000), (1001, 4096), (4097, 5000)]
-    parts = interval_classes([(0, lo, hi, primes[(primes >= lo) & (primes <= hi)]) for lo, hi in cuts], [g])
+    parts = interval_classes([(g, primes[(primes >= lo) & (primes <= hi)]) for lo, hi in cuts])
     assert np.concatenate([chi for chi, _ in parts]).tolist() == whole[0].tolist()
     assert np.concatenate([idx for _, idx in parts]).tolist() == whole[1].tolist()
+
+
+def test_interval_classes_empty_request():
+    # a request without primes gets empty arrays, alone or beside others
+    g = enumerate_reduced_forms(-23)
+    [solo] = interval_classes([(g, [2, 3, 5, 59])])
+    for requests in ([(g, [])], [(g, np.empty(0, dtype=np.int64)), (g, [2, 3, 5, 59])]):
+        got = interval_classes(requests)
+        chi, idx = got[0]
+        assert chi.dtype == np.int8 and idx.dtype == np.int64
+        assert len(chi) == len(idx) == 0
+    assert [a.tolist() for a in got[1]] == [a.tolist() for a in solo]
 
 
 BATCH_DISCS = (-3, -4, -23, -84, -420, -1999, -3299)
@@ -553,16 +565,16 @@ def test_prime_classes_batch_matches_per_d():
     rng = np.random.default_rng(0)
     spans = [(2, 3000), (7340000, 7340100), (998244300, 998244400), (2**31 - 100, 2**31 - 1)]
     requests = []
-    for s, g in enumerate(groups):
+    for g in groups:
         # p = 2, every prime dividing D, and split, inert and large primes
         ramified = [(p, p) for p in sympy.primefactors(g.disc.value) if p > 3000]
-        requests += [(s, lo, hi, _primes_in(lo, hi)) for lo, hi in spans + ramified]
+        requests += [(g, _primes_in(lo, hi)) for lo, hi in spans + ramified]
     order = rng.permutation(len(requests))  # requests of all D interleaved
     requests = [requests[i] for i in order]
-    got = interval_classes(requests, groups)
-    for s, g in enumerate(groups):
-        mine = [i for i, req in enumerate(requests) if req[0] == s]
-        want = interval_classes([(0, *requests[i][1:]) for i in mine], [g])
+    got = interval_classes(requests)
+    for g in groups:
+        mine = [i for i, req in enumerate(requests) if req[0] is g]
+        want = interval_classes([requests[i] for i in mine])
         chi = np.concatenate([got[i][0] for i in mine])
         for i, (want_chi, want_idx) in zip(mine, want):
             assert got[i][0].tolist() == want_chi.tolist()
@@ -574,17 +586,17 @@ def test_prime_classes_batch_errors_name_the_d():
     good, bad = enumerate_reduced_forms(-23), enumerate_reduced_forms(-75, strict=False)
     # 5 divides the conductor of -75 = 5^2 * -3
     with pytest.raises(InvalidIdealBasis, match="discriminant -75"):
-        interval_classes([(0, 2, 3, [2, 3]), (1, 5, 5, [5]), (0, 7, 7, [7])], [good, bad])
-    got = interval_classes([(0, 2, 2, [2]), (1, 3, 3, [3]), (0, 7, 7, [7])], [good, bad])
+        interval_classes([(good, [2, 3]), (bad, [5]), (good, [7])])
+    got = interval_classes([(good, [2]), (bad, [3]), (good, [7])])
     assert [chi.tolist() for chi, _ in got] == [[1], [0], [-1]]
     # the 2^31 limits hold per request, and the error names the request's D
     g84 = enumerate_reduced_forms(-84)
     p = 2**31 - 1
-    got = interval_classes([(0, p, p, [p]), (1, 5, 5, [5])], [good, g84])
+    got = interval_classes([(good, [p]), (g84, [5])])
     assert [chi.tolist() for chi, _ in got] == [[kronecker(-23, p)], [kronecker(-84, 5)]]
     q = 2**31 + 11
     with pytest.raises(LimitTooLarge, match="D = -84"):
-        interval_classes([(0, p, p, [p]), (1, q, q, [q])], [good, g84])
+        interval_classes([(good, [p]), (g84, [q])])
     big = ClassGroup(disc=validate_discriminant(-(2**31 + 3)), elements=good.elements, h=good.h)
     with pytest.raises(LimitTooLarge, match=str(2**31 + 3)):
-        interval_classes([(0, 3, 3, [3]), (1, 5, 5, [5])], [good, big])
+        interval_classes([(good, [3]), (big, [5])])

@@ -508,9 +508,9 @@ def _counting_prime_classes(monkeypatch) -> list[int]:
     counted = []
     real = arith.interval_classes
 
-    def counting(requests, groups):
-        counted.append(sum(len(primes) for *_, primes in requests))
-        return real(requests, groups)
+    def counting(requests):
+        counted.append(sum(len(primes) for _, primes in requests))
+        return real(requests)
 
     monkeypatch.setattr(arith, "interval_classes", counting)
     return counted
@@ -591,11 +591,9 @@ def test_psi_classes_match_psi_by_class(monkeypatch):
         monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
         source = stats.PrimeSource()
         jobs = [
-            (i, psi_job(g, t, w, source))
-            for i, (g, (_, t)) in enumerate(zip(groups, BATCH))
-            for w in weights
+            (g, psi_job(g, t, w, source)) for g, (_, t) in zip(groups, BATCH) for w in weights
         ]
-        got = run_jobs(groups, jobs)
+        got = run_jobs(jobs)
         assert [psa.tolist() for psa in got] == want  # bit for bit
 
 
@@ -617,12 +615,34 @@ def test_least_sweeps_match_least_sweep(limit, monkeypatch):
 
     monkeypatch.setattr(arith, "iter_prime_blocks", sieve)
     source = stats.PrimeSource()
-    jobs = [(i, sweep_job(g, x, source)) for i, (g, x) in enumerate(zip(groups, x_caps))]
-    assert run_jobs(groups, jobs) == want
+    jobs = [(g, sweep_job(g, x, source)) for g, x in zip(groups, x_caps)]
+    assert run_jobs(jobs) == want
     # the sweeps that read past the table share its first sieve block
     assert len(blocks) == (limit < 3e4)
     # -1999 fills its last class at p = 1999, past a table ending at 30 or 1998
     assert max(want[5][0]) == 1999
+
+
+@pytest.mark.parametrize("limit", [0, 30, 1998, 2**21])
+def test_prime_source_parts_are_the_sieve(limit, monkeypatch):
+    # nonempty ascending parts that concatenate to the sieve over [lo, hi]:
+    # inside the table, across its end and a block's end, from an interval
+    # without primes, and up to a sieve cap that ends mid-block
+    monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
+    block, cap = stats._BLOCK, limit + 2 * stats._BLOCK + 1000
+    want = arith.sieve_primes(cap)
+    source = stats.PrimeSource(cap)
+    spans = [
+        (2, 2), (2, 100), (24, 28), (max(2, limit - 50), limit + 50),
+        (limit + block - 50, limit + block + 50), (max(2, limit - 10), cap), (cap - 5000, cap),
+    ]
+    for lo, hi in spans:
+        parts = list(source.parts(lo, hi))
+        assert all(len(p) and (np.diff(p) > 0).all() for p in parts)
+        got = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+        assert got.tolist() == want[(want >= lo) & (want <= hi)].tolist()
+    with pytest.raises(arith.LimitTooLarge):
+        next(source.parts(2, cap + 1))
 
 
 def test_table_growth_sieves_each_prime_once(monkeypatch):
@@ -641,8 +661,9 @@ def test_table_growth_sieves_each_prime_once(monkeypatch):
     source = stats.PrimeSource()
     lo, end = 2, 20464
     while lo <= stats._TABLE_LIMIT:
-        for part in source.intervals(lo, min(end, stats._TABLE_LIMIT)):
-            assert part.primes.tolist() == want[(want >= part.lo) & (want <= part.hi)].tolist()
+        hi = min(end, stats._TABLE_LIMIT)
+        [part] = source.parts(lo, hi)
+        assert part.tolist() == want[(want >= lo) & (want <= hi)].tolist()
         lo, end = end + 1, 2 * end
     assert source.limit == stats._TABLE_LIMIT and len(sieved) == 8
     assert np.concatenate(sieved).tolist() == want.tolist()
@@ -658,14 +679,14 @@ def test_rounds_keep_to_their_pair_budget(monkeypatch):
     rounds = []
     real = arith.interval_classes
 
-    def recording(requests, gs):
-        points = sum(arith.box_points(gs[s], lo, hi) for s, lo, hi, _ in requests)
-        rounds.append((points, len({s for s, *_ in requests})))
-        return real(requests, gs)
+    def recording(requests):
+        points = sum(arith.box_points(g, primes[0], primes[-1]) for g, primes in requests)
+        rounds.append((points, len(requests)))
+        return real(requests)
 
     monkeypatch.setattr(arith, "interval_classes", recording)
     source = stats.PrimeSource()
-    assert run_jobs(groups, [(i, sweep_job(g, 1e4, source)) for i, g in enumerate(groups)]) == want
+    assert run_jobs([(g, sweep_job(g, 1e4, source)) for g in groups]) == want
     assert all(points <= 200 or jobs == 1 for points, jobs in rounds)
     assert max(jobs for _, jobs in rounds) > 1
 
@@ -673,6 +694,6 @@ def test_rounds_keep_to_their_pair_budget(monkeypatch):
 def test_least_sweeps_respect_the_sieve_cap():
     groups = [_group(-23), _group(-3299)]
     source = stats.PrimeSource(100)
-    got = run_jobs(groups, [(i, sweep_job(g, 1000, source)) for i, g in enumerate(groups)])
+    got = run_jobs([(g, sweep_job(g, 1000, source)) for g in groups])
     assert got == [_least_sweep(g, 1000, sieve_cap=100) for g in groups]
     assert all(capped for _, _, capped in got)
