@@ -127,6 +127,10 @@ class ClassGroup:
 
     def orders(self) -> tuple[int, ...]:
         """Invariant factor orders (n_1, ..., n_k)."""
+        return self._orders
+
+    @cached_property
+    def _orders(self) -> tuple[int, ...]:
         return tuple(n for _, n in self.basis)
 
 
@@ -213,15 +217,27 @@ class _Presentation(NamedTuple):
     at: np.ndarray  # class index at each position
     vec: np.ndarray  # (h, m): vector of each class
 
-    def index(self, c: np.ndarray) -> np.ndarray:
-        """Class index of each integer vector (last axis), by carrying from
-        the last component to the first."""
-        c = np.array(c, dtype=np.int64)
-        pos = np.zeros(c.shape[:-1], dtype=np.int64)
+    def locate(self, c: list[int]) -> int:
+        """Class index of one integer vector, carried as in index but on
+        Python ints."""
+        c, rel = list(c), self.rel.tolist()
+        pos = 0
         for i in range(len(self.radix) - 1, -1, -1):
-            carry, c[..., i] = np.divmod(c[..., i], self.radix[i])
-            c[..., :i] += carry[..., None] * self.rel[i, :i]
-            pos = pos * self.radix[i] + c[..., i]
+            carry, c[i] = divmod(c[i], self.radix[i])
+            for j in range(i):
+                c[j] += carry * rel[i][j]
+            pos = pos * self.radix[i] + c[i]
+        return int(self.at[pos])
+
+    def index(self, c: np.ndarray) -> np.ndarray:
+        """Class index of each int64 vector (last axis), by carrying from
+        the last component to the first; c is overwritten."""
+        pos = 0
+        for i in range(len(self.radix) - 1, -1, -1):
+            carry, digit = np.divmod(c[..., i], self.radix[i])
+            if i:
+                c[..., :i] += carry[..., None] * self.rel[i, :i]
+            pos = pos * self.radix[i] + digit
         return self.at[pos]
 
 
@@ -267,23 +283,25 @@ def _presentation(g: ClassGroup) -> _Presentation:
     return _Presentation(tuple(radix), rel, np.array(at, dtype=np.int64), vec)
 
 
-def _peel(p: _Presentation, q: int, e: int) -> list[tuple[int, int]]:
+def _peel(
+    p: _Presentation, sylow: list[int], q: int, times_q: list[int]
+) -> list[tuple[int, int]]:
     """Cyclic basis of the q-Sylow subgroup, orders descending.
 
-    Greedy peeling: repeatedly take the element of maximal order in the
-    quotient by the span so far (the first in index order among ties),
-    adjust it by earlier generators so the span splits as a direct sum,
-    and extend the span table.  All group arithmetic is on the vectors
-    of the presentation.
+    sylow lists its classes in index order and times_q[x] is the class of
+    q x.  Greedy peeling: repeatedly take the element of maximal order in
+    the quotient by the span so far (the first in index order among
+    ties), adjust it by earlier generators so the span splits as a direct
+    sum, and extend the span.  The order search and the adjustment are
+    on Python ints; the layers a generator adds are one numpy map.
     """
-    h = len(p.at)
-    sylow = sorted(set(p.index(p.vec * (h // q**e)).tolist()))
-    times_q = p.index(p.vec * q).tolist()
-    members = np.zeros(1, dtype=np.int64)  # the span, class 0 first
-    in_span = [True] + [False] * (h - 1)
-    coord = np.zeros((h, 0), dtype=np.int64)  # coordinates of span members
+    in_span = [True] + [False] * (len(p.at) - 1)
+    # the span: members[sum_i c_i * prod(t_0, ..., t_{i-1})] is the class
+    # sum_i c_i g_i, for the generators g_i of orders t_i found so far
+    members = [0]
     gens: list[tuple[int, int]] = []
     while len(members) < len(sylow):
+        bound = len(sylow) // len(members)  # the order of the quotient
         best_x = best_t = best_y = -1
         for x in sylow:
             if in_span[x]:
@@ -294,52 +312,65 @@ def _peel(p: _Presentation, q: int, e: int) -> list[tuple[int, int]]:
                 t *= q
             if t > best_t:
                 best_x, best_t, best_y = x, t, y
-        x, t, tail = best_x, best_t, coord[best_y]
-        # t x lands in the span with coordinates `tail`; maximality of the
-        # quotient order guarantees t divides every coordinate, so x can be
+                if t == bound:  # no later class can beat it
+                    break
+        x, t, place = best_x, best_t, members.index(best_y)
+        # t x lands in the span at `place`; maximality of the quotient
+        # order guarantees t divides every coordinate there, so x can be
         # shifted by earlier generators to have honest order t.
-        if (tail % t).any():
-            raise InvariantViolation("abelian basis peeling invariant violated")
-        adj = int(p.index(p.vec[x] - (tail // t) @ p.vec[[gi for gi, _ in gens]]))
+        shift = p.vec[x].tolist()
+        for gi, n in gens:
+            place, c = divmod(place, n)
+            if c % t:
+                raise InvariantViolation("abelian basis peeling invariant violated")
+            shift = [a - c // t * b for a, b in zip(shift, p.vec[gi].tolist())]
+        adj = p.locate(shift)
         gens.append((adj, t))
-        # layer j of the new span is the old span plus j adj
-        layers = p.index(p.vec[members] + np.arange(t)[:, None, None] * p.vec[adj])
-        old = coord[members]
-        members = layers.ravel()
-        coord = np.zeros((h, len(gens)), dtype=np.int64)
-        coord[members, :-1] = np.tile(old, (t, 1))
-        coord[members, -1] = np.repeat(np.arange(t), len(old))
-        in_span = np.bincount(members, minlength=h).tolist()
-        if max(in_span) > 1:
-            raise InvariantViolation(f"span of {len(members)} classes has repeats")
+        # layers j = 1, ..., t - 1 of the new span: the old span plus j adj
+        steps = np.arange(1, t, dtype=np.int64)[:, None, None] * p.vec[adj]
+        layers = p.index(p.vec[members] + steps).ravel().tolist()
+        for c in layers:
+            if in_span[c]:
+                raise InvariantViolation(f"span of {len(members) * t} classes has repeats")
+            in_span[c] = True
+        members += layers
     return gens  # orders descending by construction
 
 
 def group_structure(g: ClassGroup) -> ClassGroup:
     """Fill basis (invariant factors, ascending) and the coords table.
 
-    One walk of h - 1 compositions presents the group; the peeling of
-    each Sylow subgroup, the CRT merge and the coordinate table are then
-    integer arithmetic on the presentation.  ClassGroup calls this on
-    first read of basis, coords or orders(); calling it directly forces
-    the computation, and again does nothing.
+    One walk of h - 1 compositions presents the group.  Each Sylow
+    subgroup and its times-q map come from one numpy map of the whole
+    group; the peeling, the CRT merge of the Sylow bases and the
+    generators' vectors are Python int steps; the coordinate table is one
+    more whole-group map.  ClassGroup calls this on first read of basis,
+    coords or orders(); calling it directly forces the computation, and
+    again does nothing.
     """
     if g._basis is not None:
         return g
     p = _presentation(g)
-    per_prime = [_peel(p, q, e) for q, e in sorted(_factorize(g.h).items())]
+    primes = sorted(_factorize(g.h).items())
+    # rows 2i and 2i + 1: (h / q^e) x, onto the q-Sylow subgroup, and q x
+    scales = np.array([k for q, e in primes for k in (g.h // q**e, q)], dtype=np.int64)
+    scaled = p.index(p.vec * scales[:, None, None]).tolist()
+    per_prime = [
+        _peel(p, sorted(set(scaled[2 * i])), q, scaled[2 * i + 1])
+        for i, (q, _) in enumerate(primes)
+    ]
     width = max(len(comp) for comp in per_prime)
     # j-th largest cyclic factors across primes multiply (CRT) into the
     # j-th largest invariant factor
     factors: list[tuple[int, int]] = []
     for j in range(width):
-        gen, order = np.zeros(len(p.radix), dtype=np.int64), 1
+        gen, order = [0] * len(p.radix), 1
         for comp in per_prime:
             if j < len(comp):
                 gi, n = comp[j]
-                gen += p.vec[gi]
+                gen = [a + b for a, b in zip(gen, p.vec[gi].tolist())]
                 order *= n
-        factors.append((int(p.index(gen)), order))
+        factors.append((p.locate(gen), order))
     factors.reverse()  # ascending: n_1 | n_2 | ... | n_k
     # row r of grid: the coordinates of C-order position r on the grid
     grid = np.indices([n for _, n in factors]).reshape(len(factors), -1).T

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import NamedTuple, Optional, Sequence
@@ -592,7 +593,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.out_stream = fh
                 return args.func(args)
         args.out_stream = sys.stdout
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a reader gone early raises here, not at exit
+        return rc
+    except BrokenPipeError:
+        # the reader of stdout exited early, as head does: point stdout at
+        # devnull so that the interpreter's final flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -255,9 +255,11 @@ def test_ideal_class_is_translation_invariant(d, data):
 # group_structure against the composition-based reference peeling
 
 # every fundamental D in [-2000, -3] (-84 and -420 among them), then
-# 3 x 9, 2 x 2 x 2 x 2 and two groups of h = 1275 and 1221 (primes-1e7 pool)
+# 3 x 9, 2 x 2 x 2 x 2, two groups of h = 1275 and 1221 (primes-1e7 pool),
+# h = 6563 (large-h, a walk of width 1), 6 x 24 (walk radix (2, 6, 6, 2))
+# and 2 x 2 x 24 (a walk of width 4)
 ORACLE_DISCS = [d for d in range(-2000, -2) if is_fundamental(d)] + [
-    -3299, -5460, -10000019, -10022939,
+    -3299, -5460, -10000019, -10022939, -10289639, -100036, -100020,
 ]
 
 

@@ -271,12 +271,35 @@ def test_flags_only_where_used(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports classprime from this checkout."""
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports classprime from
+    this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports classprime from this checkout."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=_checkout_env()
+    )
+
+
+def test_closed_output_pipe_exits_141_without_traceback():
+    # 6563 rows, more than the pipe holds, so the CLI is still writing
+    # when the reader leaves after three lines, as `| head -3` does
+    argv = [sys.executable, "-m", "classprime.cli", "forms", "--disc", "-10289639"]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_checkout_env()
+    )
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert lines == ["class_index,a,b,c\n", "0,1,1,2572410\n", "1,2,-1,1286205\n"]
+    assert err == ""
 
 
 def test_import_leaves_scipy_unloaded():
@@ -636,6 +659,18 @@ def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
     assert out.splitlines() == [line for line in want if not line.startswith("-1003,")]
 
 
+def test_scan_classifies_in_few_rounds(monkeypatch, capsys):
+    # one arith.interval_classes call per round of stats.run_jobs: rounds
+    # of 2^18 lattice points take about 96 calls, rounds of 2^16 took 336
+    calls = []
+    real = arith.interval_classes
+    monkeypatch.setattr(arith, "interval_classes", lambda requests: calls.append(1) or real(requests))
+    rc, out, _ = run_cli(["scan", "--range", "-2000", "-3"], capsys)
+    assert rc == 0
+    assert out == (GOLDEN / "scan_-2000_-3.csv").read_text()
+    assert 0 < len(calls) <= 100
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--range", "-300", "-3"],
     ["scan", "--range", "-300", "-3", "--x-rule", "5000", "--t-rule", "50"],
@@ -680,8 +715,9 @@ def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
 
 
 def test_scan_memory_stays_bounded(capsys):
-    # tracemalloc peak 3.9 MiB before batching; a batch holds at most
-    # stats._ROUND_POINTS psi lattice points and a table of the primes up to 2^21
+    # tracemalloc peak 3.9 MiB before batching, 4.4 MiB now; a batch holds
+    # at most stats._ROUND_POINTS (2^18) psi lattice points and a table of
+    # the primes up to 2^21, and 2^20 points reached 7.9 MiB
     tracemalloc.start()
     try:
         rc = cli.main(["scan", "--range", "-2000", "-3", "--out", os.devnull])
