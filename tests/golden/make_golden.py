@@ -7,7 +7,8 @@ transform and the scan-row builder were consolidated; the cases at
 D = -10000019 and the scan over [-2000, -3] were frozen before that step
 became array code; the remaining criterion-3 variance cases and the
 heegner tables were frozen before the class group computed its structure
-on first use.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
+on first use; forms at D = -340340 and variance at D = -1000020 were frozen
+before group_structure's walk composed by array maps.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
 output.
 """
 from __future__ import annotations
@@ -55,6 +56,13 @@ def _cases() -> list[tuple[str, list[str]]]:
                 ))
     for d in (-23, -84, -3299):
         cases.append((f"heegner_{d}.json", ["heegner", "--disc", str(d), "--format", "json"]))
+    # non-cyclic groups with h >= 256, frozen before group_structure's walk
+    # became array maps: the greedy basis orders psi_by_char_abs
+    cases.append(("forms_-340340.json", ["forms", "--disc", "-340340", "--format", "json"]))
+    cases.append((
+        "variance_-1000020_1e5_bump.json",
+        ["variance", "--disc", "-1000020", "--t", "1e5", "--format", "json"],
+    ))
     return cases
 
 
