@@ -24,7 +24,6 @@ from .qform import (
     _reduce_triple,
     compose,
     identity_form,
-    opposite,
     validate_discriminant,
 )
 
@@ -44,69 +43,94 @@ class ClassGroup:
     h: int
     nonfundamental: bool = False
     _index: dict = field(default_factory=dict, repr=False)
-    # filled by group_structure() on first read of basis, coords or orders()
+    # (3, h) int64 a, b, c of the elements; enumerate_reduced_forms fills it
+    _abc: Optional[np.ndarray] = field(default=None, repr=False)
+    # filled by group_structure() on first read of basis, coords, orders(),
+    # position or a coordinate step
     _basis: Optional[tuple[tuple[int, int], ...]] = field(default=None, repr=False)
     _coords: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
+    _position: Optional[np.ndarray] = field(default=None, repr=False)
+    _class_at: Optional[list[int]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.h == 1:  # the trivial group: no generators, one empty coordinate vector
             self._basis, self._coords = (), ((),)
+            self._position, self._class_at = _frozen(np.zeros(1, dtype=np.intp)), [0]
+
+    def _structured(self) -> ClassGroup:
+        if self._basis is None:
+            group_structure(self)
+        return self
 
     @property
     def basis(self) -> tuple[tuple[int, int], ...]:
         """(element index, order) per invariant factor, orders ascending n_1 | n_2 | ..."""
-        if self._basis is None:
-            group_structure(self)
-        return self._basis
+        return self._structured()._basis
 
     @property
     def coords(self) -> tuple[tuple[int, ...], ...]:
         """Exponents of each class against the basis."""
-        if self._coords is None:
-            group_structure(self)
-        return self._coords
+        return self._structured()._coords
+
+    @property
+    def position(self) -> np.ndarray:
+        """C-order position of each class on the grid of shape orders(),
+        which is (1,) for the trivial group."""
+        return self._structured()._position
+
+    @property
+    def abc(self) -> np.ndarray:
+        """(3, h) int64 array of the elements' a, b and c, in index order."""
+        if self._abc is None:
+            self._abc = _frozen(np.array(self.elements, dtype=np.int64).reshape(-1, 3).T)
+        return self._abc
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """a * 2^32 + b of each element, ascending as the elements are."""
+        a, b, _ = self.abc
+        return (a << 32) + b
+
+    def _permutation(self, what: str, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Class index of each of h reduced forms (a, b, c) that must be
+        the elements in some order: sorted by their (a, b) keys they are
+        the elements, c included.  Otherwise InvariantViolation, naming a
+        form that is not an element if there is one."""
+        keys = (a << 32) + b
+        order = np.argsort(keys)
+        if np.array_equal(keys[order], self._keys) and np.array_equal(c[order], self.abc[2]):
+            idx = np.empty(self.h, dtype=np.int64)
+            idx[order] = np.arange(self.h)
+            return idx
+        i = np.minimum(np.searchsorted(self._keys, keys), self.h - 1)
+        missing = np.flatnonzero((self._keys[i] != keys) | (self.abc[2, i] != c))
+        if missing.size:
+            k = missing[0]
+            f = QuadForm(int(a[k]), int(b[k]), int(c[k]))
+            raise InvariantViolation(f"{what} {f} is not a class of {self.disc.value}")
+        raise InvariantViolation(f"{what}s of the classes repeat a class of {self.disc.value}")
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        """Index of each class's inverse, the class of (a, -b, c)."""
-        inv = [self._index[tuple(opposite(f))] for f in self.elements]
-        inv = np.array(inv, dtype=np.int64)
-        inv.flags.writeable = False
-        return inv
+        """Index of each class's inverse, the class of (a, -b, c): that
+        form itself is reduced unless b = 0, b = a or a = c, where the
+        class is its own inverse."""
+        a, b, c = self.abc
+        twin = (b != 0) & (b != a) & (a != c)
+        return _frozen(self._permutation("inverse", a, np.where(twin, -b, b), c))
 
     @cached_property
     def box_forms(self) -> np.ndarray:
         """(a, b, c, index) of each element with b >= 0, one per class up
         to inversion: the forms whose values arith.interval_classes marks."""
-        rows = [(*f, i) for i, f in enumerate(self.elements) if f.b >= 0]
-        forms = np.array(rows, dtype=np.int64).reshape(-1, 4)
-        forms.flags.writeable = False
-        return forms
+        rows = np.vstack([self.abc, np.arange(self.h, dtype=np.int64)])
+        return _frozen(rows[:, rows[1] >= 0].T.copy())
 
     def index_of(self, f: QuadForm) -> int:
         key = (f.a, f.b, f.c)
         if key not in self._index:
             raise KeyError(f"{f} is not a reduced form of discriminant {self.disc.value}")
         return self._index[key]
-
-    @cached_property
-    def position(self) -> np.ndarray:
-        """C-order position of each class on the grid of shape orders(),
-        which is (1,) for the trivial group."""
-        if self.h == 1:
-            pos = np.zeros(1, dtype=np.intp)
-        else:
-            coords = np.array(self.coords, dtype=np.intp)
-            pos = np.ravel_multi_index(tuple(coords.T), self.orders())
-        pos.flags.writeable = False
-        return pos
-
-    @cached_property
-    def _class_at(self) -> list[int]:
-        at = [0] * self.h
-        for i, p in enumerate(self.position.tolist()):
-            at[p] = i
-        return at
 
     def compose_idx(self, i: int, j: int) -> int:
         """Class of the product: coordinates add modulo orders()."""
@@ -132,6 +156,11 @@ class ClassGroup:
     @cached_property
     def _orders(self) -> tuple[int, ...]:
         return tuple(n for _, n in self.basis)
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
 
 
 # (a, b) pairs per array pass of enumerate_reduced_forms
@@ -181,12 +210,14 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
         a, b, c = a[ok], b[ok], c[ok]
         twin = (0 < b) & (b < a) & (c > a)
         found += [np.stack([a, b, c]), np.stack([a[twin], -b[twin], c[twin]])]
-    a, b, c = np.concatenate(found, axis=1)
-    order = np.lexsort((b, a))
-    forms = list(map(QuadForm, a[order].tolist(), b[order].tolist(), c[order].tolist()))
+    abc = np.concatenate(found, axis=1)
+    abc = _frozen(abc[:, np.lexsort((abc[1], abc[0]))])
+    forms = list(map(QuadForm, *abc.tolist()))
     if not forms or forms[0] != identity_form(dv):
         raise InvariantViolation(f"identity form missing from the forms of {dv}")
-    g = ClassGroup(disc=d, elements=tuple(forms), h=len(forms), nonfundamental=nonfund)
+    g = ClassGroup(
+        disc=d, elements=tuple(forms), h=len(forms), nonfundamental=nonfund, _abc=abc
+    )
     g._index = {(f.a, f.b, f.c): i for i, f in enumerate(forms)}
     return g
 
@@ -241,20 +272,106 @@ class _Presentation(NamedTuple):
         return self.at[pos]
 
 
-def _presentation(g: ClassGroup) -> _Presentation:
-    """Walk the group with h - 1 compositions.
+# Class number from which group_structure's walk multiplies by a walk
+# generator with one array map of the whole group (_compose_map) rather
+# than one compose call per class.  A map has a fixed numpy cost of
+# about 60-100 compose calls, paid once per walk generator: cyclic
+# groups gain from about h = 70, walks of 5 or 6 generators from about
+# h = 300, and every group of scan --range -2000 -3 (h <= 56) stays below.
+_ARRAY_WALK_H = 256
 
-    Take the first class x outside the span so far, in index order, and
-    extend the span by the cosets span * x^j until x^k lands in the span.
+
+def _bezout(x: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
+    """(gcd(x, m), u) with u x = gcd(x, m) (mod m), elementwise, for
+    0 <= x < m: Euclid on (m, x), keeping the coefficients of x."""
+    r0, r1 = np.broadcast_to(m, x.shape).copy(), x.copy()
+    s0, s1 = np.zeros_like(x), np.ones_like(x)
+    while True:
+        live = r1 != 0
+        if not live.any():
+            return r0, s0
+        q = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, 0)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
+
+
+def _reduce_arrays(dv: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Reduced (a, b, c) of each form (a, b, .) of discriminant dv: move b
+    into (-a, a], swap a and c where a > c, and repeat on the swapped."""
+    a, b = a.copy(), b.copy()
+    c = np.empty_like(a)
+    todo = np.arange(len(a))
+    while todo.size:
+        ta, tb = a[todo], b[todo]
+        tb = tb + 2 * ((ta - tb) // (2 * ta)) * ta
+        tc = (tb * tb - dv) // (4 * ta)
+        swap = ta > tc
+        a[todo] = np.where(swap, tc, ta)
+        b[todo] = np.where(swap, -tb, tb)
+        c[todo] = np.where(swap, ta, tc)
+        todo = todo[swap]
+    b[(a == c) & (b < 0)] *= -1
+    return a, b, c
+
+
+def _compose_map(g: ClassGroup, x: int) -> np.ndarray:
+    """Class of each class times class x, for the whole group at once.
+
+    Dirichlet composition (Cohen, A Course in Computational Algebraic
+    Number Theory, Algorithm 5.4.7) of every form (a, b, c) with x's form
+    (ell, bx, cx) in int64, then reduction and lookup; a composite that
+    is not an element raises InvariantViolation.  int64 holds for
+    |D| < 2^31: a reduced form has a <= sqrt(|D|/3) <= 26755, so the
+    composite has a3 = ell a / d1^2 <= 7.2e8, |b3| <= a + 2 ell a and
+    b3^2 < 2.1e18, and the products that make r have factors below a + ell.
     """
-    h, elements = g.h, g.elements
+    dv = g.disc.value
+    a, b, c = g.abc
+    ell, bx, _ = g.elements[x]
+    s = (b + bx) // 2  # b = bx (mod 2)
+    # y1 a = d (mod ell) for d = gcd(a, ell), looked up by a mod ell
+    gcds, coefs = _bezout(np.arange(ell), ell)
+    d, y1 = gcds[a % ell], coefs[a % ell]
+    # x2 s + v d = d1 = gcd(s, d), so x2 = 0 and d1 = 1 where d = 1
+    d1, x2 = np.ones_like(a), np.zeros_like(a)
+    k = np.flatnonzero(d > 1)
+    d1[k], x2[k] = _bezout(s[k] % d[k], d[k])
+    y2 = (x2 * s - d1) // d  # -v
+    v1, v2 = ell // d1, a // d1
+    r = ((y1 * y2 % v1) * ((b - s) % v1) - x2 * (c % v1)) % v1
+    a3, b3 = v1 * v2, b + 2 * v2 * r
+    if np.any((b3 * b3 - dv) % (4 * a3)):
+        raise InvariantViolation(f"composition with {g.elements[x]} is not integral")
+    return g._permutation("composite", *_reduce_arrays(dv, a3, b3))
 
-    def lookup(f: QuadForm) -> int:
+
+class _Composer:
+    """Class of s x for a class s, by one compose call: the map that
+    _compose_map tabulates, for groups below _ARRAY_WALK_H."""
+
+    def __init__(self, g: ClassGroup, x: int):
+        self.g, self.fx = g, g.elements[x]
+
+    def __getitem__(self, s: int) -> int:
+        g = self.g
+        f = compose(g.elements[s], self.fx)
         i = g._index.get(tuple(f))
         if i is None:
             raise InvariantViolation(f"composite {f} is not a class of {g.disc.value}")
         return i
 
+
+def _presentation(g: ClassGroup) -> _Presentation:
+    """Walk the group, one multiplication by a walk generator per class.
+
+    Take the first class x outside the span so far, in index order, and
+    extend the span by the cosets span * x^j, j = 1, ..., k - 1, where
+    x^k is the first power of x in the span.  Below _ARRAY_WALK_H
+    classes each multiplication is a compose call: h - 1 of them, as x
+    itself needs none.  From _ARRAY_WALK_H on, each walk generator costs
+    one _compose_map, and the multiplications are list lookups in it.
+    """
+    h = g.h
     at = [0]  # span in position order
     pos = [-1] * h
     pos[0] = 0
@@ -262,21 +379,34 @@ def _presentation(g: ClassGroup) -> _Presentation:
     landed: list[int] = []
     x = 0
     while len(at) < h:
-        while pos[x] >= 0:
-            x += 1
-        n, fx = len(at), elements[x]
-        power, i = fx, x  # x^j as a form and as a class
-        while pos[i] < 0:
-            for s in at[:n]:
-                c = i if s == 0 else lookup(compose(elements[s], power))
-                if pos[c] >= 0:
-                    raise InvariantViolation(f"cosets of the span overlap at {elements[c]}")
-                pos[c] = len(at)
-                at.append(c)
-            power = compose(power, fx)
-            i = lookup(power)
-        radix.append(len(at) // n)
-        landed.append(pos[i])
+        x = pos.index(-1, x)
+        n = len(at)
+        times_x = _compose_map(g, x).tolist() if h >= _ARRAY_WALK_H else _Composer(g, x)
+        p, powers = x, []  # x, ..., x^(k-1), then p = x^k
+        for _ in range(h // n - 1):  # k n <= h
+            powers.append(p)
+            p = times_x[p]
+            if pos[p] >= 0:
+                break
+        else:
+            raise InvariantViolation(f"cosets of the span overlap at {g.elements[p]}")
+
+        def orbit(s: int) -> list[int]:  # s x, ..., s x^(k-1)
+            out = []
+            for _ in powers:
+                s = times_x[s]
+                out.append(s)
+            return out
+
+        # coset j lists s x^j for the span's s in position order
+        cosets = list(itertools.chain.from_iterable(zip(powers, *map(orbit, at[1:]))))
+        for place, c in enumerate(cosets, n):
+            if pos[c] >= 0:
+                raise InvariantViolation(f"cosets of the span overlap at {g.elements[c]}")
+            pos[c] = place
+        at += cosets
+        radix.append(len(powers) + 1)
+        landed.append(pos[p])
     weights = np.cumprod([1] + radix[:-1])
     rel = np.array(landed, dtype=np.int64)[:, None] // weights % radix
     vec = np.array(pos, dtype=np.int64)[:, None] // weights % radix
@@ -338,15 +468,18 @@ def _peel(
 
 
 def group_structure(g: ClassGroup) -> ClassGroup:
-    """Fill basis (invariant factors, ascending) and the coords table.
+    """Fill basis (invariant factors, ascending), the coords table and
+    each class's grid position.
 
-    One walk of h - 1 compositions presents the group.  Each Sylow
-    subgroup and its times-q map come from one numpy map of the whole
-    group; the peeling, the CRT merge of the Sylow bases and the
-    generators' vectors are Python int steps; the coordinate table is one
-    more whole-group map.  ClassGroup calls this on first read of basis,
-    coords or orders(); calling it directly forces the computation, and
-    again does nothing.
+    One walk presents the group (_presentation): h - 1 compositions
+    below _ARRAY_WALK_H classes, one array map per walk generator from
+    there on.  Each Sylow subgroup and its times-q map come from one
+    numpy map of the whole group; the peeling, the CRT merge of the Sylow
+    bases and the generators' vectors are Python int steps; the
+    coordinate grid is one more whole-group map, and its inverse is the
+    grid position.  ClassGroup calls this on first read of basis, coords,
+    orders() or position; calling it directly forces the computation,
+    and again does nothing.
     """
     if g._basis is not None:
         return g
@@ -379,8 +512,11 @@ def group_structure(g: ClassGroup) -> ClassGroup:
         raise InvariantViolation("basis does not span the class group")
     coords = np.empty_like(grid)
     coords[at] = grid
+    position = np.empty(g.h, dtype=np.intp)
+    position[at] = np.arange(g.h)
     g._basis = tuple(factors)
     g._coords = tuple(zip(*coords.T.tolist()))
+    g._position, g._class_at = _frozen(position), at.tolist()
     return g
 
 

@@ -268,6 +268,20 @@ def _psi_add_small_primes(
             k += 1
 
 
+# Values per slice of the scalar math.log and math.exp maps, so that a
+# part's Python numbers are never all alive at once
+_MAP_SLICE = 4096
+
+
+def _map_scalar(fn, x: np.ndarray) -> np.ndarray:
+    """fn on each entry of x as a Python number, in slices of _MAP_SLICE."""
+    out = np.empty(len(x))
+    for i in range(0, len(x), _MAP_SLICE):
+        part = x[i:i + _MAP_SLICE]
+        out[i:i + len(part)] = np.fromiter(map(fn, part.tolist()), float, len(part))
+    return out
+
+
 def _weights(w: Weight, x: np.ndarray) -> np.ndarray:
     """weight_eval(w, x) for each x, bit for bit: the IEEE arithmetic in
     numpy, which rounds as Python does, and math.exp on each value."""
@@ -276,8 +290,7 @@ def _weights(w: Weight, x: np.ndarray) -> np.ndarray:
     out = np.zeros(len(x))
     inside = (x > 1.0) & (x < 2.0)
     xi = x[inside]
-    arg = -1.0 / ((xi - 1.0) * (2.0 - xi))
-    out[inside] = w.normalization * np.fromiter(map(math.exp, arg.tolist()), float, len(arg))
+    out[inside] = w.normalization * _map_scalar(math.exp, -1.0 / ((xi - 1.0) * (2.0 - xi)))
     return out
 
 
@@ -287,8 +300,7 @@ def _psi_add_segment(
     """Add the first powers of segment primes (higher powers exceed 2T)."""
     kept = chis != -1  # inert p has norm p^2 > 2T
     ps, cls = primes[kept], idxs[kept]
-    logs = np.fromiter(map(math.log, ps.tolist()), float, len(ps))
-    lw = logs * _weights(w, ps / T)
+    lw = _map_scalar(math.log, ps) * _weights(w, ps / T)
     # row i: prime i's class, then its conjugate's; C order adds them
     # prime by prime, as a per-prime loop would.  A ramified prime's second
     # term is 0.0, as is every term of zero weight, which the loop skips:
@@ -405,12 +417,14 @@ def variance(g: ClassGroup, T: float, w: Weight, **kw) -> float:
 def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
     """_least_sweep as a job of run_jobs.
 
-    Asks for the source's parts of the norms up to 16h + 64 first, then
-    of norm intervals that double, and stops after the part that fills
-    the last class: later primes cannot improve either vector.  So the
-    source sieves only about as far as the sweep reaches.  The norm
-    variant differs only at the principal class, which inert primes reach
-    with norm p^2.
+    Asks for the source's parts of the norms up to 16h + 64 first, that
+    end doubled until it reaches |D|/4, below which the principal class
+    holds no prime, then of norm intervals that double, and stops after
+    the part that fills the last class: later primes cannot improve
+    either vector.  So the source sieves only about as far as the sweep
+    reaches, and it classifies the same primes as if it had started at
+    16h + 64.  The norm variant differs only at the principal class,
+    which inert primes reach with norm p^2.
     """
     hi = math.ceil(x_cap) - 1
     top = min(hi, source.cap)
@@ -433,7 +447,12 @@ def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
         least[new] = first[new]
         return int(np.count_nonzero(new))
 
+    # the principal form's values are (2x + b y)^2/4 + |D| y^2/4: squares
+    # where y = 0, at least |D|/4 elsewhere, so the principal class holds
+    # no prime below |D|/4
     lo, end = 2, 16 * g.h + 64
+    while 4 * end < -g.disc.value:
+        end *= 2
     while lo <= top and filled < g.h:
         for primes in source.parts(lo, min(end, top)):
             filled += take(primes, *(yield primes))

@@ -17,12 +17,14 @@ from classprime.classgroup import (
     group_structure,
     ideal_class_of,
 )
+from classprime import qform
 from classprime.qform import (
     InvariantViolation,
     QuadForm,
     compose,
     identity_form,
     is_fundamental,
+    opposite,
     power,
     validate_discriminant,
 )
@@ -256,11 +258,20 @@ def test_ideal_class_is_translation_invariant(d, data):
 
 # every fundamental D in [-2000, -3] (-84 and -420 among them), then
 # 3 x 9, 2 x 2 x 2 x 2, two groups of h = 1275 and 1221 (primes-1e7 pool),
-# h = 6563 (large-h, a walk of width 1), 6 x 24 (walk radix (2, 6, 6, 2))
-# and 2 x 2 x 24 (a walk of width 4)
+# h = 6563 (large-h, a walk of width 1), 6 x 24 (walk radix (2, 6, 6, 2)),
+# 2 x 2 x 24 (a walk of width 4), and from classgroup._ARRAY_WALK_H on
+# 2 x 2 x 2 x 2 x 18, 2 x 2 x 2 x 40, 2 x 2 x 64 and two non-fundamental
+# D whose conductor 2 divides: (2, 2, 2, 2, 16) and (2, 132)
 ORACLE_DISCS = [d for d in range(-2000, -2) if is_fundamental(d)] + [
     -3299, -5460, -10000019, -10022939, -10289639, -100036, -100020,
+    -340340, -1000020, -200004, -1021020, -1200012,
 ]
+
+
+def test_oracle_discs_cover_both_walks():
+    hs = [enumerate_reduced_forms(d, strict=False).h for d in ORACLE_DISCS]
+    assert min(hs) < classgroup._ARRAY_WALK_H <= max(hs)
+    assert sum(h >= classgroup._ARRAY_WALK_H for h in hs) == 8
 
 
 def test_structure_matches_reference_peeling():
@@ -284,6 +295,68 @@ def test_structure_makes_at_most_h_compositions(d, monkeypatch):
     monkeypatch.setattr(ClassGroup, "power_idx", refuse)
     g = group_structure(enumerate_reduced_forms(d, strict=False))
     assert 0 < len(calls) <= g.h
+
+
+def _walk_generators(g: ClassGroup) -> list[int]:
+    """The walk's generators x_i: the classes at positions prod(radix[:i])."""
+    p = classgroup._presentation(g)
+    return [int(p.at[math.prod(p.radix[:i])]) for i in range(len(p.radix))]
+
+
+# three |D| just below 2^31, the limit of the prime -> class step
+# (h = 19865, 6942 and 17408), where int64 is tightest
+INT64_EDGE_DISCS = [-2147483647, -2147483643, -2147483640]
+
+
+@pytest.mark.parametrize(
+    "discs", [ORACLE_DISCS, *([d] for d in INT64_EDGE_DISCS)],
+    ids=["oracle", *map(str, INT64_EDGE_DISCS)],
+)
+def test_compose_map_is_form_composition(discs):
+    # every class times every walk generator, on both sides of
+    # _ARRAY_WALK_H: the array map is the class of the composed form
+    for d in discs:
+        g = enumerate_reduced_forms(d, strict=False)
+        for x in _walk_generators(g):
+            fx = g.elements[x]
+            want = [g.index_of(compose(f, fx)) for f in g.elements]
+            assert classgroup._compose_map(g, x).tolist() == want, (d, x)
+
+
+@pytest.mark.parametrize("d", [-3299, -2700, -100020, -1200012])
+def test_compose_map_for_every_class_as_x(d):
+    # x whose a is not prime, so that 1 < gcd(a, ell) < ell for some a
+    g = enumerate_reduced_forms(d, strict=False)
+    for x, fx in enumerate(g.elements):
+        want = [g.index_of(compose(f, fx)) for f in g.elements]
+        assert classgroup._compose_map(g, x).tolist() == want, (d, x)
+
+
+def test_structure_compositions_by_walk_side(monkeypatch):
+    counted = []
+    real = qform.compose
+    counting = lambda f, k: counted.append(1) or real(f, k)
+    monkeypatch.setattr(qform, "compose", counting)
+    monkeypatch.setattr(classgroup, "compose", counting)
+    # the parent composed 6562 times here
+    g = group_structure(enumerate_reduced_forms(-10289639))
+    assert g.h >= classgroup._ARRAY_WALK_H and counted == []
+    g = group_structure(enumerate_reduced_forms(-1999))
+    assert g.h < classgroup._ARRAY_WALK_H and len(counted) == g.h - 1
+
+
+def test_inverse_position_and_box_forms_from_the_form_arrays():
+    # the arrays enumerate_reduced_forms builds against the QuadForm path
+    for d in (-23, -84, -3299, -5460, -340340, -1021020, -10289639):
+        g = group_structure(enumerate_reduced_forms(d, strict=False))
+        assert g.inverse.tolist() == [g.index_of(opposite(f)) for f in g.elements]
+        rows = [(*f, i) for i, f in enumerate(g.elements) if f.b >= 0]
+        assert g.box_forms.tolist() == [list(r) for r in rows]
+        grid = np.ravel_multi_index(tuple(np.array(g.coords).T), g.orders())
+        assert g.position.tolist() == grid.tolist()
+        assert [g._class_at[p] for p in g.position.tolist()] == list(range(g.h))
+        built = ClassGroup(disc=g.disc, elements=g.elements, h=g.h, _index=g._index)
+        assert np.array_equal(built.abc, g.abc)
 
 
 def test_structure_of_a_broken_group_is_an_invariant_violation():

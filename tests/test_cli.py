@@ -313,9 +313,13 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_invariant_checks_survive_python_O():
-    # (5, 9, 5) has discriminant -19 but is not reduced: its CM point has re = -0.9
+    # (5, 9, 5) has discriminant -19 but is not reduced: its CM point has
+    # re = -0.9.  -340340 less its last form has h = 287, on the array
+    # side of the walk, and some class times the first walk generator is
+    # the missing form
     code = textwrap.dedent(
         """
+        from classprime import classgroup
         from classprime.classgroup import ClassGroup
         from classprime.heegner import heegner_point
         from classprime.qform import InvariantViolation, QuadForm, validate_discriminant
@@ -326,11 +330,24 @@ def test_invariant_checks_survive_python_O():
             heegner_point(g, 0)
         except InvariantViolation as exc:
             print("raised:", exc)
+        full = classgroup.enumerate_reduced_forms(-340340)
+        forms = full.elements[:-1]
+        g = ClassGroup(
+            disc=full.disc, elements=forms, h=len(forms),
+            _index={tuple(f): i for i, f in enumerate(forms)},
+        )
+        if g.h >= classgroup._ARRAY_WALK_H:
+            try:
+                classgroup.group_structure(g)
+            except InvariantViolation as exc:
+                print("raised:", exc)
         """
     )
     res = _python("-O", "-c", code)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("raised:")
+    first, second = res.stdout.splitlines()
+    assert first.startswith("raised:")
+    assert second.startswith("raised: composite (") and second.endswith("is not a class of -340340")
 
 
 def test_sieve_cap_exit_2(capsys):
@@ -661,7 +678,8 @@ def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
 
 def test_scan_classifies_in_few_rounds(monkeypatch, capsys):
     # one arith.interval_classes call per round of stats.run_jobs: rounds
-    # of 2^18 lattice points take about 96 calls, rounds of 2^16 took 336
+    # of 2^18 lattice points take 81 calls (96 while each sweep began
+    # below |D|/4), rounds of 2^16 took 336
     calls = []
     real = arith.interval_classes
     monkeypatch.setattr(arith, "interval_classes", lambda requests: calls.append(1) or real(requests))

@@ -536,6 +536,19 @@ def test_least_sweep_slices_double_across_blocks():
     assert max(lp) > 2 * 2**20 and None not in lp
 
 
+@pytest.mark.parametrize("d,x_cap,calls,primes", [(-10000019, 1e12, 2, 191182), (-10289639, 1e6, 1, 78498)])
+def test_least_sweep_starts_at_the_principal_floor(d, x_cap, calls, primes, monkeypatch):
+    # the principal class holds no prime below |D|/4, so the first slice
+    # reaches it; first slices of 16h + 64 classified the same primes in 9
+    # and 5 calls (least-primes --disc -10000019, heegner --disc -10289639
+    # --x-cap 1e6)
+    g = _group(d)
+    counted = _counting_prime_classes(monkeypatch)
+    _least_sweep(g, x_cap)
+    assert len(counted) == calls
+    assert sum(counted) == primes
+
+
 def _largest_sieved(monkeypatch) -> list[int]:
     """[the largest prime sieved so far], kept up to date from here on."""
     largest = [0]
