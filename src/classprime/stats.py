@@ -79,7 +79,7 @@ _NO_PRIMES = np.empty(0, dtype=np.int64)
 
 class PrimeSource:
     """The primes the jobs of run_jobs ask for, shared by every job of a
-    run (scan keeps one for its whole range).
+    run (scan keeps one per chunk of its range).
 
     The primes up to _TABLE_LIMIT are slices of one table; when a request
     passes its end, the table grows to at least twice its old limit, and

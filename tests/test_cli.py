@@ -1,12 +1,17 @@
+import concurrent.futures
 import csv
 import io
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -368,6 +373,7 @@ def test_int64_limit_exit_2(capsys):
 
 
 def test_scan_counts_failures_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_chunk_map", map)  # group_structure runs in this process
     structured = []
     real = classgroup.group_structure
     monkeypatch.setattr(classgroup, "group_structure", lambda g: structured.append(g.h) or real(g))
@@ -657,15 +663,17 @@ def test_scan_sieve_cap_failures_keep_their_d(capsys):
         assert line == want[line.split(",", 1)[0]]
 
 
-def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
-    real = stats.variance_report
-
-    def broken_at_1003(g, T, w, **kw):
+def _broken_at_1003(real):
+    def broken(g, T, w, **kw):
         if g.disc.value == -1003:
             raise stats.IdentityMismatch("forced for the exit-code contract")
         return real(g, T, w, **kw)
 
-    monkeypatch.setattr(stats, "variance_report", broken_at_1003)
+    return broken
+
+
+def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
+    monkeypatch.setattr(stats, "variance_report", _broken_at_1003(stats.variance_report))
     rc, out, err = run_cli(["scan", "--range", "-2000", "-3"], capsys)
     assert rc == 3
     assert err.splitlines() == [
@@ -679,7 +687,10 @@ def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
 def test_scan_classifies_in_few_rounds(monkeypatch, capsys):
     # one arith.interval_classes call per round of stats.run_jobs: rounds
     # of 2^18 lattice points take 81 calls (96 while each sweep began
-    # below |D|/4), rounds of 2^16 took 336
+    # below |D|/4), rounds of 2^16 took 336.  In process, so that the
+    # calls are counted here, in the 8 chunks of two CPUs (92 calls)
+    monkeypatch.setattr(cli, "_chunk_map", map)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     calls = []
     real = arith.interval_classes
     monkeypatch.setattr(arith, "interval_classes", lambda requests: calls.append(1) or real(requests))
@@ -732,10 +743,12 @@ def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
     ]
 
 
-def test_scan_memory_stays_bounded(capsys):
+def test_scan_memory_stays_bounded(monkeypatch, capsys):
     # tracemalloc peak 3.9 MiB before batching, 4.4 MiB now; a batch holds
     # at most stats._ROUND_POINTS (2^18) psi lattice points and a table of
-    # the primes up to 2^21, and 2^20 points reached 7.9 MiB
+    # the primes up to 2^21, and 2^20 points reached 7.9 MiB.  The bound
+    # holds per worker: in process, the chunks run one after another
+    monkeypatch.setattr(cli, "_chunk_map", map)
     tracemalloc.start()
     try:
         rc = cli.main(["scan", "--range", "-2000", "-3", "--out", os.devnull])
@@ -764,6 +777,129 @@ def test_variance_memory_stays_bounded(capsys):
     capsys.readouterr()
     assert rc == 0
     assert peak < 10 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# scan's process pool: the same bytes as in process, and no worker left
+
+pooled = pytest.mark.skipif(
+    cli._usable_cpus() < 2, reason="a pool needs two usable CPUs; tests start no more"
+)
+
+
+def _worker_state(_chunk):
+    return os.getpid(), signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+
+
+@pooled
+def test_chunk_map_runs_in_workers_that_ignore_sigint():
+    state = list(cli._chunk_map(_worker_state, range(4)))
+    assert {pid for pid, _ in state}.isdisjoint([os.getpid()])
+    assert len({pid for pid, _ in state}) <= cli._usable_cpus()
+    assert all(ignored for _, ignored in state)
+    assert multiprocessing.active_children() == []
+
+
+@pooled
+@pytest.mark.parametrize("argv,break_at_1003,want_rc", [
+    (["scan", "--range", "-2000", "-3"], False, 0),
+    (["scan", "--range", "-300", "-3", "--x-rule", "5000", "--t-rule", "50"], False, 0),
+    (["scan", "--range", "-100", "-3", "--sieve-cap", "1000"], False, 2),
+    (["scan", "--range", "-2000", "-3", "--format", "json"], False, 0),
+    (["scan", "--range", "-2000", "-3"], True, 3),
+])
+def test_pooled_scan_matches_in_process(argv, break_at_1003, want_rc, monkeypatch, capsys):
+    # per-D exceptions cross the process boundary with their type (the
+    # exit code) and message (stderr).  Chunks of any size, so that the
+    # short ranges are pooled too
+    if break_at_1003:
+        monkeypatch.setattr(stats, "variance_report", _broken_at_1003(stats.variance_report))
+    monkeypatch.setattr(cli, "_CHUNK_ABSD", 1)
+    discs = list(qform.fundamental_discriminants(int(argv[2]), int(argv[3])))
+    assert len(cli._scan_chunks(discs, cli._usable_cpus())) > 1
+    pooled_run = run_cli(argv, capsys)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(cli, "_chunk_map", map)
+    assert pooled_run == run_cli(argv, capsys)
+    assert pooled_run[0] == want_rc
+
+
+@pooled
+@pytest.mark.parametrize("crash", [ZeroDivisionError, KeyboardInterrupt])
+def test_pooled_scan_failure_ends_every_worker(crash, monkeypatch):
+    # an internal error in a worker propagates to the caller.  Ctrl-C
+    # reaches the parent alone, here while it waits for chunks that would
+    # take a minute: their workers are ended, not waited for
+    if crash is ZeroDivisionError:
+        def broken(g, T, w, **kw):
+            raise ZeroDivisionError("internal bug")
+    else:
+        def broken(g, T, w, **kw):
+            time.sleep(60)
+
+        def interrupted(self, timeout=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
+    monkeypatch.setattr(stats, "variance_report", broken)
+    t0 = time.monotonic()
+    with pytest.raises(crash):
+        cli.main(["scan", "--range", "-2000", "-3", "--out", os.devnull])
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - t0 < 30
+
+
+@pooled
+def test_pooled_scan_to_a_closed_pipe_leaves_no_worker(tmp_path):
+    # the JSON of 611 rows outgrows the pipe, so the reader leaves while
+    # the scan still writes; the scan's own process then lists its children
+    left = tmp_path / "children"
+    code = textwrap.dedent(
+        f"""
+        import multiprocessing, sys
+        from classprime import cli
+
+        rc = cli.main(["scan", "--range", "-2000", "-3", "--format", "json"])
+        with open({str(left)!r}, "w") as fh:
+            fh.write(repr(multiprocessing.active_children()))
+        sys.exit(rc)
+        """
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_checkout_env(),
+    )
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert lines == ["[\n", "  {\n", '    "d": -3,\n']
+    assert err == ""
+    assert left.read_text() == "[]"
+
+
+def test_one_chunk_scan_starts_no_worker(monkeypatch, capsys):
+    def no_fork():
+        raise AssertionError("a one-chunk scan forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    rc, out, _ = run_cli(["scan", "--range", "-4", "-3"], capsys)
+    assert rc == 0 and out.splitlines()[0].startswith("d,h,")
+
+
+@pytest.mark.parametrize("exc_type", [
+    cli.UsageError,
+    arith.LimitTooLarge,
+    classgroup.InvalidIdealBasis,
+    qform.InvariantViolation,
+    stats.IdentityMismatch,
+])
+def test_scan_failures_survive_pickle(exc_type):
+    # a D that fails in a worker comes back to the parent pickled
+    exc = pickle.loads(pickle.dumps(exc_type("sieve limit 1780 exceeds cap 1000")))
+    assert type(exc) is exc_type
+    assert str(exc) == "sieve limit 1780 exceeds cap 1000"
 
 
 # ---------------------------------------------------------------------------
