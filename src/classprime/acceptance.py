@@ -48,9 +48,26 @@ def sample_discriminants(n: int = 20, lo: int = -(10**5), hi: int = -(10**3)) ->
     return out
 
 
-def criterion_1() -> CriterionResult:
+def _criterion(number: int, name: str, limit: Optional[float] = None):
+    """Make a check that returns (ok, detail) criterion number: timed, and
+    passed when ok and, with a limit, done in under limit seconds."""
+
+    def wrap(check: Callable[..., tuple[bool, str]]) -> Callable[..., CriterionResult]:
+        @functools.wraps(check)
+        def criterion(*args) -> CriterionResult:
+            t0 = time.perf_counter()
+            ok, detail = check(*args)
+            dt = time.perf_counter() - t0
+            return CriterionResult(number, name, ok and (limit is None or dt < limit), detail, dt)
+
+        return criterion
+
+    return wrap
+
+
+@_criterion(1, "class-number cross-check", limit=60)
+def criterion_1() -> tuple[bool, str]:
     """h from enumeration == class number formula for all -1e4 < D < -3."""
-    t0 = time.perf_counter()
     total = agree = 0
     first_bad = None
     for dv in fundamental_discriminants(-9999, -4):
@@ -61,17 +78,15 @@ def criterion_1() -> CriterionResult:
             agree += 1
         elif first_bad is None:
             first_bad = (dv, g.h, h_formula)
-    dt = time.perf_counter() - t0
-    ok = agree == total and dt < 60
     detail = f"{agree}/{total} agree"
     if first_bad:
         detail += f"; first mismatch D={first_bad[0]}: enum {first_bad[1]} vs formula {first_bad[2]}"
-    return CriterionResult(1, "class-number cross-check", ok, detail, dt)
+    return agree == total, detail
 
 
-def criterion_2() -> CriterionResult:
+@_criterion(2, "Dirichlet formula", limit=60)
+def criterion_2() -> tuple[bool, str]:
     """representation_count == dirichlet_r exactly for n <= 5000; split max = 4."""
-    t0 = time.perf_counter()
     nmax = 5000
     bad = []
     for dv in (-3, -4, -8, -23, -47, -71, -163):
@@ -80,9 +95,7 @@ def criterion_2() -> CriterionResult:
             bad.append(f"D={dv} first mismatch n={n}")
         elif dv < -4 and set(split_r.tolist()) != {4}:
             bad.append(f"D={dv} split r(p) != 4")
-    dt = time.perf_counter() - t0
-    detail = "7 discriminants, n <= 5000 all exact" if not bad else "; ".join(bad)
-    return CriterionResult(2, "Dirichlet formula", not bad and dt < 60, detail, dt)
+    return not bad, "7 discriminants, n <= 5000 all exact" if not bad else "; ".join(bad)
 
 
 def _variance_cases():
@@ -112,9 +125,9 @@ def variance_grid_reports() -> GridReports:
     return out
 
 
-def criterion_3(reports: Callable[[], GridReports] = variance_grid_reports) -> CriterionResult:
+@_criterion(3, "variance identity", limit=120)
+def criterion_3(reports: Callable[[], GridReports] = variance_grid_reports) -> tuple[bool, str]:
     """Definitional vs spectral variance to 1e-9 relative on the pinned grid."""
-    t0 = time.perf_counter()
     worst = 0.0
     fails = []
     for case, rep in reports():
@@ -123,17 +136,15 @@ def criterion_3(reports: Callable[[], GridReports] = variance_grid_reports) -> C
             continue
         scale = max(rep.variance, rep.variance_spectral, 1e-300)
         worst = max(worst, abs(rep.variance - rep.variance_spectral) / scale)
-    dt = time.perf_counter() - t0
-    ok = not fails and worst <= 1e-9 and dt < 120
     detail = f"18 cases, worst relative gap {worst:.3e}" + (
         "; " + "; ".join(fails) if fails else ""
     )
-    return CriterionResult(3, "variance identity", ok, detail, dt)
+    return not fails and worst <= 1e-9, detail
 
 
-def criterion_4(reports: Callable[[], GridReports] = variance_grid_reports) -> CriterionResult:
+@_criterion(4, "Fourier round-trip")
+def criterion_4(reports: Callable[[], GridReports] = variance_grid_reports) -> tuple[bool, str]:
     """Fourier roundtrip psi_chi -> psi_A to 1e-9 relative on the same grid."""
-    t0 = time.perf_counter()
     worst = 0.0
     fails = []
     for case, rep in reports():
@@ -142,33 +153,24 @@ def criterion_4(reports: Callable[[], GridReports] = variance_grid_reports) -> C
             continue
         scale = max(1.0, float(np.max(np.abs(rep.psi_by_class))))
         worst = max(worst, rep.roundtrip_error / scale)
-    dt = time.perf_counter() - t0
-    ok = not fails and worst <= 1e-9
     detail = f"18 cases, worst roundtrip error {worst:.3e}" + (
         "; " + "; ".join(fails) if fails else ""
     )
-    return CriterionResult(4, "Fourier round-trip", ok, detail, dt)
+    return not fails and worst <= 1e-9, detail
 
 
-def criterion_5() -> CriterionResult:
+@_criterion(5, "main term", limit=30)
+def criterion_5() -> tuple[bool, str]:
     """Main term: D=-23, bump, T=1e6, |psi_total/T - 1| <= 0.05."""
-    t0 = time.perf_counter()
     g = enumerate_reduced_forms(-23)
     rep = stats.variance_report(g, 10.0**6, bump_weight())
-    dev = abs(rep.psi_total / rep.t - 1.0)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        5,
-        "main term",
-        dev <= 0.05 and dt < 30,
-        f"psi_total/T - 1 = {rep.psi_total / rep.t - 1.0:+.4f}",
-        dt,
-    )
+    dev = rep.psi_total / rep.t - 1.0
+    return abs(dev) <= 0.05, f"psi_total/T - 1 = {dev:+.4f}"
 
 
-def criterion_6() -> CriterionResult:
+@_criterion(6, "GRH-scale variance", limit=300)
+def criterion_6() -> tuple[bool, str]:
     """Var/(T log^2|D|) <= 10 at T = h^2 log^2|D| over the 20-sample."""
-    t0 = time.perf_counter()
     rows = []
     worst = 0.0
     for dv in sample_discriminants():
@@ -178,20 +180,12 @@ def criterion_6() -> CriterionResult:
         ratio = rep.variance / (t * math.log(-dv) ** 2)
         rows.append((dv, g.h, ratio))
         worst = max(worst, ratio)
-    dt = time.perf_counter() - t0
-    ok = worst <= 10 and dt < 300
-    return CriterionResult(
-        6,
-        "GRH-scale variance",
-        ok,
-        f"{len(rows)} discriminants, worst Var/(T log^2|D|) = {worst:.3f}",
-        dt,
-    )
+    return worst <= 10, f"{len(rows)} discriminants, worst Var/(T log^2|D|) = {worst:.3f}"
 
 
-def criterion_7() -> CriterionResult:
+@_criterion(7, "least-prime table D=-23")
+def criterion_7() -> tuple[bool, str]:
     """Pinned least primes for D=-23 and the two exceptional counts."""
-    t0 = time.perf_counter()
     g = enumerate_reduced_forms(-23)
     lp = stats.least_primes(g, 1000)
     expect = {(2, 1, 3): 2, (2, -1, 3): 2, (1, 1, 6): 23}
@@ -203,20 +197,15 @@ def criterion_7() -> CriterionResult:
         stats.exceptional_count_primes(g, 3) == 1,
         stats.exceptional_count_primes(g, 24) == 0,
     ]
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        7,
-        "least-prime table D=-23",
-        all(checks),
+    return all(checks), (
         f"p_A = {[got[tuple(f)] for f in g.elements]}, R(3)={stats.exceptional_count(g, 3)}, "
-        f"R(24)={stats.exceptional_count(g, 24)}",
-        dt,
+        f"R(24)={stats.exceptional_count(g, 24)}"
     )
 
 
-def criterion_8() -> CriterionResult:
+@_criterion(8, "exceptional decay", limit=600)
+def criterion_8() -> tuple[bool, str]:
     """R(D, h log^2.1|D|) <= 0.1 h and R(D, 100 h^2 log^2|D|) = 0 on the sample."""
-    t0 = time.perf_counter()
     fails = []
     worst_frac = 0.0
     for dv in sample_discriminants():
@@ -233,18 +222,17 @@ def criterion_8() -> CriterionResult:
                 fails.append(f"D={dv} R_{tag}(h log^2.1)={r1} > 0.1h={0.1 * g.h:.1f}")
             if r2 != 0:
                 fails.append(f"D={dv} R_{tag}(100 h^2 log^2)={r2} != 0")
-    dt = time.perf_counter() - t0
     detail = (
         f"20 discriminants, worst R(X1)/(0.1h) = {worst_frac:.3f}; R(X2) = 0 everywhere"
         if not fails
         else "; ".join(fails[:4])
     )
-    return CriterionResult(8, "exceptional decay", not fails and dt < 600, detail, dt)
+    return not fails, detail
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "structural floor")
+def criterion_9() -> tuple[bool, str]:
     """p_A >= A and 4AC >= |D| exactly, for every class of every tested D."""
-    t0 = time.perf_counter()
     tested = sample_discriminants() + [-3, -4, -8, -23, -47, -71, -163, -10007]
     bad = []
     n_classes = 0
@@ -257,19 +245,12 @@ def criterion_9() -> CriterionResult:
                 bad.append(f"D={dv} class {f}: 4AC < |D|")
             if lp[i] is not None and lp[i] < f.a:
                 bad.append(f"D={dv} class {f}: p_A = {lp[i]} < A")
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        9,
-        "structural floor",
-        not bad,
-        f"{n_classes} classes checked, zero exceptions" if not bad else "; ".join(bad[:4]),
-        dt,
-    )
+    return not bad, f"{n_classes} classes checked, zero exceptions" if not bad else "; ".join(bad[:4])
 
 
-def criterion_10() -> CriterionResult:
+@_criterion(10, "scan determinism")
+def criterion_10() -> tuple[bool, str]:
     """scan [-2000,-3] run twice: byte-identical CSV."""
-    t0 = time.perf_counter()
     outs = []
     try:
         for _ in range(2):
@@ -278,21 +259,12 @@ def criterion_10() -> CriterionResult:
             outs.append(path)
             rc = cli.main(["scan", "--range", "-2000", "-3", "--out", path])
             if rc != 0:
-                return CriterionResult(
-                    10, "scan determinism", False, f"scan exited {rc}", time.perf_counter() - t0
-                )
+                return False, f"scan exited {rc}"
         with open(outs[0], "rb") as fa, open(outs[1], "rb") as fb:
             a, b = fa.read(), fb.read()
         same = a == b
         nrows = a.count(b"\n") - 1
-        dt = time.perf_counter() - t0
-        return CriterionResult(
-            10,
-            "scan determinism",
-            same,
-            f"{nrows} rows, outputs {'identical' if same else 'DIFFER'} ({len(a)} bytes)",
-            dt,
-        )
+        return same, f"{nrows} rows, outputs {'identical' if same else 'DIFFER'} ({len(a)} bytes)"
     finally:
         for p in outs:
             if os.path.exists(p):

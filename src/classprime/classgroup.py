@@ -40,9 +40,6 @@ class InvalidIdealBasis(ValueError):
 class ClassGroup:
     disc: Discriminant
     elements: tuple[QuadForm, ...]
-    h: int
-    nonfundamental: bool = False
-    _index: dict = field(default_factory=dict, repr=False)
     # (3, h) int64 a, b, c of the elements; enumerate_reduced_forms fills it
     _abc: Optional[np.ndarray] = field(default=None, repr=False)
     # filled by group_structure() on first read of basis, coords, orders(),
@@ -56,6 +53,20 @@ class ClassGroup:
         if self.h == 1:  # the trivial group: no generators, one empty coordinate vector
             self._basis, self._coords = (), ((),)
             self._position, self._class_at = _frozen(np.zeros(1, dtype=np.intp)), [0]
+
+    @cached_property
+    def h(self) -> int:
+        return len(self.elements)
+
+    @property
+    def nonfundamental(self) -> bool:
+        return not self.disc.fundamental
+
+    @cached_property
+    def _index(self) -> dict:
+        """Class index of each element; a plain (a, b, c) tuple finds its
+        form too."""
+        return {f: i for i, f in enumerate(self.elements)}
 
     def _structured(self) -> ClassGroup:
         if self._basis is None:
@@ -183,15 +194,14 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
     """Build the class group skeleton: all primitive reduced forms of d.
 
     strict=True raises NotFundamental for valid but non-fundamental d
-    (scan mode); strict=False accepts it and sets a warning flag.  The
+    (scan mode); strict=False accepts it, and g.nonfundamental says so.  The
     pairs (a, b) with 1 <= a <= sqrt(|d|/3), 0 <= b <= a and b = d (mod 2)
     are tested in numpy passes of _FORM_PAIRS: 4a | b^2 - d, c >= a and
     gcd(a, b, c) = 1, with the twin (a, -b, c) unless |b| = a or a = c.
     """
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
-    nonfund = not d.fundamental
-    if nonfund and strict:
+    if strict and not d.fundamental:
         raise NotFundamental(f"{d.value} is not a fundamental discriminant")
     dv = d.value
     parity = dv & 1
@@ -215,11 +225,7 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
     forms = list(map(QuadForm, *abc.tolist()))
     if not forms or forms[0] != identity_form(dv):
         raise InvariantViolation(f"identity form missing from the forms of {dv}")
-    g = ClassGroup(
-        disc=d, elements=tuple(forms), h=len(forms), nonfundamental=nonfund, _abc=abc
-    )
-    g._index = {(f.a, f.b, f.c): i for i, f in enumerate(forms)}
-    return g
+    return ClassGroup(disc=d, elements=tuple(forms), _abc=abc)
 
 
 def _factorize(n: int) -> dict[int, int]:

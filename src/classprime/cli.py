@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import heapq
 import json
 import math
 import os
@@ -471,12 +472,11 @@ def _scan_batch(batch: list, source: stats.PrimeSource, w):
         yield dv, s
 
 
-# scan maps _scan_chunk over contiguous chunks of its D.  Several chunks
-# per worker, so that a worker whose chunks were cheap takes more of them;
-# and at least _CHUNK_ABSD summed |D| per chunk: under the default rules a
-# D's work grows about like |D|, and a smaller chunk (tens of ms) does not
-# pay for starting a process.
-_CHUNKS_PER_WORKER = 4
+# scan maps _scan_chunk over chunks of its D, dealt in turn so that each
+# holds D of every size and costs about the same; no more chunks than
+# _CHUNK_ABSD fits into their summed |D|: under the default rules a D's
+# work grows about like |D|, and a smaller chunk (tens of ms) does not pay
+# for starting a process.
 _CHUNK_ABSD = 1 << 15
 
 
@@ -486,12 +486,10 @@ def _usable_cpus() -> int:
 
 
 def _scan_chunks(discs: list[int], cpus: int) -> list[list[int]]:
-    """discs in contiguous chunks of about equal length, in order: one for
-    one CPU, else up to _CHUNKS_PER_WORKER per CPU of at least _CHUNK_ABSD
-    summed |D| each."""
-    n = min(_CHUNKS_PER_WORKER * cpus, len(discs), -sum(discs) // _CHUNK_ABSD)
-    n = max(n, 1) if cpus > 1 else 1
-    return [discs[i * len(discs) // n : (i + 1) * len(discs) // n] for i in range(n)]
+    """discs dealt to n chunks, chunk i = discs[i::n]: one per CPU, fewer
+    where the chunks would hold less than _CHUNK_ABSD summed |D| each."""
+    n = max(1, min(cpus, len(discs), -sum(discs) // _CHUNK_ABSD))
+    return [discs[i::n] for i in range(n)]
 
 
 def _chunk_map(fn, chunks: list) -> Iterable:
@@ -544,13 +542,13 @@ def cmd_scan(args) -> int:
     )
     rows = []
     failures: list[Exception] = []
-    for chunk in _chunk_map(scan, chunks):
-        for dv, res in chunk:
-            if isinstance(res, dict):
-                rows.append(res)
-            else:
-                failures.append(res)
-                print(f"scan: D={dv} failed: {res}", file=sys.stderr)
+    # each chunk comes back in scan order, decreasing D; merge them into it
+    for dv, res in heapq.merge(*_chunk_map(scan, chunks), key=lambda r: -r[0]):
+        if isinstance(res, dict):
+            rows.append(res)
+        else:
+            failures.append(res)
+            print(f"scan: D={dv} failed: {res}", file=sys.stderr)
     cols = _scan_columns(x_rules)
     if args.format == "json":
         json.dump(rows, args.out_stream, indent=2, default=_json_default)

@@ -310,30 +310,20 @@ def _psi_add_segment(
     np.add.at(acc, targets.ravel(), terms.ravel())
 
 
-def _char_grid(g: ClassGroup) -> tuple[tuple[int, ...], np.ndarray]:
-    """Shape of the character grid and each class's C-order position on it.
-
-    Class A sits at its coordinates against the basis (g.position), so the
-    grid has shape g.orders(), or (1,) for the trivial group; characters
-    flatten in the same C order, which is the order of
-    classgroup.characters().
-    """
-    return g.orders() or (1,), g.position
-
-
 def psi_by_char(g: ClassGroup, psi_a: Sequence[float]) -> np.ndarray:
     """Character sums psi_chi = sum_A chi(A) psi_A, trivial character first."""
-    shape, pos = _char_grid(g)
+    # class A sits at its coordinates against the basis (g.position) on a
+    # grid of shape g.orders(), or (1,) for the trivial group; characters
+    # flatten in the same C order, the order of classgroup.characters()
     grid = np.zeros(g.h)
-    grid[pos] = psi_a
-    return g.h * np.fft.ifftn(grid.reshape(shape)).ravel()
+    grid[g.position] = psi_a
+    return g.h * np.fft.ifftn(grid.reshape(g.orders() or (1,))).ravel()
 
 
 def psi_from_chars(g: ClassGroup, psi_chi: Sequence[complex]) -> np.ndarray:
     """Inverse transform psi_A = (1/h) sum_chi conj(chi(A)) psi_chi."""
-    shape, pos = _char_grid(g)
-    grid = np.asarray(psi_chi, dtype=np.complex128).reshape(shape)
-    return np.fft.fftn(grid).ravel()[pos].real / g.h
+    grid = np.asarray(psi_chi, dtype=np.complex128).reshape(g.orders() or (1,))
+    return np.fft.fftn(grid).ravel()[g.position].real / g.h
 
 
 @dataclass

@@ -355,19 +355,40 @@ def test_inverse_position_and_box_forms_from_the_form_arrays():
         grid = np.ravel_multi_index(tuple(np.array(g.coords).T), g.orders())
         assert g.position.tolist() == grid.tolist()
         assert [g._class_at[p] for p in g.position.tolist()] == list(range(g.h))
-        built = ClassGroup(disc=g.disc, elements=g.elements, h=g.h, _index=g._index)
+        built = ClassGroup(disc=g.disc, elements=g.elements)
         assert np.array_equal(built.abc, g.abc)
 
 
 def test_structure_of_a_broken_group_is_an_invariant_violation():
     # two of the three forms of D = -23: (2, -1, 3)^2 = (2, 1, 3) is missing
     forms = enumerate_reduced_forms(-23).elements[:2]
-    g = ClassGroup(
-        disc=validate_discriminant(-23), elements=forms, h=2,
-        _index={tuple(f): i for i, f in enumerate(forms)},
-    )
+    g = ClassGroup(disc=validate_discriminant(-23), elements=forms)
     with pytest.raises(InvariantViolation):
         group_structure(g)
+
+
+def _ideal_class_or_error(a, b, g):
+    try:
+        return ideal_class_of(a, b, g)
+    except InvalidIdealBasis as exc:
+        return str(exc)
+
+
+def test_group_built_from_its_forms_alone():
+    # h, nonfundamental and the form index come from disc and elements;
+    # -340340 (h = 288) takes the array side of the composition walk, and
+    # the ideal (2, 2) of -12 is not invertible
+    for d in (-23, -3299, -340340, -12):
+        g = enumerate_reduced_forms(d, strict=False)
+        built = ClassGroup(disc=g.disc, elements=g.elements)
+        assert (built.h, built.nonfundamental) == (g.h, g.nonfundamental)
+        group_structure(built)
+        assert (built.basis, built.coords) == (g.basis, g.coords)
+        assert [built.index_of(f) for f in g.elements] == list(range(g.h))
+        ideals = [(f.a, f.b) for f in g.elements] + [(2, 2), (3, 1)]
+        assert [_ideal_class_or_error(a, b, built) for a, b in ideals] == [
+            _ideal_class_or_error(a, b, g) for a, b in ideals
+        ]
 
 
 def test_enumeration_matches_the_pair_loop(monkeypatch):

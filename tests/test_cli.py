@@ -330,17 +330,13 @@ def test_invariant_checks_survive_python_O():
         from classprime.qform import InvariantViolation, QuadForm, validate_discriminant
 
         assert False, "unreachable under -O"
-        g = ClassGroup(disc=validate_discriminant(-19), elements=(QuadForm(5, 9, 5),), h=1)
+        g = ClassGroup(disc=validate_discriminant(-19), elements=(QuadForm(5, 9, 5),))
         try:
             heegner_point(g, 0)
         except InvariantViolation as exc:
             print("raised:", exc)
         full = classgroup.enumerate_reduced_forms(-340340)
-        forms = full.elements[:-1]
-        g = ClassGroup(
-            disc=full.disc, elements=forms, h=len(forms),
-            _index={tuple(f): i for i, f in enumerate(forms)},
-        )
+        g = ClassGroup(disc=full.disc, elements=full.elements[:-1])
         if g.h >= classgroup._ARRAY_WALK_H:
             try:
                 classgroup.group_structure(g)
@@ -688,7 +684,7 @@ def test_scan_classifies_in_few_rounds(monkeypatch, capsys):
     # one arith.interval_classes call per round of stats.run_jobs: rounds
     # of 2^18 lattice points take 81 calls (96 while each sweep began
     # below |D|/4), rounds of 2^16 took 336.  In process, so that the
-    # calls are counted here, in the 8 chunks of two CPUs (92 calls)
+    # calls are counted here, in the 2 dealt chunks of two CPUs (87 calls)
     monkeypatch.setattr(cli, "_chunk_map", map)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     calls = []
@@ -785,6 +781,27 @@ def test_variance_memory_stays_bounded(capsys):
 pooled = pytest.mark.skipif(
     cli._usable_cpus() < 2, reason="a pool needs two usable CPUs; tests start no more"
 )
+
+
+def test_scan_chunks_deal_the_d_one_chunk_per_cpu():
+    # chunk i is discs[i::n], so the dealt chunks' sums of |D| differ by
+    # less than one |D|, and n <= sum |D| / _CHUNK_ABSD: each chunk holds
+    # _CHUNK_ABSD less at most one D (-926..-3 on 4 CPUs: 32677 of 32768)
+    for lo, hi in [(-2000, -3), (-926, -3), (-200000, -199950), (-100, -3), (-4, -3), (-2, -1)]:
+        discs = list(qform.fundamental_discriminants(lo, hi))
+        for cpus in (1, 2, 3, 4, 8):
+            chunks = cli._scan_chunks(discs, cpus)
+            n = len(chunks)
+            assert 1 <= n <= cpus
+            assert chunks == [discs[i::n] for i in range(n)]
+            assert sorted(d for c in chunks for d in c) == sorted(discs)
+            if cpus == 1:
+                assert n == 1
+            if n > 1:
+                sums = [-sum(c) for c in chunks]
+                assert n * cli._CHUNK_ABSD <= sum(sums)
+                assert max(sums) - min(sums) < -min(discs)
+                assert min(sums) > cli._CHUNK_ABSD + min(discs)
 
 
 def _worker_state(_chunk):
