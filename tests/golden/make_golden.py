@@ -8,7 +8,9 @@ D = -10000019 and the scan over [-2000, -3] were frozen before that step
 became array code; the remaining criterion-3 variance cases and the
 heegner tables were frozen before the class group computed its structure
 on first use; forms at D = -340340 and variance at D = -1000020 were frozen
-before group_structure's walk composed by array maps.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
+before group_structure's walk composed by array maps; variance at
+D = -10000019, T = 1e7 was frozen before the prime source stopped
+sieving past its table on a fixed block grid.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
 output.
 """
 from __future__ import annotations
@@ -62,6 +64,12 @@ def _cases() -> list[tuple[str, list[str]]]:
     cases.append((
         "variance_-1000020_1e5_bump.json",
         ["variance", "--disc", "-1000020", "--t", "1e5", "--format", "json"],
+    ))
+    # the one psi case whose segment, [1e7, 2e7], lies past the table of
+    # the primes up to 2^21
+    cases.append((
+        "variance_-10000019_1e7_bump.json",
+        ["variance", "--disc", "-10000019", "--t", "1e7", "--format", "json"],
     ))
     return cases
 
