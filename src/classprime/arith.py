@@ -15,12 +15,11 @@ import numpy as np
 
 from .classgroup import (
     ClassGroup,
-    _factorize,
     _passes,
     enumerate_reduced_forms,
     ideal_class_of,
 )
-from .qform import Discriminant, QuadForm, validate_discriminant
+from .qform import Discriminant, QuadForm, _factorize, validate_discriminant
 
 SIEVE_CAP_DEFAULT = 10**9
 _BLOCK = 1 << 20
@@ -113,6 +112,7 @@ def iter_prime_blocks(
             q = max(p, -(-start // p)) | 1  # p q: the first odd multiple to cross off
             seg[(p * q - first) // 2 :: p] = False
         primes = 2 * np.flatnonzero(seg) + first
+        del seg  # a caller holding a block keeps its primes only
         if start == 2:
             primes = np.concatenate([[2], primes])
         if len(primes):

@@ -21,6 +21,7 @@ from .qform import (
     Discriminant,
     InvariantViolation,
     QuadForm,
+    _factorize,
     _reduce_triple,
     compose,
     identity_form,
@@ -226,19 +227,6 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
     if not forms or forms[0] != identity_form(dv):
         raise InvariantViolation(f"identity form missing from the forms of {dv}")
     return ClassGroup(disc=d, elements=tuple(forms), _abc=abc)
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 class _Presentation(NamedTuple):

@@ -288,6 +288,11 @@ def cmd_variance(args) -> int:
     return 0
 
 
+# Largest --n-max of dirichlet-check, whose arrays grow linearly in it:
+# n_max = 10^7 takes about 23 s and 370 MiB
+_N_MAX_LIMIT = 10**7
+
+
 def cmd_dirichlet_check(args) -> int:
     d = _require_disc(args)
     if not d.fundamental:
@@ -298,6 +303,8 @@ def cmd_dirichlet_check(args) -> int:
     nmax = args.n_max
     if nmax < 1:
         raise UsageError("--n-max must be >= 1")
+    if nmax > _N_MAX_LIMIT:
+        raise UsageError(f"--n-max must be at most {_N_MAX_LIMIT}")
     mismatch, split_r = arith.divisor_formula_check(nmax, d)
     row = {
         "d": d.value,
@@ -497,34 +504,21 @@ def _chunk_map(fn, chunks: list) -> Iterable:
 
     One chunk, or one usable CPU: builtin map, in process.  Otherwise a
     fork process pool with a worker per usable CPU, at most one per chunk;
-    each worker ignores SIGINT, so Ctrl-C reaches the parent only.  Every
-    worker has ended when this returns or raises, on an error or Ctrl-C too.
+    each worker ignores SIGINT, so Ctrl-C reaches the parent only.  Leaving
+    the pool's with block terminates it, so every worker has ended when
+    this returns or raises, on an error or Ctrl-C too.
     """
     workers = min(_usable_cpus(), len(chunks))
     if workers < 2:
         return map(fn, chunks)
     import multiprocessing
     import signal
-    from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: a spawned worker would import numpy and this package
     # again, about a fifth of the time of a 611-D scan on two cores
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=signal.signal,
-        initargs=(signal.SIGINT, signal.SIG_IGN),
-    )
-    try:
-        return list(pool.map(fn, chunks))
-    except BaseException:
-        # shutdown cancels the chunks not started; end the running ones too.
-        # The executor has no public way to do so before Python 3.14.
-        for proc in pool._processes.values():
-            proc.terminate()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
+        return pool.map(fn, chunks)
 
 
 def cmd_scan(args) -> int:

@@ -46,19 +46,23 @@ class QuadForm(NamedTuple):
 ReducedForm = QuadForm
 
 
-def _squarefree(n: int) -> bool:
-    # trial division; callers stay at desk scale so isqrt(n) is small
-    if n == 0:
-        return False
-    n = abs(n)
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1 by trial division; callers stay at desk
+    scale, so isqrt(n) is small."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % (d * d) == 0:
-            return False
         while n % d == 0:
+            out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _squarefree(n: int) -> bool:
+    return n != 0 and all(e == 1 for e in _factorize(abs(n)).values())
 
 
 def is_fundamental(d: int) -> bool:

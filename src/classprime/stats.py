@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import weakref
 from dataclasses import dataclass
 from typing import Generator, Iterator, Optional, Sequence
 
@@ -70,11 +69,10 @@ def weight_eval(w: Weight, x: float) -> float:
 # ---------------------------------------------------------------------------
 # psi sums
 
-# Norms per PrimeSource block: its primes up to _TABLE_LIMIT come from its
-# table; past it, from sieve blocks of _BLOCK integers.
+# The primes up to _TABLE_LIMIT come from a PrimeSource's table; past it,
+# each request is sieved in parts of at most _BLOCK integers.
 _BLOCK = 1 << 21
 _TABLE_LIMIT = _BLOCK
-_NO_PRIMES = np.empty(0, dtype=np.int64)
 
 
 class PrimeSource:
@@ -83,17 +81,15 @@ class PrimeSource:
 
     The primes up to _TABLE_LIMIT are slices of one table; when a request
     passes its end, the table grows to at least twice its old limit, and
-    only the new part is sieved.  Past it the integers fall into fixed
-    blocks of _BLOCK; jobs reading a block share one copy of its primes,
-    sieved once while any of them holds a slice of it.  So memory stays
-    O(sqrt(hi) + block) per block in use, whatever range is asked for.
+    only the new part is sieved.  Past it each request sieves exactly its
+    own norms, one part of at most _BLOCK integers at a time, so memory
+    stays O(sqrt(hi) + block) per part in use, whatever range is asked for.
     """
 
     def __init__(self, sieve_cap: int = arith.SIEVE_CAP_DEFAULT):
         self.cap = sieve_cap
         self.limit = 0
         self.table = np.empty(0, dtype=np.int64)
-        self.blocks: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def _tabled(self, lo: int, hi: int) -> np.ndarray:
         """The primes in [lo, min(hi, _TABLE_LIMIT)], from the table."""
@@ -108,25 +104,17 @@ class PrimeSource:
 
     def parts(self, lo: int, hi: int) -> Iterator[np.ndarray]:
         """The primes in [lo, hi] as nonempty ascending arrays: up to
-        _TABLE_LIMIT one slice of the table, then one slice per sieve
-        block.  LimitTooLarge when hi is past the sieve cap."""
+        _TABLE_LIMIT one slice of the table, then the sieve's blocks of at
+        most _BLOCK integers.  LimitTooLarge when hi is past the sieve cap."""
         arith.check_sieve_limit(hi, self.cap)
         if lo <= _TABLE_LIMIT:
             primes = self._tabled(lo, hi)
             if len(primes):
                 yield primes
-        size, first = _BLOCK, _TABLE_LIMIT + 1
-        for start in range(first + max(0, lo - first) // size * size, hi + 1, size):
-            block = self.blocks.get(start)
-            if block is None:
-                stop = min(start + size - 1, self.cap)
-                block = next(
-                    arith.iter_prime_blocks(start, stop, cap=self.cap, block=size), _NO_PRIMES
-                )
-                self.blocks[start] = block
-            i, j = np.searchsorted(block, [lo, hi + 1]).tolist()
-            if i < j:
-                yield block[i:j]
+        if hi > _TABLE_LIMIT:
+            yield from arith.iter_prime_blocks(
+                max(lo, _TABLE_LIMIT + 1), hi, cap=self.cap, block=_BLOCK
+            )
 
 
 # A job yields nonempty ascending prime arrays and is sent, for each,

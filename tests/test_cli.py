@@ -1,9 +1,8 @@
-import concurrent.futures
 import csv
 import io
 import json
 import math
-import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 import re
@@ -152,6 +151,24 @@ def test_dirichlet_check_oracle_mismatch_exit_4(monkeypatch, capsys):
     assert "oracle mismatch" in err
     row = next(csv.DictReader(io.StringIO(out)))  # row still emitted first
     assert row["status"] == "mismatch" and row["first_mismatch"] == "7"
+
+
+def test_dirichlet_check_rejects_n_max_past_its_bound(monkeypatch, capsys):
+    # 10^10 would need 74.5 GiB per int64 array; it is refused before the check
+    # allocates anything, and the bound itself is accepted
+    calls = []
+
+    def check(nmax, d):
+        calls.append(nmax)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(arith, "divisor_formula_check", check)
+    rc, out, err = run_cli(["dirichlet-check", "--disc", "-23", "--n-max", "10000000000"], capsys)
+    assert (rc, out, calls) == (2, "", [])
+    assert "--n-max must be at most 10000000" in err
+    with pytest.raises(RuntimeError, match="stop"):
+        cli.main(["dirichlet-check", "--disc", "-23", "--n-max", "10000000"])
+    assert calls == [10**7]
 
 
 def test_heegner_summary(capsys):
@@ -857,7 +874,7 @@ def test_pooled_scan_failure_ends_every_worker(crash, monkeypatch):
         def interrupted(self, timeout=None):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
+        monkeypatch.setattr(multiprocessing.pool.MapResult, "get", interrupted)
     monkeypatch.setattr(stats, "variance_report", broken)
     t0 = time.monotonic()
     with pytest.raises(crash):

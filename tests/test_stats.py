@@ -618,22 +618,48 @@ def test_least_sweeps_match_least_sweep(limit, monkeypatch):
     x_caps = [2.0, 3.5, 24, 500, 5000, 3e4, 1e4, 1e3]
     want = [_least_sweep(g, x) for g, x in zip(groups, x_caps)]
     monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
-    blocks = []  # block sieves; the table's own extensions end at its limit
+    past = _sieved_past_table(monkeypatch, limit)
+    asked = []  # the sweeps' requests
+    real_parts = stats.PrimeSource.parts
+
+    def parts(self, lo, hi):
+        asked.append((lo, hi))
+        return real_parts(self, lo, hi)
+
+    monkeypatch.setattr(stats.PrimeSource, "parts", parts)
+    source = stats.PrimeSource()
+    jobs = [(g, sweep_job(g, x, source)) for g, x in zip(groups, x_caps)]
+    assert run_jobs(jobs) == want
+    # the sweeps read past the table where their x_cap lets them, and
+    # each sieve there covers no norm its sweep did not ask for
+    assert bool(past) == (limit < 3e4)
+    assert all(any(a <= lo and hi <= b for a, b in asked) for lo, hi in past)
+    # -1999 fills its last class at p = 1999, past a table ending at 30 or 1998
+    assert max(want[5][0]) == 1999
+
+
+def _sieved_past_table(monkeypatch, limit: int) -> list[tuple[int, int]]:
+    """The (lo, hi) of each sieve call past a table ending at limit, kept
+    up to date from here on; the table's own extensions end at its limit."""
+    past = []
     real = arith.iter_prime_blocks
 
     def sieve(lo, hi, **kw):
         if lo > limit:
-            blocks.append((lo, hi))
+            past.append((lo, hi))
         return real(lo, hi, **kw)
 
     monkeypatch.setattr(arith, "iter_prime_blocks", sieve)
-    source = stats.PrimeSource()
-    jobs = [(g, sweep_job(g, x, source)) for g, x in zip(groups, x_caps)]
-    assert run_jobs(jobs) == want
-    # the sweeps that read past the table share its first sieve block
-    assert len(blocks) == (limit < 3e4)
-    # -1999 fills its last class at p = 1999, past a table ending at 30 or 1998
-    assert max(want[5][0]) == 1999
+    return past
+
+
+def test_psi_segment_sieves_only_its_own_norms(monkeypatch):
+    # variance --disc -10000019 --t 1e7: the segment [T, 2T] lies past the
+    # table of the primes up to 2^21, and only it is sieved there
+    g = _group(-10000019)
+    past = _sieved_past_table(monkeypatch, stats._TABLE_LIMIT)
+    psi_by_class(g, 1e7, bump_weight())
+    assert past == [(10**7, 2 * 10**7)]
 
 
 @pytest.mark.parametrize("limit", [0, 30, 1998, 2**21])
