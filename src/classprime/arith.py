@@ -480,15 +480,20 @@ def dirichlet_r(n: int, d) -> int:
 
 
 def dirichlet_r_upto(nmax: int, d) -> np.ndarray:
-    """dirichlet_r(n, d) for 0 <= n <= nmax via a divisor-sum sieve."""
+    """dirichlet_r(n, d) for 0 <= n <= nmax via a divisor-sum sieve split
+    by the divisor hyperbola at s = isqrt(nmax): the n = e k take chi(e) in
+    one strided add per e <= s, then, for e > s, one per cofactor k <= s."""
     dv = d.value if isinstance(d, Discriminant) else validate_discriminant(d).value
     tbl = chi_table(dv, nmax + 1)
     out = np.zeros(nmax + 1, dtype=np.int64)
-    for e in range(1, nmax + 1):
+    s = math.isqrt(nmax)
+    for e in range(1, s + 1):
         ce = int(tbl[e])
         if ce:
             out[e::e] += ce
-    out[0] = 0
+    for k in range(1, s + 1):
+        top = nmax // k
+        out[k * (s + 1) : k * top + 1 : k] += tbl[s + 1 : top + 1]
     return out * unit_count(dv)
 
 

@@ -208,7 +208,6 @@ def cmd_forms(args) -> int:
 
 def cmd_least_primes(args) -> int:
     d = _require_disc(args)
-    arith.check_disc_limit(d.value)
     g = enumerate_reduced_forms(d, strict=False)
     absd = -d.value
     x_cap = eval_scale(args.x_cap, g.h, absd)
@@ -254,6 +253,7 @@ def cmd_least_primes(args) -> int:
 def _require_disc(args):
     if args.disc is None:
         raise UsageError("--disc is required (flag or config)")
+    arith.check_disc_limit(args.disc)  # before validate_discriminant factorizes |D|
     return validate_discriminant(args.disc)
 
 
@@ -263,7 +263,6 @@ def cmd_variance(args) -> int:
     if t is None or not (2 <= t < math.inf):
         raise UsageError("--t must be given, finite and at least 2")
     w = stats.get_weight(args.weight)
-    arith.check_disc_limit(d.value)
     g = enumerate_reduced_forms(d, strict=False)
     rep = stats.variance_report(g, t, w, sieve_cap=args.sieve_cap)
     log2d = math.log(-d.value) ** 2
@@ -289,7 +288,7 @@ def cmd_variance(args) -> int:
 
 
 # Largest --n-max of dirichlet-check, whose arrays grow linearly in it:
-# n_max = 10^7 takes about 23 s and 370 MiB
+# n_max = 10^7 takes about 1 s and 370 MiB
 _N_MAX_LIMIT = 10**7
 
 
@@ -330,7 +329,6 @@ def cmd_heegner(args) -> int:
     absd = -d.value
     if args.l_terms is not None and args.l_terms < absd:
         raise UsageError(f"--l-terms must be at least |D| = {absd}")
-    arith.check_disc_limit(d.value)
     g = enumerate_reduced_forms(d, strict=False)
     x_cap = eval_scale(args.x_cap, g.h, absd)
     lp = stats.least_primes(g, x_cap, sieve_cap=args.sieve_cap)
@@ -393,7 +391,7 @@ class _ScanD(NamedTuple):
 
 def _scan_prepare(dv: int, x_rules, t_rule, sieve_cap, h_cap) -> _ScanD:
     """Class group, thresholds and T of one D, and every check that can
-    fail it before it joins a batch: the 2^31 limit on |D| (before the
+    fail it before its first request: the 2^31 limit on |D| (before the
     O(|D|) form enumeration), --h-cap, the thresholds, and the sieve cap
     at sqrt(2T) and 2T."""
     d = validate_discriminant(dv)
@@ -404,9 +402,7 @@ def _scan_prepare(dv: int, x_rules, t_rule, sieve_cap, h_cap) -> _ScanD:
     absd = -dv
     xs = [eval_scale(r, g.h, absd) for r in x_rules]
     t = max(2.0, eval_scale(t_rule, g.h, absd))
-    sq, _, hi = stats.psi_limits(t)
-    for limit in (sq, hi):
-        arith.check_sieve_limit(limit, sieve_cap)
+    stats.check_psi_limits(t, sieve_cap)
     return _ScanD(dv, g, xs, t)
 
 
@@ -423,60 +419,25 @@ def _scan_row(s: _ScanD, lp, ln, rep) -> dict:
     return row
 
 
+def _scan_job(dv: int, x_rules, t_rule, w, sieve_cap: int, h_cap: int) -> stats.Job:
+    """The row of one D as a job of stats.run_jobs: its checks, its psi
+    sums, its least-prime sweep, then the row.  A failure on bad input or
+    an internal check is the result instead: it fails this D only."""
+    try:
+        s = _scan_prepare(dv, x_rules, t_rule, sieve_cap, h_cap)
+        psa = yield from stats.psi_job(s.g, s.t, w)
+        lp, ln, _ = yield from stats.sweep_job(s.g, s.sweep_cap, sieve_cap)
+        return _scan_row(s, lp, ln, stats.variance_report(s.g, s.t, w, psa=psa))
+    except (InvariantViolation, *_INPUT_ERRORS) as exc:
+        return exc
+
+
 def _scan_chunk(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int) -> list:
-    """(D, row or the exception that failed it) for each D of discs, in order.
-
-    Consecutive D form batches of at most one round of run_jobs
-    (stats._ROUND_POINTS lattice points of the form box) for their psi
-    norms, on one prime source shared by the whole chunk; a D that fails
-    its checks keeps its place in the batch.  Rows and exceptions are
-    plain data, so a chunk can run in a worker process.
-    """
-    source = stats.PrimeSource(sieve_cap)
-    results: list = []
-    batch: list = []
-    points = 0
-    for dv in discs:
-        try:
-            s = _scan_prepare(dv, x_rules, t_rule, sieve_cap, h_cap)
-        except (InvariantViolation, *_INPUT_ERRORS) as exc:
-            batch.append((dv, exc))
-            continue
-        sq, seg_start, hi = stats.psi_limits(s.t)
-        n = arith.box_points(s.g, seg_start, hi) + arith.box_points(s.g, 2, sq)
-        if points and points + n > stats._ROUND_POINTS:
-            results += _scan_batch(batch, source, w)
-            batch, points = [], 0
-        batch.append((dv, s))
-        points += n
-    results += _scan_batch(batch, source, w)
-    return results
-
-
-def _scan_batch(batch: list, source: stats.PrimeSource, w):
-    """Yield (D, row or the exception that failed it) for one batch, in order.
-
-    batch holds (D, _ScanD or the exception its checks raised).  The psi
-    and least-prime sweep jobs of every D that passed run in one
-    stats.run_jobs call; a job that fails there fails its own D only.
-    """
-    ok = [s for _, s in batch if isinstance(s, _ScanD)]
-    jobs = []
-    for s in ok:
-        jobs.append((s.g, stats.psi_job(s.g, s.t, w, source)))
-        jobs.append((s.g, stats.sweep_job(s.g, s.sweep_cap, source)))
-    done = iter(stats.run_jobs(jobs))
-    for dv, s in batch:
-        if isinstance(s, _ScanD):
-            psa, sweep = next(done), next(done)
-            try:
-                for res in (psa, sweep):
-                    if isinstance(res, Exception):
-                        raise res
-                s = _scan_row(s, *sweep[:2], stats.variance_report(s.g, s.t, w, psa=psa))
-            except (InvariantViolation, *_INPUT_ERRORS) as exc:
-                s = exc
-        yield dv, s
+    """(D, row or the exception that failed it) for each D of discs, in
+    order, from one stats.run_jobs call with a job per D.  Rows and
+    exceptions are plain data, so a chunk can run in a worker process."""
+    jobs = (_scan_job(dv, x_rules, t_rule, w, sieve_cap, h_cap) for dv in discs)
+    return list(zip(discs, stats.run_jobs(jobs, stats.PrimeSource(sieve_cap))))
 
 
 # scan maps _scan_chunk over chunks of its D, dealt in turn so that each

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Generator, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -70,20 +70,19 @@ def weight_eval(w: Weight, x: float) -> float:
 # psi sums
 
 # The primes up to _TABLE_LIMIT come from a PrimeSource's table; past it,
-# each request is sieved in parts of at most _BLOCK integers.
+# a request covers at most _BLOCK integers.
 _BLOCK = 1 << 21
 _TABLE_LIMIT = _BLOCK
 
 
 class PrimeSource:
-    """The primes the jobs of run_jobs ask for, shared by every job of a
-    run (scan keeps one per chunk of its range).
+    """The primes the requests of one run_jobs call ask for.
 
     The primes up to _TABLE_LIMIT are slices of one table; when a request
     passes its end, the table grows to at least twice its old limit, and
     only the new part is sieved.  Past it each request sieves exactly its
-    own norms, one part of at most _BLOCK integers at a time, so memory
-    stays O(sqrt(hi) + block) per part in use, whatever range is asked for.
+    own norms, so memory stays O(sqrt(hi) + block) per request in use,
+    whatever range is asked for.
     """
 
     def __init__(self, sieve_cap: int = arith.SIEVE_CAP_DEFAULT):
@@ -91,93 +90,119 @@ class PrimeSource:
         self.limit = 0
         self.table = np.empty(0, dtype=np.int64)
 
-    def _tabled(self, lo: int, hi: int) -> np.ndarray:
-        """The primes in [lo, min(hi, _TABLE_LIMIT)], from the table."""
-        top = min(hi, _TABLE_LIMIT)
-        if lo <= top and top > self.limit:
-            new = min(max(top, 2 * self.limit), _TABLE_LIMIT, self.cap)
+    def primes(self, lo: int, hi: int) -> np.ndarray:
+        """The primes in [lo, hi], ascending: a slice of the table when hi
+        is at most _TABLE_LIMIT, else sieved in one block.  LimitTooLarge
+        when hi is past the sieve cap."""
+        arith.check_sieve_limit(hi, self.cap)
+        if hi > _TABLE_LIMIT:
+            block = arith.iter_prime_blocks(lo, hi, cap=self.cap, block=hi - lo + 1)
+            return next(block, self.table[:0])
+        if hi > self.limit:
+            new = min(max(hi, 2 * self.limit), _TABLE_LIMIT, self.cap)
             more = arith.iter_prime_blocks(self.limit + 1, new, cap=self.cap, block=_BLOCK)
             self.table = np.concatenate([self.table, *more])
             self.limit = new
-        i, j = np.searchsorted(self.table, [lo, top + 1]).tolist()
+        i, j = np.searchsorted(self.table, [lo, hi + 1]).tolist()
         return self.table[i:j]
 
-    def parts(self, lo: int, hi: int) -> Iterator[np.ndarray]:
-        """The primes in [lo, hi] as nonempty ascending arrays: up to
-        _TABLE_LIMIT one slice of the table, then the sieve's blocks of at
-        most _BLOCK integers.  LimitTooLarge when hi is past the sieve cap."""
-        arith.check_sieve_limit(hi, self.cap)
-        if lo <= _TABLE_LIMIT:
-            primes = self._tabled(lo, hi)
-            if len(primes):
-                yield primes
-        if hi > _TABLE_LIMIT:
-            yield from arith.iter_prime_blocks(
-                max(lo, _TABLE_LIMIT + 1), hi, cap=self.cap, block=_BLOCK
-            )
+
+def _pieces(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi] as the norm intervals of a job's requests: its part up to
+    _TABLE_LIMIT, then blocks of at most _BLOCK integers."""
+    if lo <= _TABLE_LIMIT:
+        yield lo, min(hi, _TABLE_LIMIT)
+        lo = _TABLE_LIMIT + 1
+    for start in range(lo, hi + 1, _BLOCK):
+        yield start, min(start + _BLOCK - 1, hi)
 
 
-# A job yields nonempty ascending prime arrays and is sent, for each,
-# (chi, idx) as arith.interval_classes gives them against its group:
+# A job yields requests (g, lo, hi): the norm interval [lo, hi], one of
+# _pieces, against the class group g.  It is sent, for each, (primes, chi,
+# idx): the primes in [lo, hi] and, as arith.interval_classes gives them,
 # chi_D(p) and a class above p, -1 for inert p; for split p the class of
 # (p, b) or its inverse, which every consumer here treats alike.  Its
 # return value is its result.
-Job = Generator[np.ndarray, tuple[np.ndarray, np.ndarray], object]
+Job = Generator[tuple[ClassGroup, int, int], tuple[np.ndarray, np.ndarray, np.ndarray], object]
 
 # Lattice points a round of run_jobs covers (arith.box_points), unless one
-# request has more.  Only jobs that share a run share rounds, as scan's
-# batches do: scan --range -2000 -3 takes 96 rounds at 2^18 (336 at 2^16)
-# for a tracemalloc peak of 4.4 MiB (7.9 MiB at 2^20).
+# request has more.  scan --range -2000 -3 in process (two chunks) takes
+# 114, 36 and 16 rounds at 2^16, 2^18 and 2^20 points, for tracemalloc
+# peaks of 6.4, 6.6 and 8.8 MiB.
 _ROUND_POINTS = 1 << 18
 
 
-def run_jobs(jobs: Sequence[tuple[ClassGroup, Job]]) -> list:
-    """Run each (group, job) and return the results.
+def run_jobs(jobs: Iterable[Job], source: PrimeSource) -> list:
+    """Run each job and return the results, in the order of jobs.
 
     Each round moves unfinished jobs on by one request each, in turn, as
-    many as fit in _ROUND_POINTS lattice points of the form box over the
-    norms from each request's first prime to its last, or one larger
-    request alone: one arith.interval_classes call classifies the primes
-    of all of them.  A request whose prime or |D| is past the 2^31 prime
-    -> class limit never reaches it: the LimitTooLarge naming its D, like
-    one the job raises itself, ends that job and is its result, and the
-    other jobs go on.
+    many as fit in _ROUND_POINTS lattice points of the form box over their
+    norm intervals, or one larger request alone: it takes their primes
+    from source and one arith.interval_classes call classifies them all.
+    A round that takes every waiting request also starts the next jobs,
+    while their first requests fit in it.  So the jobs in flight hold at
+    most _ROUND_POINTS box forms in all (a request covers at least one
+    point per form), or one job alone holds more, plus those of the last
+    job started; a waiting job holds no primes.  A request past the sieve
+    cap or the 2^31 prime -> class limit never reaches the call: its
+    LimitTooLarge is thrown into the job and, unless the job returns a
+    result for it, ends the job and is its result, like one the job
+    raises itself.  The other jobs go on.
     """
-    results: list = [None] * len(jobs)
-    asks: dict[int, np.ndarray] = {}  # in the order the jobs get their turn
+    results: list = []
+    asks: dict[int, tuple] = {}  # (job, g, lo, hi), in the order the jobs get their turn
+    fresh = iter(jobs)
 
-    def advance(i: int, classified: Optional[tuple[np.ndarray, np.ndarray]]) -> None:
-        g, job = jobs[i]
+    def advance(i: int, job: Job, step, arg) -> None:
         try:
-            primes = job.send(classified)
-            arith.check_prime_limit(primes, g.disc.value)
-            asks[i] = primes
+            asks[i] = (job, *step(arg))
         except StopIteration as stop:
             results[i] = stop.value
         except arith.LimitTooLarge as exc:
-            job.close()
             results[i] = exc
 
-    for i in range(len(jobs)):
-        advance(i, None)
-    while asks:
-        live, total = [], 0
-        for i, primes in asks.items():
-            n = arith.box_points(jobs[i][0], primes[0], primes[-1])
-            if live and total + n > _ROUND_POINTS:
+    def turns() -> Iterator[int]:
+        """The waiting requests in turn, then the first requests of new jobs."""
+        yield from list(asks)
+        for i, job in enumerate(fresh, len(results)):
+            results.append(None)
+            advance(i, job, job.send, None)
+            if i in asks:
+                yield i
+
+    def play(live: list[int]) -> None:
+        """One round: classify the primes of the requests live and send them."""
+        requests = []
+        for i in live:
+            job, g, lo, hi = asks.pop(i)
+            try:
+                primes = source.primes(lo, hi)
+                arith.check_prime_limit(primes, g.disc.value)
+            except arith.LimitTooLarge as exc:
+                advance(i, job, job.throw, exc)
+                continue
+            requests.append((i, job, g, primes))
+        classified = arith.interval_classes([(g, primes) for _, _, g, primes in requests])
+        for (i, job, _, primes), chi_idx in zip(requests, classified):
+            advance(i, job, job.send, (primes, *chi_idx))
+
+    while True:
+        live, points = [], 0
+        for i in turns():
+            _, g, lo, hi = asks[i]
+            n = arith.box_points(g, lo, hi)
+            if live and points + n > _ROUND_POINTS:
                 break
             live.append(i)
-            total += n
-        classified = arith.interval_classes([(jobs[i][0], asks.pop(i)) for i in live])
-        for i, chi_idx in zip(live, classified):
-            advance(i, chi_idx)
-        del classified, chi_idx  # so no round's arrays outlive it
-    return results
+            points += n
+        if not live:
+            return results
+        play(live)  # so no round's arrays outlive it
 
 
-def _run_one(g: ClassGroup, job: Job):
+def _run_one(job: Job, sieve_cap: int):
     """The result of one job run alone; the error that ended it is raised."""
-    [res] = run_jobs([(g, job)])
+    [res] = run_jobs([job], PrimeSource(sieve_cap))
     if isinstance(res, Exception):
         raise res
     return res
@@ -187,23 +212,30 @@ def psi_limits(T: float) -> tuple[int, int, int]:
     """(sqrt(2T), start of the segment, 2T) as integers: psi_by_class
     needs every prime up to the first and the primes from the second to
     the third."""
+    if T < 2:
+        raise ValueError("T must be >= 2")
     hi = int(2 * T)
     sq = math.isqrt(hi)
     return sq, max(sq + 1, int(T)), hi
 
 
-def psi_job(g: ClassGroup, T: float, w: Weight, source: PrimeSource) -> Job:
-    """psi_by_class as a job of run_jobs: the source's parts of the norms
-    up to sqrt(2T), then of the segment, each added to one accumulator as
-    it comes back classified."""
-    if T < 2:
-        raise ValueError("T must be >= 2")
+def check_psi_limits(T: float, sieve_cap: int) -> None:
+    """LimitTooLarge unless the sieve cap reaches sqrt(2T) and 2T."""
+    sq, _, hi = psi_limits(T)
+    for limit in (sq, hi):
+        arith.check_sieve_limit(limit, sieve_cap)
+
+
+def psi_job(g: ClassGroup, T: float, w: Weight) -> Job:
+    """psi_by_class as a job of run_jobs: the pieces of the norms up to
+    sqrt(2T), then of the segment, each added to one accumulator as it
+    comes back classified."""
     sq, seg_start, hi = psi_limits(T)
     acc = np.zeros(g.h)
-    for primes in source.parts(2, sq):
-        _psi_add_small_primes(acc, g, T, w, primes, *(yield primes))
-    for primes in source.parts(seg_start, hi):
-        _psi_add_segment(acc, g, T, w, primes, *(yield primes))
+    for lo, top in _pieces(2, sq):
+        _psi_add_small_primes(acc, g, T, w, *(yield g, lo, top))
+    for lo, top in _pieces(seg_start, hi):
+        _psi_add_segment(acc, g, T, w, *(yield g, lo, top))
     return acc
 
 
@@ -219,7 +251,8 @@ def psi_by_class(
     ascending prime order, a split prime's conjugate directly after it, so
     the result is bit-identical to a per-prime loop.  A run of one psi_job.
     """
-    return _run_one(g, psi_job(g, T, w, PrimeSource(sieve_cap)))
+    check_psi_limits(T, sieve_cap)
+    return _run_one(psi_job(g, T, w), sieve_cap)
 
 
 def _psi_add_small_primes(
@@ -392,20 +425,20 @@ def variance(g: ClassGroup, T: float, w: Weight, **kw) -> float:
 # ---------------------------------------------------------------------------
 # least primes and exceptional classes
 
-def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
+def sweep_job(g: ClassGroup, x_cap: float, sieve_cap: int) -> Job:
     """_least_sweep as a job of run_jobs.
 
-    Asks for the source's parts of the norms up to 16h + 64 first, that
-    end doubled until it reaches |D|/4, below which the principal class
-    holds no prime, then of norm intervals that double, and stops after
-    the part that fills the last class: later primes cannot improve
-    either vector.  So the source sieves only about as far as the sweep
-    reaches, and it classifies the same primes as if it had started at
-    16h + 64.  The norm variant differs only at the principal class,
-    which inert primes reach with norm p^2.
+    Asks for the pieces of the norms up to 16h + 64 first, that end
+    doubled until it reaches |D|/4, below which the principal class holds
+    no prime, then of norm intervals that double, and stops after the
+    piece that fills the last class: later primes cannot improve either
+    vector.  So the sieve goes only about as far as the sweep reaches,
+    and it classifies the same primes as if it had started at 16h + 64.
+    The norm variant differs only at the principal class, which inert
+    primes reach with norm p^2.
     """
     hi = math.ceil(x_cap) - 1
-    top = min(hi, source.cap)
+    top = min(hi, sieve_cap)
     least = np.zeros(g.h, dtype=np.int64)  # 0: no prime found yet
     filled, first_inert = 0, None
     none = np.iinfo(np.int64).max
@@ -432,8 +465,8 @@ def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
     while 4 * end < -g.disc.value:
         end *= 2
     while lo <= top and filled < g.h:
-        for primes in source.parts(lo, min(end, top)):
-            filled += take(primes, *(yield primes))
+        for a, b in _pieces(lo, min(end, top)):
+            filled += take(*(yield g, a, b))
             if filled == g.h:
                 break
         lo, end = end + 1, 2 * end
@@ -441,7 +474,7 @@ def sweep_job(g: ClassGroup, x_cap: float, source: PrimeSource) -> Job:
     least_norm = list(least_p)
     if first_inert is not None and first_inert**2 < min(x_cap, least_norm[0] or math.inf):
         least_norm[0] = first_inert**2
-    return least_p, least_norm, hi > source.cap
+    return least_p, least_norm, hi > sieve_cap
 
 
 def _least_sweep(
@@ -452,7 +485,7 @@ def _least_sweep(
     Returns (least prime per class, least prime-ideal norm per class,
     capped).  A run of one sweep_job.
     """
-    return _run_one(g, sweep_job(g, x_cap, PrimeSource(sieve_cap)))
+    return _run_one(sweep_job(g, x_cap, sieve_cap), sieve_cap)
 
 
 def least_primes(g: ClassGroup, x_cap: float, **kw) -> list[Optional[int]]:

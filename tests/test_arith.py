@@ -262,6 +262,15 @@ def test_representation_equals_dirichlet(d):
     assert np.array_equal(counts[1:], formula[1:])
 
 
+@pytest.mark.parametrize("d", [-3, -4, -23, -3299])
+def test_dirichlet_r_upto_matches_scalar_around_squares(d):
+    # the divisor hyperbola splits at isqrt(n_max): n_max at, just below
+    # and just above perfect squares
+    for nmax in (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 99, 100, 101, 143, 144, 145, 1023, 1024, 1025):
+        want = [0] + [dirichlet_r(n, d) for n in range(1, nmax + 1)]
+        assert dirichlet_r_upto(nmax, d).tolist() == want
+
+
 def test_representation_count_single_matches_batch():
     disc = validate_discriminant(-23)
     counts = representation_counts_upto(120, disc)

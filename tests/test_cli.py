@@ -650,7 +650,7 @@ def test_scan_x_rules_shape_columns(capsys):
 
 
 # ---------------------------------------------------------------------------
-# scan's batches: failures stay with their D, rows match the golden tables
+# scan's jobs: failures stay with their D, rows match the golden tables
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -698,10 +698,10 @@ def test_scan_identity_mismatch_inside_a_batch(monkeypatch, capsys):
 
 
 def test_scan_classifies_in_few_rounds(monkeypatch, capsys):
-    # one arith.interval_classes call per round of stats.run_jobs: rounds
-    # of 2^18 lattice points take 81 calls (96 while each sweep began
-    # below |D|/4), rounds of 2^16 took 336.  In process, so that the
-    # calls are counted here, in the 2 dealt chunks of two CPUs (87 calls)
+    # one arith.interval_classes call per round of stats.run_jobs: one run
+    # per chunk, with a job per D, takes 36 calls in the 2 dealt chunks of
+    # two CPUs (114 in rounds of 2^16 points).  In process, so that the
+    # calls are counted here
     monkeypatch.setattr(cli, "_chunk_map", map)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     calls = []
@@ -718,10 +718,10 @@ def test_scan_classifies_in_few_rounds(monkeypatch, capsys):
     ["scan", "--range", "-300", "-3", "--x-rule", "5000", "--t-rule", "50"],
 ])
 def test_scan_batches_match_the_single_d_path(argv, monkeypatch, capsys):
-    # tiny passes and rounds split the batches, a D's form boxes across
-    # passes and its jobs' requests across rounds; a table ending at 2000 mixes D
-    # inside and past it in one batch, and sends sweeps across its end; a
-    # zero table limit streams every prime of every D in sieve blocks
+    # tiny passes and rounds split a D's form boxes across passes and the
+    # jobs' requests across rounds; a table ending at 2000 mixes D inside
+    # and past it in one round, and sends sweeps across its end; a zero
+    # table limit streams every prime of every D in sieve blocks
     rc, want, _ = run_cli(argv, capsys)
     assert rc == 0
     monkeypatch.setattr(arith, "_PASS_POINTS", 64)
@@ -735,7 +735,7 @@ def test_scan_batches_match_the_single_d_path(argv, monkeypatch, capsys):
 
 def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
     # a request past the prime -> class limit (lowered here from 2^31 to
-    # 3000) fails the D that made it; the rest of its batch keeps its rows
+    # 3000) fails the D that made it; the other D keep their rows
     monkeypatch.setattr(arith, "_INT64_EXACT", 3000)
     rc, out, err = run_cli(["scan", "--range", "-200", "-3"], capsys)
     assert rc == 2
@@ -757,10 +757,12 @@ def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
 
 
 def test_scan_memory_stays_bounded(monkeypatch, capsys):
-    # tracemalloc peak 3.9 MiB before batching, 4.4 MiB now; a batch holds
-    # at most stats._ROUND_POINTS (2^18) psi lattice points and a table of
-    # the primes up to 2^21, and 2^20 points reached 7.9 MiB.  The bound
-    # holds per worker: in process, the chunks run one after another
+    # tracemalloc peak 6.6 MiB (8.8 MiB in rounds of 2^20 points): a run
+    # starts a D's job only while its first request fits in a round of
+    # stats._ROUND_POINTS (2^18) lattice points, so the D in flight hold at
+    # most 2^18 box forms, and the prime source a table of the primes up
+    # to 2^21.  The bound holds per worker: in process, the chunks run one
+    # after another
     monkeypatch.setattr(cli, "_chunk_map", map)
     tracemalloc.start()
     try:
@@ -946,6 +948,21 @@ def test_disc_limit_fails_before_enumeration(cmd, monkeypatch, capsys):
     rc, out, err = run_cli(cmd + ["--disc", "-2147483651"], capsys)
     assert rc == 2 and out == "" and calls == []
     assert err == "error: |D| = 2147483651 is not below 2^31, the prime -> class limit\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["forms", "--disc", "-99999999999999999999"],
+    ["forms", "--disc", "-1000000000003"],
+    ["least-primes", "--disc", "-100000000000000000039"],
+    ["dirichlet-check", "--disc", "-100000000000000000039", "--n-max", "10"],
+])
+def test_disc_limit_comes_before_factorizing(argv, capsys):
+    # validate_discriminant factorizes |D| by trial division, and forms
+    # enumerates about |D|/12 pairs: the bound on |D| is checked first
+    rc, out, err = run_cli(argv, capsys)
+    absd = -int(argv[2])
+    assert rc == 2 and out == ""
+    assert err == f"error: |D| = {absd} is not below 2^31, the prime -> class limit\n"
 
 
 def test_perfbench_wraps_names_that_exist():

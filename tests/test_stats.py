@@ -502,7 +502,7 @@ def test_least_sweep_equals_per_prime_loop(d, x_cap):
 
 
 # ---------------------------------------------------------------------------
-# the sweep's slices and scan's batches against the single-D path
+# the sweep's slices and runs of many jobs against the single-D path
 
 def _counting_prime_classes(monkeypatch) -> list[int]:
     counted = []
@@ -602,11 +602,8 @@ def test_psi_classes_match_psi_by_class(monkeypatch):
     want = [psi_by_class(g, t, w).tolist() for g, (_, t) in zip(groups, BATCH) for w in weights]
     for limit in LIMITS:
         monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
-        source = stats.PrimeSource()
-        jobs = [
-            (g, psi_job(g, t, w, source)) for g, (_, t) in zip(groups, BATCH) for w in weights
-        ]
-        got = run_jobs(jobs)
+        jobs = [psi_job(g, t, w) for g, (_, t) in zip(groups, BATCH) for w in weights]
+        got = run_jobs(jobs, stats.PrimeSource())
         assert [psa.tolist() for psa in got] == want  # bit for bit
 
 
@@ -619,17 +616,16 @@ def test_least_sweeps_match_least_sweep(limit, monkeypatch):
     want = [_least_sweep(g, x) for g, x in zip(groups, x_caps)]
     monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
     past = _sieved_past_table(monkeypatch, limit)
-    asked = []  # the sweeps' requests
-    real_parts = stats.PrimeSource.parts
+    asked = []  # the sweeps' requests, each fetched as the jobs ask for it
+    real_primes = stats.PrimeSource.primes
 
-    def parts(self, lo, hi):
+    def primes(self, lo, hi):
         asked.append((lo, hi))
-        return real_parts(self, lo, hi)
+        return real_primes(self, lo, hi)
 
-    monkeypatch.setattr(stats.PrimeSource, "parts", parts)
-    source = stats.PrimeSource()
-    jobs = [(g, sweep_job(g, x, source)) for g, x in zip(groups, x_caps)]
-    assert run_jobs(jobs) == want
+    monkeypatch.setattr(stats.PrimeSource, "primes", primes)
+    jobs = [sweep_job(g, x, arith.SIEVE_CAP_DEFAULT) for g, x in zip(groups, x_caps)]
+    assert run_jobs(jobs, stats.PrimeSource()) == want
     # the sweeps read past the table where their x_cap lets them, and
     # each sieve there covers no norm its sweep did not ask for
     assert bool(past) == (limit < 3e4)
@@ -655,18 +651,22 @@ def _sieved_past_table(monkeypatch, limit: int) -> list[tuple[int, int]]:
 
 def test_psi_segment_sieves_only_its_own_norms(monkeypatch):
     # variance --disc -10000019 --t 1e7: the segment [T, 2T] lies past the
-    # table of the primes up to 2^21, and only it is sieved there
+    # table of the primes up to 2^21, and only it is sieved there, one
+    # block of at most 2^21 integers per request
     g = _group(-10000019)
     past = _sieved_past_table(monkeypatch, stats._TABLE_LIMIT)
     psi_by_class(g, 1e7, bump_weight())
-    assert past == [(10**7, 2 * 10**7)]
+    hi = 2 * 10**7
+    assert past == [(lo, min(lo + stats._BLOCK - 1, hi)) for lo in range(10**7, hi + 1, stats._BLOCK)]
 
 
 @pytest.mark.parametrize("limit", [0, 30, 1998, 2**21])
 def test_prime_source_parts_are_the_sieve(limit, monkeypatch):
-    # nonempty ascending parts that concatenate to the sieve over [lo, hi]:
-    # inside the table, across its end and a block's end, from an interval
-    # without primes, and up to a sieve cap that ends mid-block
+    # the pieces of [lo, hi] tile it, each inside the table or one block
+    # of at most _BLOCK integers past it, and their primes are ascending
+    # and concatenate to the sieve over [lo, hi]: inside the table, across
+    # its end and a block's end, from an interval without primes, and up
+    # to a sieve cap that ends mid-block
     monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
     block, cap = stats._BLOCK, limit + 2 * stats._BLOCK + 1000
     want = arith.sieve_primes(cap)
@@ -676,12 +676,16 @@ def test_prime_source_parts_are_the_sieve(limit, monkeypatch):
         (limit + block - 50, limit + block + 50), (max(2, limit - 10), cap), (cap - 5000, cap),
     ]
     for lo, hi in spans:
-        parts = list(source.parts(lo, hi))
-        assert all(len(p) and (np.diff(p) > 0).all() for p in parts)
+        pieces = list(stats._pieces(lo, hi))
+        assert [a for a, _ in pieces] == [lo] + [b + 1 for _, b in pieces[:-1]]
+        assert pieces[-1][1] == hi
+        assert all(b <= limit or limit < a <= b < a + block for a, b in pieces)
+        parts = [source.primes(a, b) for a, b in pieces]
+        assert all((np.diff(p) > 0).all() for p in parts)
         got = np.concatenate([np.empty(0, dtype=np.int64), *parts])
         assert got.tolist() == want[(want >= lo) & (want <= hi)].tolist()
     with pytest.raises(arith.LimitTooLarge):
-        next(source.parts(2, cap + 1))
+        source.primes(2, cap + 1)
 
 
 def test_table_growth_sieves_each_prime_once(monkeypatch):
@@ -701,7 +705,7 @@ def test_table_growth_sieves_each_prime_once(monkeypatch):
     lo, end = 2, 20464
     while lo <= stats._TABLE_LIMIT:
         hi = min(end, stats._TABLE_LIMIT)
-        [part] = source.parts(lo, hi)
+        part = source.primes(lo, hi)
         assert part.tolist() == want[(want >= lo) & (want <= hi)].tolist()
         lo, end = end + 1, 2 * end
     assert source.limit == stats._TABLE_LIMIT and len(sieved) == 8
@@ -724,15 +728,55 @@ def test_rounds_keep_to_their_pair_budget(monkeypatch):
         return real(requests)
 
     monkeypatch.setattr(arith, "interval_classes", recording)
-    source = stats.PrimeSource()
-    assert run_jobs([(g, sweep_job(g, 1e4, source)) for g in groups]) == want
+    jobs = [sweep_job(g, 1e4, arith.SIEVE_CAP_DEFAULT) for g in groups]
+    assert run_jobs(jobs, stats.PrimeSource()) == want
     assert all(points <= 200 or jobs == 1 for points, jobs in rounds)
     assert max(jobs for _, jobs in rounds) > 1
 
 
 def test_least_sweeps_respect_the_sieve_cap():
     groups = [_group(-23), _group(-3299)]
-    source = stats.PrimeSource(100)
-    got = run_jobs([(g, sweep_job(g, 1000, source)) for g in groups])
+    got = run_jobs([sweep_job(g, 1000, 100) for g in groups], stats.PrimeSource(100))
     assert got == [_least_sweep(g, 1000, sieve_cap=100) for g in groups]
     assert all(capped for _, _, capped in got)
+
+
+def test_run_jobs_starts_jobs_lazily_in_order(monkeypatch):
+    # rounds of 100 points take two requests over [2, 50] at D = -23.  A
+    # job starts only in a round that took every waiting request, so job 4
+    # starts after the first round; jobs 1 and 5 return at their first
+    # send, and job 2 finishes before job 0, yet every result keeps the
+    # iterable's order
+    monkeypatch.setattr(stats, "_ROUND_POINTS", 100)
+    g = _group(-23)
+    assert arith.box_points(g, 2, 50) == 34
+    log = []
+    real = arith.interval_classes
+    monkeypatch.setattr(
+        arith, "interval_classes", lambda requests: log.append(("round", None)) or real(requests)
+    )
+
+    def job(j, asks):
+        log.append(("start", j))
+        for _ in range(asks):
+            log.append(("ask", j))
+            primes, _, _ = yield g, 2, 50
+            log.append(("got", j))
+            assert primes.tolist() == arith.sieve_primes(50).tolist()
+        log.append(("finish", j))
+        return j
+
+    asks = [3, 0, 1, 2, 1, 0]
+    assert run_jobs((job(j, n) for j, n in enumerate(asks)), stats.PrimeSource()) == list(range(6))
+    finished = [j for kind, j in log if kind == "finish"]
+    assert sorted(finished) == list(range(6)) and finished.index(2) < finished.index(0)
+    rounds = [k for k, (kind, _) in enumerate(log) if kind == "round"]
+    assert log.index(("start", 4)) > rounds[0]
+    for k, (kind, j) in enumerate(log):
+        if kind != "start":
+            continue
+        # every request waiting when job j starts is sent in the next round
+        before = log[:k]
+        waiting = {i for i in range(j) if before.count(("ask", i)) > before.count(("got", i))}
+        r, end = ([r for r in rounds if r > k] + [len(log)] * 2)[:2]
+        assert waiting <= {i for kind, i in log[r:end] if kind == "got"}
