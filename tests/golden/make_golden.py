@@ -10,7 +10,9 @@ heegner tables were frozen before the class group computed its structure
 on first use; forms at D = -340340 and variance at D = -1000020 were frozen
 before group_structure's walk composed by array maps; variance at
 D = -10000019, T = 1e7 was frozen before the prime source stopped
-sieving past its table on a fixed block grid.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
+sieving past its table on a fixed block grid; the CSV tables of forms,
+least-primes and heegner at D = -340340 were frozen before those tables
+were written column by column.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
 output.
 """
 from __future__ import annotations
@@ -71,6 +73,10 @@ def _cases() -> list[tuple[str, list[str]]]:
         "variance_-10000019_1e7_bump.json",
         ["variance", "--disc", "-10000019", "--t", "1e7", "--format", "json"],
     ))
+    # the per-class CSV tables at a non-cyclic h = 288 whose 16 forms with
+    # b = 0 must print heegner_re as 0, not -0
+    for cmd in ("forms", "least-primes", "heegner"):
+        cases.append((f"{cmd}_-340340.csv", [cmd, "--disc", "-340340"]))
     return cases
 
 
