@@ -197,8 +197,9 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
     strict=True raises NotFundamental for valid but non-fundamental d
     (scan mode); strict=False accepts it, and g.nonfundamental says so.  The
     pairs (a, b) with 1 <= a <= sqrt(|d|/3), 0 <= b <= a and b = d (mod 2)
-    are tested in numpy passes of _FORM_PAIRS: 4a | b^2 - d, c >= a and
-    gcd(a, b, c) = 1, with the twin (a, -b, c) unless |b| = a or a = c.
+    are tested in numpy passes of _FORM_PAIRS: 4a | b^2 - d (in float64),
+    c >= a and gcd(a, b, c) = 1, with the twin (a, -b, c) unless |b| = a
+    or a = c.
     """
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
@@ -213,9 +214,14 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
         n = per_a[i:j]
         a = np.repeat(a_all[i:j], n)
         b = parity + 2 * (np.arange(len(a)) - np.repeat(np.cumsum(n) - n, n))
-        cc = b * b - dv
-        ok = cc % (4 * a) == 0
-        a, b, c = a[ok], b[ok], cc[ok] // (4 * a[ok])
+        # 4a | b^2 - d tested in float64, exactly: b^2 - d <= 4|d|/3 < 2^53,
+        # so b^2 - d, 4a and an integer quotient are exact doubles, and
+        # division rounds correctly; a non-multiple's quotient lies at
+        # least 1/(4a) from every integer, more than its rounding error
+        # of at most (b^2 - d)/(4a) 2^-53
+        q = (b * b - dv) / (4 * a)
+        ok = q == np.floor(q)
+        a, b, c = a[ok], b[ok], q[ok].astype(np.int64)
         # imprimitive forms only occur for non-fundamental d
         ok = (c >= a) & (np.gcd(np.gcd(a, b), c) == 1)
         a, b, c = a[ok], b[ok], c[ok]

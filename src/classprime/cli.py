@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import select
 import sys
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -159,19 +160,66 @@ def fmt_num(v) -> str:
     return str(v)
 
 
-def emit_rows(rows: list[dict], columns: list[str], out) -> None:
-    out.write(",".join(columns) + "\n")
-    for row in rows:
-        out.write(",".join(fmt_num(row[c]) for c in columns) + "\n")
+# fmt_num's rules by numpy dtype kind, for a whole column of Python
+# scalars from tolist(): str(np.True_) would be "True", not "1"
+_KIND_FORMATS = {"b": "01".__getitem__, "i": str, "u": str, "f": "{:.12g}".format}
 
 
-def emit(payload, rows, columns, fmt: str, out) -> None:
-    """CSV: table to `out`, summary lines to stderr.  JSON: one object."""
+class Table:
+    """A table as named columns of one length, in header order.  A column
+    is a numpy array of ints, floats or bools, or a list of cells of any
+    type fmt_num takes (None for a missing value, ints and floats mixed)."""
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    @classmethod
+    def of_rows(cls, rows: list[dict], names: list[str]) -> Table:
+        return cls({c: [r[c] for r in rows] for c in names})
+
+    def __len__(self) -> int:
+        """The number of rows."""
+        return len(next(iter(self.columns.values())))
+
+    def records(self) -> list[dict]:
+        """The rows as dicts of Python scalars, the form JSON output takes."""
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()]
+        return [dict(zip(self.columns, row)) for row in zip(*cells)]
+
+
+def _fmt_column(col) -> list[str]:
+    """fmt_num of every cell of a column: by dtype for an array, cell by
+    cell for a list."""
+    if isinstance(col, np.ndarray):
+        return list(map(_KIND_FORMATS[col.dtype.kind], col.tolist()))
+    # a least-prime column is mostly ints: format those without a call
+    return [str(v) if type(v) is int else fmt_num(v) for v in col]
+
+
+# Characters per write of a table.  Unbuffered, stdout (python -u,
+# PYTHONUNBUFFERED) passes each write straight to write(2), and a pipe
+# write longer than PIPE_BUF bytes can end part-way, with no error, when
+# the reader leaves; one of at most PIPE_BUF ASCII bytes is written whole
+# or fails with EPIPE, which main turns into exit 141.
+_PIECE = getattr(select, "PIPE_BUF", 512)
+
+
+def emit_rows(table: Table, out) -> None:
+    """The CSV header, then the rows, formatted one column at a time."""
+    cols = [_fmt_column(c) for c in table.columns.values()]
+    text = "\n".join([",".join(table.columns), *map(",".join, zip(*cols))]) + "\n"
+    for i in range(0, len(text), _PIECE):
+        out.write(text[i : i + _PIECE])
+
+
+def emit(payload, table: Table, fmt: str, out) -> None:
+    """CSV: table to `out`, summary lines to stderr.  JSON: payload as one
+    value, with each Table in it written as its records."""
     if fmt == "json":
         json.dump(payload, out, indent=2, default=_json_default)
         out.write("\n")
         return
-    emit_rows(rows, columns, out)
+    emit_rows(table, out)
     summary = payload.get("summary") if isinstance(payload, dict) else None
     if summary:
         for k, v in summary.items():
@@ -179,6 +227,8 @@ def emit(payload, rows, columns, fmt: str, out) -> None:
 
 
 def _json_default(v):
+    if isinstance(v, Table):
+        return v.records()
     if isinstance(v, (np.integer, np.floating, np.ndarray)):
         return v.tolist()
     raise TypeError(f"not JSON serializable: {type(v)}")
@@ -190,20 +240,23 @@ def _json_default(v):
 def cmd_forms(args) -> int:
     d = _require_disc(args)
     g = enumerate_reduced_forms(d, strict=False)
-    rows = [
-        {"class_index": i, "a": f.a, "b": f.b, "c": f.c}
-        for i, f in enumerate(g.elements)
-    ]
+    table = _forms_table(g)
     payload = {
         "d": d.value,
         "h": g.h,
         "fundamental": d.fundamental,
         "orders": list(g.orders()),
-        "rows": rows,
+        "rows": table,
         "summary": {"h": g.h, "orders": ";".join(map(str, g.orders()))},
     }
-    emit(payload, rows, ["class_index", "a", "b", "c"], args.format, args.out_stream)
+    emit(payload, table, args.format, args.out_stream)
     return 0
+
+
+def _forms_table(g: ClassGroup, **more) -> Table:
+    """class_index, a, b, c of every class, then the columns `more`."""
+    a, b, c = g.abc
+    return Table({"class_index": np.arange(g.h), "a": a, "b": b, "c": c, **more})
 
 
 def cmd_least_primes(args) -> int:
@@ -215,21 +268,14 @@ def cmd_least_primes(args) -> int:
     x2 = scale_value(1.0, 2.0, 2.0, g.h, absd)
     sweep_cap = max(x_cap, x1, x2)
     lp, ln, capped = stats._least_sweep(g, sweep_cap, sieve_cap=args.sieve_cap)
-    rows = []
-    for i, f in enumerate(g.elements):
-        p = lp[i] if lp[i] is not None and lp[i] < x_cap else None
-        rows.append(
-            {
-                "class_index": i,
-                "a": f.a,
-                "b": f.b,
-                "c": f.c,
-                "heegner_im": heegner.heegner_point(g, i).im,
-                "least_prime": p,
-                "is_ramified_prime": bool(p is not None and d.value % p == 0),
-            }
-        )
-    max_p, median_p = stats.least_prime_summary([r["least_prime"] for r in rows])
+    least = [p if p is not None and p < x_cap else None for p in lp]
+    table = _forms_table(
+        g,
+        heegner_im=heegner.heegner_points(g).im,
+        least_prime=least,
+        is_ramified_prime=[p is not None and d.value % p == 0 for p in least],
+    )
+    max_p, median_p = stats.least_prime_summary(least)
     summary = {
         "h": g.h,
         "x_cap": x_cap,
@@ -245,8 +291,8 @@ def cmd_least_primes(args) -> int:
         "r_ideal_at_x_cap": stats.count_exceptional(ln, x_cap),
         "capped": capped,
     }
-    payload = {"d": d.value, "rows": rows, "summary": summary}
-    emit(payload, rows, list(rows[0]), args.format, args.out_stream)
+    payload = {"d": d.value, "rows": table, "summary": summary}
+    emit(payload, table, args.format, args.out_stream)
     return 0
 
 
@@ -278,12 +324,12 @@ def cmd_variance(args) -> int:
         "delta_main_term": rep.delta_main_term,
         "main_term_rel": rep.psi_total / t - 1.0,
     }
-    payload = {
-        "rows": [row],
-        "psi_by_class": [float(x) for x in rep.psi_by_class],
-        "psi_by_char_abs": [float(abs(z)) for z in rep.psi_by_char],
-    }
-    emit(payload, [row], list(row.keys()), args.format, args.out_stream)
+    table = Table.of_rows([row], list(row))
+    payload = {"rows": table}
+    if args.format == "json":  # 2h floats that only JSON prints
+        payload["psi_by_class"] = [float(x) for x in rep.psi_by_class]
+        payload["psi_by_char_abs"] = [float(abs(z)) for z in rep.psi_by_char]
+    emit(payload, table, args.format, args.out_stream)
     return 0
 
 
@@ -313,12 +359,19 @@ def cmd_dirichlet_check(args) -> int:
         "max_split_r": int(split_r.max(initial=0)),
         "w_d": arith.unit_count(d.value),
     }
-    emit({"rows": [row]}, [row], list(row.keys()), args.format, args.out_stream)
+    table = Table.of_rows([row], list(row))
+    emit({"rows": table}, table, args.format, args.out_stream)
     if mismatch is not None:
         raise OracleMismatch(
             f"representation count and divisor formula differ first at n={mismatch}"
         )
     return 0
+
+
+# Largest explicit --l-terms of heegner: l_one_chi takes time linear in
+# it, about 2 ns a term on a 2-core x86-64 box, so 10^10 terms take
+# about 20 s
+_L_TERMS_LIMIT = 10**10
 
 
 def cmd_heegner(args) -> int:
@@ -329,27 +382,21 @@ def cmd_heegner(args) -> int:
     absd = -d.value
     if args.l_terms is not None and args.l_terms < absd:
         raise UsageError(f"--l-terms must be at least |D| = {absd}")
+    if args.l_terms is not None and args.l_terms > _L_TERMS_LIMIT:
+        raise UsageError(f"--l-terms must be at most {_L_TERMS_LIMIT}")
     g = enumerate_reduced_forms(d, strict=False)
     x_cap = eval_scale(args.x_cap, g.h, absd)
     lp = stats.least_primes(g, x_cap, sieve_cap=args.sieve_cap)
     rep = heegner.repulsion_report(g, lp)
     est = arith.l_one_chi(d, args.l_terms)
     pairing, const = heegner.cramer_class_number_pairing(g, psi_value)
-    rows = []
-    for r in rep.rows:
-        f = g.elements[r.class_index]
-        rows.append(
-            {
-                "class_index": r.class_index,
-                "a": f.a,
-                "b": f.b,
-                "c": f.c,
-                "heegner_re": r.heegner_re,
-                "heegner_im": r.heegner_im,
-                "least_prime": r.least_prime,
-                "bound_ok": r.bound_ok,
-            }
-        )
+    table = _forms_table(
+        g,
+        heegner_re=rep.heegner_re,
+        heegner_im=rep.heegner_im,
+        least_prime=rep.least_prime,
+        bound_ok=rep.bound_ok,
+    )
     summary = {
         "h": g.h,
         "psi_value": psi_value,
@@ -363,8 +410,8 @@ def cmd_heegner(args) -> int:
         "median_least_prime": rep.median_least_prime,
         "argmax_a_class": rep.argmax_a_class,
     }
-    payload = {"d": d.value, "rows": rows, "summary": summary}
-    emit(payload, rows, list(rows[0]), args.format, args.out_stream)
+    payload = {"d": d.value, "rows": table, "summary": summary}
+    emit(payload, table, args.format, args.out_stream)
     return 0
 
 
@@ -504,12 +551,9 @@ def cmd_scan(args) -> int:
         else:
             failures.append(res)
             print(f"scan: D={dv} failed: {res}", file=sys.stderr)
-    cols = _scan_columns(x_rules)
-    if args.format == "json":
-        json.dump(rows, args.out_stream, indent=2, default=_json_default)
-        args.out_stream.write("\n")
-    else:
-        emit_rows(rows, cols, args.out_stream)
+    table = Table.of_rows(rows, _scan_columns(x_rules))
+    emit(table, table, args.format, args.out_stream)
+    if args.format == "csv":
         print(f"# failed={len(failures)}", file=sys.stderr)
     if any(isinstance(exc, InvariantViolation) for exc in failures):
         return 3

@@ -14,6 +14,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -56,6 +57,36 @@ def test_fmt_num():
     assert fmt_num(3) == "3"
     assert fmt_num(math.pi) == "3.14159265359"
     assert fmt_num(1e-13) == "1e-13"
+
+
+def test_emit_rows_formats_columns_as_fmt_num():
+    # each column formatted at once prints what fmt_num printed cell by
+    # cell over the same rows as dicts of Python scalars
+    columns = {
+        "i": np.array([0, -7, 2**40, 3], dtype=np.int64),
+        "f": np.array([0.0, 1e-13, -123456789012345.0, 2.0 / 3]),
+        "p": [5, None, 2.5, True],
+        "ok": np.array([True, False, True, False]),
+    }
+    out = io.StringIO()
+    cli.emit_rows(cli.Table(columns), out)
+    rows = cli.Table(columns).records()
+    old = "i,f,p,ok\n" + "".join(
+        ",".join(fmt_num(row[c]) for c in columns) + "\n" for row in rows
+    )
+    assert out.getvalue() == old
+    assert out.getvalue().splitlines()[1:] == [
+        "0,0,5,1", "-7,1e-13,none@cap,0", "1099511627776,-1.23456789012e+14,2.5,1",
+        "3,0.666666666667,1,0",
+    ]
+    assert [type(v) for v in rows[0].values()] == [int, float, int, bool]
+
+
+def test_emit_rows_of_no_rows_is_the_header():
+    out = io.StringIO()
+    table = cli.Table.of_rows([], ["d", "h"])
+    cli.emit_rows(table, out)
+    assert (len(table), out.getvalue(), table.records()) == (0, "d,h\n", [])
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +200,25 @@ def test_dirichlet_check_rejects_n_max_past_its_bound(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="stop"):
         cli.main(["dirichlet-check", "--disc", "-23", "--n-max", "10000000"])
     assert calls == [10**7]
+
+
+def test_heegner_rejects_l_terms_past_its_bound(monkeypatch, capsys):
+    # l_one_chi takes time linear in --l-terms: past 10^10 it is refused
+    # at once, and the bound itself is accepted
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(["heegner", "--disc", "-23", "--l-terms", "99999999999999"], capsys)
+    assert time.perf_counter() - t0 < 1
+    assert (rc, out, err) == (2, "", "error: --l-terms must be at most 10000000000\n")
+    calls = []
+
+    def l_one(d, terms):
+        calls.append(terms)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(arith, "l_one_chi", l_one)
+    with pytest.raises(RuntimeError, match="stop"):
+        cli.main(["heegner", "--disc", "-23", "--l-terms", "10000000000"])
+    assert calls == [10**10]
 
 
 def test_heegner_summary(capsys):
@@ -991,3 +1041,32 @@ def test_perfbench_wraps_names_that_exist():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_perfbench_tracing_counts_the_rows_written(tmp_path):
+    # perfbench/tracing.py installs its wrappers by name and counts the
+    # rows of cli.emit_rows by len() of its first argument
+    checkout = Path(cli.__file__).resolve().parents[2]
+    code = textwrap.dedent(
+        """
+        import sys
+        import tracing
+        from classprime import cli
+
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        for i, cmd in enumerate(["forms", "least-primes", "heegner"]):
+            before = tracer.counts["rows"]
+            rc = cli.main([cmd, "--disc", "-3299", "--out", sys.argv[1] + f"/{i}.csv"])
+            print(rc, tracer.counts["rows"] - before)
+        """
+    )
+    path = os.pathsep.join([str(checkout / "src"), str(checkout / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    lines = [len((tmp_path / f"{i}.csv").read_text().splitlines()) - 1 for i in range(3)]
+    assert lines == [27] * 3  # h(-3299) = 27
+    assert res.stdout.split("\n")[:3] == [f"0 {n}" for n in lines]

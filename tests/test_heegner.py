@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from classprime.arith import l_one_chi
-from classprime.classgroup import enumerate_reduced_forms, group_structure
+from classprime.classgroup import ClassGroup, enumerate_reduced_forms, group_structure
 from classprime.heegner import (
     coefficient_bound_fraction,
     cramer_class_number_pairing,
@@ -12,6 +13,7 @@ from classprime.heegner import (
     heegner_points,
     repulsion_report,
 )
+from classprime.qform import InvariantViolation, QuadForm, validate_discriminant
 from classprime.stats import least_primes
 
 
@@ -31,11 +33,32 @@ def test_heegner_point_values():
 def test_points_lie_in_fundamental_domain():
     for d in (-23, -84, -479, -3299):
         g = _group(d)
-        for z in heegner_points(g):
-            assert abs(z.re) <= 0.5 + 1e-12
-            assert z.im >= math.sqrt(3) / 2 - 1e-12
-            # |z| >= 1 on the standard fundamental domain
-            assert z.re * z.re + z.im * z.im >= 1 - 1e-9
+        re, im = heegner_points(g)
+        assert len(re) == len(im) == g.h
+        assert np.all(np.abs(re) <= 0.5 + 1e-12)
+        assert np.all(im >= math.sqrt(3) / 2 - 1e-12)
+        # |z| >= 1 on the standard fundamental domain
+        assert np.all(re * re + im * im >= 1 - 1e-9)
+
+
+def test_points_match_heegner_point():
+    g = _group(-340340)  # 16 classes with b = 0, whose re must be 0, not -0
+    re, im = heegner_points(g)
+    for i, f in enumerate(g.elements):
+        z = heegner_point(g, i)
+        assert (z.class_index, z.a, z.b, z.c) == (i, *f)
+        assert (z.re, z.im) == (re[i], im[i]) == (-f.b / (2 * f.a), math.sqrt(340340) / (2 * f.a))
+        assert math.copysign(1.0, re[i]) == math.copysign(1.0, -f.b / (2 * f.a))
+    assert np.count_nonzero(g.abc[1] == 0) == 16
+
+
+def test_point_outside_fundamental_domain_raises():
+    # (5, 9, 5) has discriminant -19 but is not reduced: re = -0.9
+    g = ClassGroup(disc=validate_discriminant(-19), elements=(QuadForm(5, 9, 5),))
+    with pytest.raises(InvariantViolation, match=r"\(5,9,5\)"):
+        heegner_points(g)
+    with pytest.raises(InvariantViolation, match=r"\(5,9,5\)"):
+        heegner_point(g, 0)
 
 
 def test_height_determined_by_a():
@@ -44,7 +67,7 @@ def test_height_determined_by_a():
     for i, f in enumerate(g.elements):
         assert heegner_point(g, i).im == pytest.approx(sd / (2 * f.a))
     # principal class always has the highest point
-    ims = [z.im for z in heegner_points(g)]
+    ims = heegner_points(g).im
     assert max(ims) == ims[0]
 
 
@@ -79,13 +102,12 @@ def test_pairing_constant_uses_unit_count():
 def test_repulsion_report_minus23():
     g = _group(-23)
     rep = repulsion_report(g, least_primes(g, 1000))
-    assert [r.least_prime for r in rep.rows] == [23, 2, 2]
+    assert rep.least_prime == [23, 2, 2]
     assert rep.max_least_prime == 23
     assert rep.median_least_prime == 2
     assert rep.argmax_a_class == 1  # first class of maximal a
-    for r in rep.rows:
-        assert r.bound_ok  # p_A >= a holds everywhere
-        assert r.a == g.elements[r.class_index].a
+    assert rep.bound_ok.tolist() == [True] * g.h  # p_A >= a holds everywhere
+    assert rep.a.tolist() == [f.a for f in g.elements]
 
 
 def test_repulsion_spread_large_group():
@@ -97,12 +119,12 @@ def test_repulsion_spread_large_group():
     assert rep.max_least_prime == max(lp)
     assert rep.median_least_prime == statistics.median(lp)
     assert g.elements[rep.argmax_a_class].a == max(f.a for f in g.elements)
-    assert all(r.bound_ok for r in rep.rows)
+    assert rep.bound_ok.all()
 
 
 def test_repulsion_with_missing_entries():
     g = _group(-23)
     rep = repulsion_report(g, least_primes(g, 10))  # principal class unfilled
-    assert rep.rows[0].least_prime is None
+    assert rep.least_prime[0] is None
     assert rep.max_least_prime is None  # undefined until every class reports
     assert rep.median_least_prime == 2
