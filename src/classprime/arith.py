@@ -234,7 +234,7 @@ def prime_classes(primes, g: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
     Returns (chi, idx) aligned with `primes`; idx is -1 for inert p.  For
     split p the conjugate ideal lies in the inverse class.  b is the square
     root of D mod 4p with b = D (mod 2) from sqrt_disc_mod_4p; the form
-    (p, b, (b^2 - D)/4p) is reduced and looked up among g.elements.  This
+    (p, b, (b^2 - D)/4p) is reduced and looked up among g's forms.  This
     scalar route is the oracle of interval_classes, which gives the same
     chi and, for split p, this class or its inverse.  Raises LimitTooLarge
     when a prime or |D| is not below 2^31, and InvalidIdealBasis when the

@@ -40,34 +40,42 @@ class InvalidIdealBasis(ValueError):
 @dataclass
 class ClassGroup:
     disc: Discriminant
-    elements: tuple[QuadForm, ...]
-    # (3, h) int64 a, b, c of the elements; enumerate_reduced_forms fills it
-    _abc: Optional[np.ndarray] = field(default=None, repr=False)
+    # (3, h) int64 a, b, c of the classes' reduced forms, sorted by (a, b): principal first
+    abc: np.ndarray
     # filled by group_structure() on first read of basis, coords, orders(),
     # position or a coordinate step
-    _basis: Optional[tuple[tuple[int, int], ...]] = field(default=None, repr=False)
-    _coords: Optional[tuple[tuple[int, ...], ...]] = field(default=None, repr=False)
-    _position: Optional[np.ndarray] = field(default=None, repr=False)
-    _class_at: Optional[list[int]] = field(default=None, repr=False)
+    _basis: Optional[tuple[tuple[int, int], ...]] = field(default=None, init=False, repr=False)
+    _coords: Optional[tuple[tuple[int, ...], ...]] = field(default=None, init=False, repr=False)
+    _position: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _class_at: Optional[list[int]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.abc = _frozen(np.array(self.abc, dtype=np.int64))
+        if self.abc.ndim != 2 or len(self.abc) != 3:
+            raise ValueError(f"abc must have shape (3, h), not {self.abc.shape}")
         if self.h == 1:  # the trivial group: no generators, one empty coordinate vector
             self._basis, self._coords = (), ((),)
             self._position, self._class_at = _frozen(np.zeros(1, dtype=np.intp)), [0]
 
     @cached_property
     def h(self) -> int:
-        return len(self.elements)
+        return self.abc.shape[1]
 
     @property
     def nonfundamental(self) -> bool:
         return not self.disc.fundamental
 
     @cached_property
+    def elements(self) -> tuple[QuadForm, ...]:
+        """The classes' reduced forms as QuadForm objects, built on first read."""
+        return tuple(map(QuadForm, *self.abc.tolist()))
+
+    @cached_property
     def _index(self) -> dict:
-        """Class index of each element; a plain (a, b, c) tuple finds its
-        form too."""
-        return {f: i for i, f in enumerate(self.elements)}
+        """Class index of each (a, b, c) tuple, QuadForms included.  Below
+        _ARRAY_WALK_H the walk composes the elements: as keys they save a tuple per class."""
+        forms = self.elements if self.h < _ARRAY_WALK_H else zip(*self.abc.tolist())
+        return {f: i for i, f in enumerate(forms)}
 
     def _structured(self) -> ClassGroup:
         if self._basis is None:
@@ -89,13 +97,6 @@ class ClassGroup:
         """C-order position of each class on the grid of shape orders(),
         which is (1,) for the trivial group."""
         return self._structured()._position
-
-    @property
-    def abc(self) -> np.ndarray:
-        """(3, h) int64 array of the elements' a, b and c, in index order."""
-        if self._abc is None:
-            self._abc = _frozen(np.array(self.elements, dtype=np.int64).reshape(-1, 3).T)
-        return self._abc
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -139,10 +140,9 @@ class ClassGroup:
         return _frozen(rows[:, rows[1] >= 0].T.copy())
 
     def index_of(self, f: QuadForm) -> int:
-        key = (f.a, f.b, f.c)
-        if key not in self._index:
+        if f not in self._index:
             raise KeyError(f"{f} is not a reduced form of discriminant {self.disc.value}")
-        return self._index[key]
+        return self._index[f]
 
     def compose_idx(self, i: int, j: int) -> int:
         """Class of the product: coordinates add modulo orders()."""
@@ -228,11 +228,10 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
         twin = (0 < b) & (b < a) & (c > a)
         found += [np.stack([a, b, c]), np.stack([a[twin], -b[twin], c[twin]])]
     abc = np.concatenate(found, axis=1)
-    abc = _frozen(abc[:, np.lexsort((abc[1], abc[0]))])
-    forms = list(map(QuadForm, *abc.tolist()))
-    if not forms or forms[0] != identity_form(dv):
+    abc = abc[:, np.lexsort((abc[1], abc[0]))]
+    if not abc.size or tuple(abc[:, 0].tolist()) != identity_form(dv):
         raise InvariantViolation(f"identity form missing from the forms of {dv}")
-    return ClassGroup(disc=d, elements=tuple(forms), _abc=abc)
+    return ClassGroup(d, abc)
 
 
 class _Presentation(NamedTuple):
@@ -327,7 +326,7 @@ def _compose_map(g: ClassGroup, x: int) -> np.ndarray:
     """
     dv = g.disc.value
     a, b, c = g.abc
-    ell, bx, _ = g.elements[x]
+    ell, bx, cx = g.abc[:, x].tolist()
     s = (b + bx) // 2  # b = bx (mod 2)
     # y1 a = d (mod ell) for d = gcd(a, ell), looked up by a mod ell
     gcds, coefs = _bezout(np.arange(ell), ell)
@@ -341,7 +340,7 @@ def _compose_map(g: ClassGroup, x: int) -> np.ndarray:
     r = ((y1 * y2 % v1) * ((b - s) % v1) - x2 * (c % v1)) % v1
     a3, b3 = v1 * v2, b + 2 * v2 * r
     if np.any((b3 * b3 - dv) % (4 * a3)):
-        raise InvariantViolation(f"composition with {g.elements[x]} is not integral")
+        raise InvariantViolation(f"composition with {QuadForm(ell, bx, cx)} is not integral")
     return g._permutation("composite", *_reduce_arrays(dv, a3, b3))
 
 

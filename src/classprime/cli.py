@@ -368,9 +368,9 @@ def cmd_dirichlet_check(args) -> int:
     return 0
 
 
-# Largest explicit --l-terms of heegner: l_one_chi takes time linear in
-# it, about 2 ns a term on a 2-core x86-64 box, so 10^10 terms take
-# about 20 s
+# Largest --l-terms of heegner, given or default: l_one_chi takes time
+# linear in it, about 2 ns a term on a 2-core x86-64 box, so 10^10 terms
+# take about 20 s
 _L_TERMS_LIMIT = 10**10
 
 
@@ -380,15 +380,16 @@ def cmd_heegner(args) -> int:
     if not 0 < psi_value < math.inf:
         raise UsageError("--psi-value must be positive and finite")
     absd = -d.value
-    if args.l_terms is not None and args.l_terms < absd:
+    terms = min(max(10**6, 100 * absd), _L_TERMS_LIMIT) if args.l_terms is None else args.l_terms
+    if terms < absd:
         raise UsageError(f"--l-terms must be at least |D| = {absd}")
-    if args.l_terms is not None and args.l_terms > _L_TERMS_LIMIT:
+    if terms > _L_TERMS_LIMIT:
         raise UsageError(f"--l-terms must be at most {_L_TERMS_LIMIT}")
     g = enumerate_reduced_forms(d, strict=False)
     x_cap = eval_scale(args.x_cap, g.h, absd)
     lp = stats.least_primes(g, x_cap, sieve_cap=args.sieve_cap)
     rep = heegner.repulsion_report(g, lp)
-    est = arith.l_one_chi(d, args.l_terms)
+    est = arith.l_one_chi(d, terms)
     pairing, const = heegner.cramer_class_number_pairing(g, psi_value)
     table = _forms_table(
         g,
@@ -438,11 +439,9 @@ class _ScanD(NamedTuple):
 
 def _scan_prepare(dv: int, x_rules, t_rule, sieve_cap, h_cap) -> _ScanD:
     """Class group, thresholds and T of one D, and every check that can
-    fail it before its first request: the 2^31 limit on |D| (before the
-    O(|D|) form enumeration), --h-cap, the thresholds, and the sieve cap
-    at sqrt(2T) and 2T."""
+    fail it before its first request: --h-cap, the thresholds, and the
+    sieve cap at sqrt(2T) and 2T."""
     d = validate_discriminant(dv)
-    arith.check_disc_limit(dv)
     g = enumerate_reduced_forms(d)
     if g.h > h_cap:
         raise UsageError(f"h = {g.h} exceeds cap {h_cap}")
@@ -533,6 +532,7 @@ def cmd_scan(args) -> int:
     if args.range is None:
         raise UsageError("--range LO HI is required")
     lo, hi = sorted(args.range)
+    arith.check_disc_limit(lo)  # before any D of the range is factorized
     x_rules = args.x_rule or ["h*log2.1", "h2*log2"]
     w = stats.get_weight(args.weight)
     for r in x_rules + [args.t_rule]:
@@ -629,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--disc", type=int)
     sp.add_argument("--psi-value", type=float, default=1.0)
     sp.add_argument("--x-cap", default="100*h2*log2")
-    sp.add_argument("--l-terms", type=int, help="default max(10^6, 100|D|)")
+    sp.add_argument("--l-terms", type=int, help="default min(max(10^6, 100|D|), 10^10)")
     _add_common(sp, sieve_cap=True)
 
     sp = command("selftest", cmd_selftest, "run the acceptance checks")

@@ -55,9 +55,9 @@ def heegner_points(g: ClassGroup, classes=slice(None)) -> CMPoints:
 
 
 def heegner_point(g: ClassGroup, i: int) -> HeegnerPoint:
-    """CM point of elements[i], from heegner_points."""
+    """CM point of class i, from heegner_points."""
     re, im = heegner_points(g, [i])
-    return HeegnerPoint(i, float(re[0]), float(im[0]), *g.elements[i])
+    return HeegnerPoint(i, float(re[0]), float(im[0]), *g.abc[:, i].tolist())
 
 
 def coefficient_bound_fraction(g: ClassGroup, psi_value: float) -> float:

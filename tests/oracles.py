@@ -24,7 +24,7 @@ from classprime.qform import InvariantViolation, QuadForm, compose
 
 
 def compose_idx(g: ClassGroup, i: int, j: int) -> int:
-    return g._index[tuple(compose(g.elements[i], g.elements[j]))]
+    return g.index_of(compose(g.elements[i], g.elements[j]))
 
 
 def power_idx(g: ClassGroup, i: int, k: int) -> int:

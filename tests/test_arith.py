@@ -523,7 +523,7 @@ def test_prime_classes_int64_limit():
     # the limit is checked before the group is read, so its forms can be stale
     big = validate_discriminant(-(2**31 + 3))
     with pytest.raises(LimitTooLarge):
-        prime_classes([3], ClassGroup(disc=big, elements=g.elements))
+        prime_classes([3], ClassGroup(big, g.abc))
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +606,6 @@ def test_prime_classes_batch_errors_name_the_d():
     q = 2**31 + 11
     with pytest.raises(LimitTooLarge, match="D = -84"):
         interval_classes([(good, [p]), (g84, [q])])
-    big = ClassGroup(disc=validate_discriminant(-(2**31 + 3)), elements=good.elements)
+    big = ClassGroup(validate_discriminant(-(2**31 + 3)), good.abc)
     with pytest.raises(LimitTooLarge, match=str(2**31 + 3)):
         interval_classes([(good, [3]), (big, [5])])

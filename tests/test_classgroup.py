@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classprime import classgroup
+from classprime import classgroup, cli, heegner, stats
 from classprime.classgroup import (
     Character,
     ClassGroup,
@@ -355,14 +356,13 @@ def test_inverse_position_and_box_forms_from_the_form_arrays():
         grid = np.ravel_multi_index(tuple(np.array(g.coords).T), g.orders())
         assert g.position.tolist() == grid.tolist()
         assert [g._class_at[p] for p in g.position.tolist()] == list(range(g.h))
-        built = ClassGroup(disc=g.disc, elements=g.elements)
-        assert np.array_equal(built.abc, g.abc)
+        built = ClassGroup(g.disc, g.abc)
+        assert np.array_equal(built.abc, np.array(g.elements).T)
 
 
 def test_structure_of_a_broken_group_is_an_invariant_violation():
     # two of the three forms of D = -23: (2, -1, 3)^2 = (2, 1, 3) is missing
-    forms = enumerate_reduced_forms(-23).elements[:2]
-    g = ClassGroup(disc=validate_discriminant(-23), elements=forms)
+    g = ClassGroup(validate_discriminant(-23), enumerate_reduced_forms(-23).abc[:, :2])
     with pytest.raises(InvariantViolation):
         group_structure(g)
 
@@ -375,12 +375,12 @@ def _ideal_class_or_error(a, b, g):
 
 
 def test_group_built_from_its_forms_alone():
-    # h, nonfundamental and the form index come from disc and elements;
+    # h, nonfundamental and the form index come from disc and abc;
     # -340340 (h = 288) takes the array side of the composition walk, and
     # the ideal (2, 2) of -12 is not invertible
     for d in (-23, -3299, -340340, -12):
         g = enumerate_reduced_forms(d, strict=False)
-        built = ClassGroup(disc=g.disc, elements=g.elements)
+        built = ClassGroup(g.disc, g.abc)
         assert (built.h, built.nonfundamental) == (g.h, g.nonfundamental)
         group_structure(built)
         assert (built.basis, built.coords) == (g.basis, g.coords)
@@ -389,6 +389,29 @@ def test_group_built_from_its_forms_alone():
         assert [_ideal_class_or_error(a, b, built) for a, b in ideals] == [
             _ideal_class_or_error(a, b, g) for a, b in ideals
         ]
+
+
+def test_group_is_its_discriminant_and_form_array():
+    assert [f.name for f in dataclasses.fields(ClassGroup) if f.init] == ["disc", "abc"]
+    g = enumerate_reduced_forms(-23)
+    assert not g.abc.flags.writeable
+    for bad in ([1, 1, 6], np.zeros((2, 3))):
+        with pytest.raises(ValueError, match=r"shape \(3, h\)"):
+            ClassGroup(g.disc, bad)
+
+
+def test_commands_at_array_walk_size_build_no_form_objects():
+    # h = 288 takes the array walk: the tables read g.abc, and only a
+    # reader that needs QuadForm objects builds g.elements
+    g = enumerate_reduced_forms(-340340)
+    assert g.h >= classgroup._ARRAY_WALK_H
+    stats.variance_report(g, 10.0**4, stats.bump_weight())
+    lp, _, _ = stats._least_sweep(g, 10.0**5)
+    heegner.repulsion_report(g, lp)
+    heegner.heegner_points(g)
+    cli._forms_table(g)
+    assert "elements" not in vars(g)
+    assert g.elements[0] == identity_form(-340340) and "elements" in vars(g)
 
 
 def test_enumeration_matches_the_pair_loop(monkeypatch):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -221,6 +222,21 @@ def test_heegner_rejects_l_terms_past_its_bound(monkeypatch, capsys):
     assert calls == [10**10]
 
 
+def test_heegner_default_l_terms_stops_at_its_bound(monkeypatch):
+    # max(10^6, 100|D|) below |D| = 10^8, the bound 10^10 past it
+    calls = []
+
+    def l_one(d, terms):
+        calls.append(terms)
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(arith, "l_one_chi", l_one)
+    for d in (-23, -100000003):
+        with pytest.raises(RuntimeError, match="stop"):
+            cli.main(["heegner", "--disc", str(d), "--x-cap", "1000"])
+    assert calls == [10**6, 10**10]
+
+
 def test_heegner_summary(capsys):
     rc, out, err = run_cli(["heegner", "--disc", "-23", "--psi-value", "1.0"], capsys)
     assert rc == 0
@@ -394,16 +410,16 @@ def test_invariant_checks_survive_python_O():
         from classprime import classgroup
         from classprime.classgroup import ClassGroup
         from classprime.heegner import heegner_point
-        from classprime.qform import InvariantViolation, QuadForm, validate_discriminant
+        from classprime.qform import InvariantViolation, validate_discriminant
 
         assert False, "unreachable under -O"
-        g = ClassGroup(disc=validate_discriminant(-19), elements=(QuadForm(5, 9, 5),))
+        g = ClassGroup(validate_discriminant(-19), [[5], [9], [5]])
         try:
             heegner_point(g, 0)
         except InvariantViolation as exc:
             print("raised:", exc)
         full = classgroup.enumerate_reduced_forms(-340340)
-        g = ClassGroup(disc=full.disc, elements=full.elements[:-1])
+        g = ClassGroup(full.disc, full.abc[:, :-1])
         if g.h >= classgroup._ARRAY_WALK_H:
             try:
                 classgroup.group_structure(g)
@@ -1005,10 +1021,12 @@ def test_disc_limit_fails_before_enumeration(cmd, monkeypatch, capsys):
     ["forms", "--disc", "-1000000000003"],
     ["least-primes", "--disc", "-100000000000000000039"],
     ["dirichlet-check", "--disc", "-100000000000000000039", "--n-max", "10"],
+    ["scan", "--range", "-99999999999999999999", "-99999999999999999940"],
 ])
 def test_disc_limit_comes_before_factorizing(argv, capsys):
     # validate_discriminant factorizes |D| by trial division, and forms
-    # enumerates about |D|/12 pairs: the bound on |D| is checked first
+    # enumerates about |D|/12 pairs: the bound on |D| (on scan's LO) is
+    # checked first
     rc, out, err = run_cli(argv, capsys)
     absd = -int(argv[2])
     assert rc == 2 and out == ""
@@ -1070,3 +1088,78 @@ def test_perfbench_tracing_counts_the_rows_written(tmp_path):
     lines = [len((tmp_path / f"{i}.csv").read_text().splitlines()) - 1 for i in range(3)]
     assert lines == [27] * 3  # h(-3299) = 27
     assert res.stdout.split("\n")[:3] == [f"0 {n}" for n in lines]
+
+
+# ---------------------------------------------------------------------------
+# every argv ends in a documented exit code
+
+# edge values tried for every flag, besides its ordinary values
+_EDGES = ["0", "-1", "nan", "inf", "1e300", str(2**63 + 1), str(-(2**63) - 1)]
+# fundamental, non-fundamental, D = 2 or 3 mod 4, not negative, and |D|
+# at and past 2^31; ordinary |D| stay below 10^5
+_DISCS = ["-3", "-4", "-23", "-3299", "-12", "-108", "-2", "-5", str(-(2**31)), str(-(2**31) - 3)]
+_CAPS = ["1000", "1000000000"]
+# "junk" and "box" are refused: no scale rule and no weight
+_RULES = ["1000", "h*log2", "h2*log2", "junk"]
+_WEIGHTS = ["bump", "indicator", "box"]
+_FLAGS = {
+    "forms": {},
+    "least-primes": {"--x-cap": _RULES, "--eps": ["0.1", "0.5"], "--sieve-cap": _CAPS},
+    "variance": {"--t": ["2", "100", "10000"], "--weight": _WEIGHTS, "--sieve-cap": _CAPS},
+    "heegner": {
+        "--psi-value": ["0.5", "1"],
+        "--x-cap": _RULES,
+        "--l-terms": ["100000", "1000000"],
+        "--sieve-cap": _CAPS,
+    },
+    "dirichlet-check": {"--n-max": ["1", "100", "5000"]},
+    "scan": {
+        "--x-rule": _RULES,
+        "--t-rule": _RULES,
+        "--weight": _WEIGHTS,
+        "--h-cap": ["1", "10", "1000000"],
+        "--sieve-cap": _CAPS,
+    },
+}
+
+
+@st.composite
+def _argv(draw, command):
+    argv = [command]
+    if command == "scan":
+        # at most about 60 wide; a LO at or past -2^31 is refused at once
+        lo = draw(st.one_of(st.integers(-5000, 60), st.sampled_from([-(2**31), -(2**63) - 1])))
+        ends = [str(lo), str(lo + draw(st.integers(0, 60)))]
+        if draw(st.booleans()):
+            ends = [str(draw(st.integers(-60, 60))), draw(st.sampled_from(_EDGES))]
+        argv += ["--range", *draw(st.permutations(ends))]
+    elif draw(st.integers(0, 9)):
+        discs = st.integers(-(10**5), -3).filter(lambda d: d % 4 < 2).map(str)
+        argv.append("--disc=" + draw(_or_edge(st.one_of(discs, st.sampled_from(_DISCS)))))
+    flags = {**_FLAGS[command], "--format": ["csv", "json"]}
+    for flag, values in flags.items():
+        for _ in range(draw(st.integers(0, 2 if flag == "--x-rule" else 1))):
+            argv.append(f"{flag}={draw(_or_edge(st.sampled_from(values)))}")
+    return argv
+
+
+def _or_edge(values):
+    """An ordinary value three times in four, else an edge value."""
+    return st.sampled_from([values] * 3 + [st.sampled_from(_EDGES)]).flatmap(lambda v: v)
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_every_argv_ends_in_a_documented_exit(command, data):
+    argv = data.draw(_argv(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        mp.setattr(cli, "_chunk_map", map)  # scan in process: no worker processes
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects an argument
+            rc = exc.code
+    assert rc in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

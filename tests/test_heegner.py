@@ -13,7 +13,7 @@ from classprime.heegner import (
     heegner_points,
     repulsion_report,
 )
-from classprime.qform import InvariantViolation, QuadForm, validate_discriminant
+from classprime.qform import InvariantViolation, validate_discriminant
 from classprime.stats import least_primes
 
 
@@ -54,7 +54,7 @@ def test_points_match_heegner_point():
 
 def test_point_outside_fundamental_domain_raises():
     # (5, 9, 5) has discriminant -19 but is not reduced: re = -0.9
-    g = ClassGroup(disc=validate_discriminant(-19), elements=(QuadForm(5, 9, 5),))
+    g = ClassGroup(validate_discriminant(-19), [[5], [9], [5]])
     with pytest.raises(InvariantViolation, match=r"\(5,9,5\)"):
         heegner_points(g)
     with pytest.raises(InvariantViolation, match=r"\(5,9,5\)"):
