@@ -12,14 +12,23 @@ before group_structure's walk composed by array maps; variance at
 D = -10000019, T = 1e7 was frozen before the prime source stopped
 sieving past its table on a fixed block grid; the CSV tables of forms,
 least-primes and heegner at D = -340340 were frozen before those tables
-were written column by column.  Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
+were written column by column; scan's failure paths (a sieve cap that
+fails some D, an h cap that fails some D), with their exit code and
+stderr, were frozen before one generator took over each scan D.
+Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
 output.
 """
 from __future__ import annotations
 
+import contextlib
+import io
 from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
+
+# The cases whose exit code and stderr are frozen too, in NAME.err: a line
+# "exit=N", then stderr as written
+ERR_CASES = {"scan_-100_-3_sieve-cap1000.csv", "scan_-30_-3_h-cap1.csv"}
 
 
 def _cases() -> list[tuple[str, list[str]]]:
@@ -77,6 +86,13 @@ def _cases() -> list[tuple[str, list[str]]]:
     # b = 0 must print heegner_re as 0, not -0
     for cmd in ("forms", "least-primes", "heegner"):
         cases.append((f"{cmd}_-340340.csv", [cmd, "--disc", "-340340"]))
+    # scan's failure paths: a sieve cap that fails the D whose sqrt(2T) or
+    # 2T passes it, and an h cap that fails the D whose h passes it
+    cases.append((
+        "scan_-100_-3_sieve-cap1000.csv",
+        ["scan", "--range", "-100", "-3", "--sieve-cap", "1000"],
+    ))
+    cases.append(("scan_-30_-3_h-cap1.csv", ["scan", "--range", "-30", "-3", "--h-cap", "1"]))
     return cases
 
 
@@ -84,12 +100,18 @@ CASES = _cases()
 
 
 def write(name: str, argv: list[str], directory: Path) -> Path:
-    """Run the CLI on argv with its table written to directory/name."""
+    """Run the CLI on argv with its table written to directory/name.  A
+    case of ERR_CASES writes its exit code and stderr to directory/NAME.err;
+    any other must exit 0."""
     from classprime import cli
 
     path = directory / name
-    rc = cli.main(argv + ["--out", str(path)])
-    if rc != 0:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err) if name in ERR_CASES else contextlib.nullcontext():
+        rc = cli.main(argv + ["--out", str(path)])
+    if name in ERR_CASES:
+        (directory / (name + ".err")).write_text(f"exit={rc}\n{err.getvalue()}")
+    elif rc != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {rc}")
     return path
 

@@ -1,6 +1,7 @@
 """CLI outputs against the golden files in tests/golden/.
 
-Ints, strings and `none@cap` compare exactly and scalar floats at 1e-12
+Ints, strings and `none@cap` compare exactly, as do the exit code and
+stderr of the cases that freeze them, and scalar floats at 1e-12
 relative.  Entries of the per-class arrays compare at 1e-12 of the
 array's largest magnitude: a small |psi_chi| moves by several 1e-12
 relative under any reordering of its sum.
@@ -81,3 +82,6 @@ def test_golden(name, argv, tmp_path):
         _compare_csv(got, want)
     else:
         _compare_json(json.loads(got), json.loads(want))
+    if name in make_golden.ERR_CASES:
+        err = name + ".err"
+        assert (tmp_path / err).read_text() == (make_golden.GOLDEN_DIR / err).read_text()
