@@ -437,7 +437,7 @@ def representation_counts_upto(nmax: int, d) -> np.ndarray:
     """r(n, d) for 0 <= n <= nmax by brute-force lattice enumeration."""
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
-    g = enumerate_reduced_forms(d, strict=False)
+    g = enumerate_reduced_forms(d)
     total = np.zeros(nmax + 1, dtype=np.int64)
     for f in g.elements:
         total += _form_counts_upto(f, nmax, -d.value)
@@ -450,7 +450,7 @@ def representation_count(n: int, d) -> int:
         raise ValueError("n must be >= 1")
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
-    g = enumerate_reduced_forms(d, strict=False)
+    g = enumerate_reduced_forms(d)
     absd = -d.value
     count = 0
     for f in g.elements:

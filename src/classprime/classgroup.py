@@ -30,14 +30,14 @@ from .qform import (
 
 
 class NotFundamental(ValueError):
-    """Discriminant is valid but not fundamental (strict mode rejects it)."""
+    """Discriminant is valid but not fundamental; dirichlet-check raises it."""
 
 
 class InvalidIdealBasis(ValueError):
     """(a, b) does not describe an ideal: a < 1 or 4a does not divide b^2 - D."""
 
 
-@dataclass
+@dataclass(eq=False)  # == and hash by identity: an array field cannot compare
 class ClassGroup:
     disc: Discriminant
     # (3, h) int64 a, b, c of the classes' reduced forms, sorted by (a, b): principal first
@@ -191,11 +191,10 @@ def _passes(sizes: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
         i = j
 
 
-def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
+def enumerate_reduced_forms(d) -> ClassGroup:
     """Build the class group skeleton: all primitive reduced forms of d.
 
-    strict=True raises NotFundamental for valid but non-fundamental d
-    (scan mode); strict=False accepts it, and g.nonfundamental says so.  The
+    d is any valid discriminant; g.nonfundamental says which kind.  The
     pairs (a, b) with 1 <= a <= sqrt(|d|/3), 0 <= b <= a and b = d (mod 2)
     are tested in numpy passes of _FORM_PAIRS: 4a | b^2 - d (in float64),
     c >= a and gcd(a, b, c) = 1, with the twin (a, -b, c) unless |b| = a
@@ -203,8 +202,6 @@ def enumerate_reduced_forms(d, *, strict: bool = True) -> ClassGroup:
     """
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
-    if strict and not d.fundamental:
-        raise NotFundamental(f"{d.value} is not a fundamental discriminant")
     dv = d.value
     parity = dv & 1
     a_all = np.arange(1, math.isqrt(-dv // 3) + 1, dtype=np.int64)

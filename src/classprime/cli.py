@@ -18,7 +18,7 @@ import os
 import re
 import select
 import sys
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -239,7 +239,7 @@ def _json_default(v):
 
 def cmd_forms(args) -> int:
     d = _require_disc(args)
-    g = enumerate_reduced_forms(d, strict=False)
+    g = enumerate_reduced_forms(d)
     table = _forms_table(g)
     payload = {
         "d": d.value,
@@ -261,7 +261,7 @@ def _forms_table(g: ClassGroup, **more) -> Table:
 
 def cmd_least_primes(args) -> int:
     d = _require_disc(args)
-    g = enumerate_reduced_forms(d, strict=False)
+    g = enumerate_reduced_forms(d)
     absd = -d.value
     x_cap = eval_scale(args.x_cap, g.h, absd)
     x1 = scale_value(1.0, 1.0, 2.0 + args.eps, g.h, absd)
@@ -309,7 +309,7 @@ def cmd_variance(args) -> int:
     if t is None or not (2 <= t < math.inf):
         raise UsageError("--t must be given, finite and at least 2")
     w = stats.get_weight(args.weight)
-    g = enumerate_reduced_forms(d, strict=False)
+    g = enumerate_reduced_forms(d)
     rep = stats.variance_report(g, t, w, sieve_cap=args.sieve_cap)
     log2d = math.log(-d.value) ** 2
     row = {
@@ -385,7 +385,7 @@ def cmd_heegner(args) -> int:
         raise UsageError(f"--l-terms must be at least |D| = {absd}")
     if terms > _L_TERMS_LIMIT:
         raise UsageError(f"--l-terms must be at most {_L_TERMS_LIMIT}")
-    g = enumerate_reduced_forms(d, strict=False)
+    g = enumerate_reduced_forms(d)
     x_cap = eval_scale(args.x_cap, g.h, absd)
     lp = stats.least_primes(g, x_cap, sieve_cap=args.sieve_cap)
     rep = heegner.repulsion_report(g, lp)
@@ -416,7 +416,7 @@ def cmd_heegner(args) -> int:
     return 0
 
 
-def _scan_columns(x_rules: list[str]) -> list[str]:
+def _scan_columns(x_rules: list) -> list[str]:
     cols = ["d", "h"]
     for i in range(1, len(x_rules) + 1):
         cols += [f"x{i}", f"r{i}_ideal", f"r{i}_prime"]
@@ -424,56 +424,30 @@ def _scan_columns(x_rules: list[str]) -> list[str]:
     return cols
 
 
-class _ScanD(NamedTuple):
-    """One D of a scan that passed its per-D checks."""
-
-    d: int
-    g: ClassGroup
-    xs: list[float]
-    t: float
-
-    @property
-    def sweep_cap(self) -> float:
-        return max(self.xs) if self.xs else 2.0
-
-
-def _scan_prepare(dv: int, x_rules, t_rule, sieve_cap, h_cap) -> _ScanD:
-    """Class group, thresholds and T of one D, and every check that can
-    fail it before its first request: --h-cap, the thresholds, and the
-    sieve cap at sqrt(2T) and 2T."""
-    d = validate_discriminant(dv)
-    g = enumerate_reduced_forms(d)
-    if g.h > h_cap:
-        raise UsageError(f"h = {g.h} exceeds cap {h_cap}")
-    absd = -dv
-    xs = [eval_scale(r, g.h, absd) for r in x_rules]
-    t = max(2.0, eval_scale(t_rule, g.h, absd))
-    stats.check_psi_limits(t, sieve_cap)
-    return _ScanD(dv, g, xs, t)
-
-
-def _scan_row(s: _ScanD, lp, ln, rep) -> dict:
-    row: dict = {"d": s.d, "h": s.g.h}
-    for i, x in enumerate(s.xs, 1):
-        row[f"x{i}"] = x
-        row[f"r{i}_ideal"] = stats.count_exceptional(ln, x)
-        row[f"r{i}_prime"] = stats.count_exceptional(lp, x)
-    row["max_p"], row["median_p"] = stats.least_prime_summary(lp)
-    row["t"] = s.t
-    row["var"] = rep.variance
-    row["var_ratio"] = rep.variance / (s.t * math.log(-s.d) ** 2)
-    return row
-
-
 def _scan_job(dv: int, x_rules, t_rule, w, sieve_cap: int, h_cap: int) -> stats.Job:
-    """The row of one D as a job of stats.run_jobs: its checks, its psi
-    sums, its least-prime sweep, then the row.  A failure on bad input or
-    an internal check is the result instead: it fails this D only."""
+    """The row of one D as a job of stats.run_jobs: its class group and
+    --h-cap check, its thresholds and T from the parsed rules, its psi sums
+    (psi_job checks their limits), its least-prime sweep, then the row.  A
+    failure on bad input or an internal check is the result instead: it
+    fails this D only."""
     try:
-        s = _scan_prepare(dv, x_rules, t_rule, sieve_cap, h_cap)
-        psa = yield from stats.psi_job(s.g, s.t, w)
-        lp, ln, _ = yield from stats.sweep_job(s.g, s.sweep_cap, sieve_cap)
-        return _scan_row(s, lp, ln, stats.variance_report(s.g, s.t, w, psa=psa))
+        g = enumerate_reduced_forms(dv)
+        if g.h > h_cap:
+            raise UsageError(f"h = {g.h} exceeds cap {h_cap}")
+        absd = -dv
+        xs = [scale_value(*rule, g.h, absd) for rule in x_rules]
+        t = max(2.0, scale_value(*t_rule, g.h, absd))
+        psa = yield from stats.psi_job(g, t, w, sieve_cap)
+        lp, ln, _ = yield from stats.sweep_job(g, max(xs), sieve_cap)
+        rep = stats.variance_report(g, t, w, psa=psa)
+        row: dict = {"d": dv, "h": g.h}
+        for i, x in enumerate(xs, 1):
+            row[f"x{i}"] = x
+            row[f"r{i}_ideal"] = stats.count_exceptional(ln, x)
+            row[f"r{i}_prime"] = stats.count_exceptional(lp, x)
+        row["max_p"], row["median_p"] = stats.least_prime_summary(lp)
+        row.update(t=t, var=rep.variance, var_ratio=rep.variance / (t * math.log(absd) ** 2))
+        return row
     except (InvariantViolation, *_INPUT_ERRORS) as exc:
         return exc
 
@@ -533,14 +507,14 @@ def cmd_scan(args) -> int:
         raise UsageError("--range LO HI is required")
     lo, hi = sorted(args.range)
     arith.check_disc_limit(lo)  # before any D of the range is factorized
-    x_rules = args.x_rule or ["h*log2.1", "h2*log2"]
+    # each rule parsed once, up front: a usage error, not a failure per D
+    x_rules = [parse_scale(r) for r in args.x_rule or ["h*log2.1", "h2*log2"]]
+    t_rule = parse_scale(args.t_rule)
     w = stats.get_weight(args.weight)
-    for r in x_rules + [args.t_rule]:
-        parse_scale(r)  # validate up front -> usage error, not mid-scan
     chunks = _scan_chunks(list(fundamental_discriminants(lo, hi)), _usable_cpus())
     scan = functools.partial(
         _scan_chunk,
-        x_rules=x_rules, t_rule=args.t_rule, w=w, sieve_cap=args.sieve_cap, h_cap=args.h_cap,
+        x_rules=x_rules, t_rule=t_rule, w=w, sieve_cap=args.sieve_cap, h_cap=args.h_cap,
     )
     rows = []
     failures: list[Exception] = []

@@ -208,33 +208,30 @@ def _run_one(job: Job, sieve_cap: int):
     return res
 
 
-def psi_limits(T: float) -> tuple[int, int, int]:
-    """(sqrt(2T), start of the segment, 2T) as integers: psi_by_class
-    needs every prime up to the first and the primes from the second to
-    the third."""
+def psi_job(g: ClassGroup, T: float, w: Weight, sieve_cap: int) -> Job:
+    """psi_by_class as a job of run_jobs: the pieces of the norms up to
+    sqrt(2T), then of the segment, each added to one accumulator as it
+    comes back classified.  Its limits are checked before its first
+    request: T >= 2, the sieve cap at sqrt(2T) and 2T, and the 2^31 prime
+    -> class limit, named by the first prime past it, in a range that
+    starts below it and reaches it (a range that starts past it fails at
+    its first request, naming its first prime)."""
     if T < 2:
         raise ValueError("T must be >= 2")
     hi = int(2 * T)
     sq = math.isqrt(hi)
-    return sq, max(sq + 1, int(T)), hi
-
-
-def check_psi_limits(T: float, sieve_cap: int) -> None:
-    """LimitTooLarge unless the sieve cap reaches sqrt(2T) and 2T."""
-    sq, _, hi = psi_limits(T)
-    for limit in (sq, hi):
-        arith.check_sieve_limit(limit, sieve_cap)
-
-
-def psi_job(g: ClassGroup, T: float, w: Weight) -> Job:
-    """psi_by_class as a job of run_jobs: the pieces of the norms up to
-    sqrt(2T), then of the segment, each added to one accumulator as it
-    comes back classified."""
-    sq, seg_start, hi = psi_limits(T)
+    small, segment = (2, sq), (max(sq + 1, int(T)), hi)
+    for top in (sq, hi):
+        arith.check_sieve_limit(top, sieve_cap)
+    lim = arith._INT64_EXACT
+    for lo, top in (small, segment):
+        if lo < lim <= top:  # prime gaps below 2^64 are far under 2^16
+            for primes in arith.iter_prime_blocks(lim, min(top, lim + (1 << 16)), cap=sieve_cap):
+                arith.check_prime_limit(primes, g.disc.value)
     acc = np.zeros(g.h)
-    for lo, top in _pieces(2, sq):
+    for lo, top in _pieces(*small):
         _psi_add_small_primes(acc, g, T, w, *(yield g, lo, top))
-    for lo, top in _pieces(seg_start, hi):
+    for lo, top in _pieces(*segment):
         _psi_add_segment(acc, g, T, w, *(yield g, lo, top))
     return acc
 
@@ -249,10 +246,10 @@ def psi_by_class(
     Terms are products of math.log and weight_eval's value (math.exp on
     each prime, the rest in numpy, which rounds the same), added in
     ascending prime order, a split prime's conjugate directly after it, so
-    the result is bit-identical to a per-prime loop.  A run of one psi_job.
+    the result is bit-identical to a per-prime loop.  A run of one psi_job,
+    which checks the limits.
     """
-    check_psi_limits(T, sieve_cap)
-    return _run_one(psi_job(g, T, w), sieve_cap)
+    return _run_one(psi_job(g, T, w, sieve_cap), sieve_cap)
 
 
 def _psi_add_small_primes(

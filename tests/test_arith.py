@@ -510,7 +510,7 @@ def test_prime_classes_random_windows(d, lo, width):
 
 @pytest.mark.parametrize("d", [-12, -27, -75, -36])
 def test_prime_classes_rejects_conductor_primes(d):
-    g = enumerate_reduced_forms(d, strict=False)
+    g = enumerate_reduced_forms(d)
     with pytest.raises(InvalidIdealBasis):
         prime_classes(sieve_primes(100), g)
 
@@ -592,7 +592,7 @@ def test_prime_classes_batch_matches_per_d():
 
 
 def test_prime_classes_batch_errors_name_the_d():
-    good, bad = enumerate_reduced_forms(-23), enumerate_reduced_forms(-75, strict=False)
+    good, bad = enumerate_reduced_forms(-23), enumerate_reduced_forms(-75)
     # 5 divides the conductor of -75 = 5^2 * -3
     with pytest.raises(InvalidIdealBasis, match="discriminant -75"):
         interval_classes([(good, [2, 3]), (bad, [5]), (good, [7])])

@@ -12,7 +12,6 @@ from classprime.classgroup import (
     Character,
     ClassGroup,
     InvalidIdealBasis,
-    NotFundamental,
     characters,
     enumerate_reduced_forms,
     group_structure,
@@ -82,15 +81,14 @@ def test_enumeration_matches_bruteforce():
                     continue
                 if math.gcd(math.gcd(a, b), c) == 1:
                     brute.append(QuadForm(a, b, c))
-        g = enumerate_reduced_forms(d, strict=False)
+        g = enumerate_reduced_forms(d)
         assert g.elements == tuple(sorted(brute))
 
 
-def test_strict_mode_rejects_nonfundamental():
-    with pytest.raises(NotFundamental):
-        enumerate_reduced_forms(-12)
-    g = enumerate_reduced_forms(-12, strict=False)
+def test_nonfundamental_discriminant_is_enumerated():
+    g = enumerate_reduced_forms(-12)
     assert g.nonfundamental and g.h == 1
+    assert not enumerate_reduced_forms(-23).nonfundamental
 
 
 def test_structures():
@@ -154,7 +152,7 @@ def test_compose_idx_agrees_with_form_compose():
 
 @pytest.mark.parametrize("d,orders", [(-3299, (3, 9)), (-5460, (2, 2, 2, 2))])
 def test_compose_idx_agrees_with_form_compose_noncyclic(d, orders):
-    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    g = group_structure(enumerate_reduced_forms(d))
     assert g.orders() == orders
     for i, j in itertools.product(range(g.h), repeat=2):
         k = g.compose_idx(i, j)
@@ -163,7 +161,7 @@ def test_compose_idx_agrees_with_form_compose_noncyclic(d, orders):
 
 @pytest.mark.parametrize("d", [-479, -3299, -5460])
 def test_power_idx_agrees_with_form_power(d):
-    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    g = group_structure(enumerate_reduced_forms(d))
     for i, k in itertools.product(range(g.h), range(-4, 5)):
         assert g.elements[g.power_idx(i, k)] == power(g.elements[i], k)
 
@@ -171,7 +169,7 @@ def test_power_idx_agrees_with_form_power(d):
 def test_ambiguous_class_count_matches_two_torsion():
     # order-2 elements (plus identity) = forms fixed by negation of b
     for d in (-84, -407, -479, -3299, -5460):
-        g = group_structure(enumerate_reduced_forms(d, strict=False))
+        g = group_structure(enumerate_reduced_forms(d))
         two_torsion = sum(1 for i in range(g.h) if g.inverse_idx(i) == i)
         ambiguous = sum(
             1 for f in g.elements if f.b == 0 or f.b == f.a or f.a == f.c
@@ -207,7 +205,7 @@ def test_characters_are_homomorphisms():
 
 def test_real_characters_count_equals_two_torsion():
     for d in (-23, -84, -479, -5460):
-        g = group_structure(enumerate_reduced_forms(d, strict=False))
+        g = group_structure(enumerate_reduced_forms(d))
         chars = characters(g)
         real = sum(
             1
@@ -239,7 +237,7 @@ def test_ideal_class_of_rejects_bad_bases():
     with pytest.raises(InvalidIdealBasis):
         ideal_class_of(2, 0, g)  # 8 does not divide 0 - (-23)
     # non-invertible ideal in a non-maximal order: (2, 0) for D = -12
-    g12 = group_structure(enumerate_reduced_forms(-12, strict=False))
+    g12 = group_structure(enumerate_reduced_forms(-12))
     with pytest.raises(InvalidIdealBasis):
         ideal_class_of(2, 2, g12)
 
@@ -270,15 +268,15 @@ ORACLE_DISCS = [d for d in range(-2000, -2) if is_fundamental(d)] + [
 
 
 def test_oracle_discs_cover_both_walks():
-    hs = [enumerate_reduced_forms(d, strict=False).h for d in ORACLE_DISCS]
+    hs = [enumerate_reduced_forms(d).h for d in ORACLE_DISCS]
     assert min(hs) < classgroup._ARRAY_WALK_H <= max(hs)
     assert sum(h >= classgroup._ARRAY_WALK_H for h in hs) == 8
 
 
 def test_structure_matches_reference_peeling():
     for d in ORACLE_DISCS:
-        g = group_structure(enumerate_reduced_forms(d, strict=False))
-        basis, coords = reference_structure(enumerate_reduced_forms(d, strict=False))
+        g = group_structure(enumerate_reduced_forms(d))
+        basis, coords = reference_structure(enumerate_reduced_forms(d))
         assert g.basis == basis, d
         assert g.coords == coords, d
 
@@ -294,7 +292,7 @@ def test_structure_makes_at_most_h_compositions(d, monkeypatch):
 
     monkeypatch.setattr(ClassGroup, "compose_idx", refuse)
     monkeypatch.setattr(ClassGroup, "power_idx", refuse)
-    g = group_structure(enumerate_reduced_forms(d, strict=False))
+    g = group_structure(enumerate_reduced_forms(d))
     assert 0 < len(calls) <= g.h
 
 
@@ -317,7 +315,7 @@ def test_compose_map_is_form_composition(discs):
     # every class times every walk generator, on both sides of
     # _ARRAY_WALK_H: the array map is the class of the composed form
     for d in discs:
-        g = enumerate_reduced_forms(d, strict=False)
+        g = enumerate_reduced_forms(d)
         for x in _walk_generators(g):
             fx = g.elements[x]
             want = [g.index_of(compose(f, fx)) for f in g.elements]
@@ -327,7 +325,7 @@ def test_compose_map_is_form_composition(discs):
 @pytest.mark.parametrize("d", [-3299, -2700, -100020, -1200012])
 def test_compose_map_for_every_class_as_x(d):
     # x whose a is not prime, so that 1 < gcd(a, ell) < ell for some a
-    g = enumerate_reduced_forms(d, strict=False)
+    g = enumerate_reduced_forms(d)
     for x, fx in enumerate(g.elements):
         want = [g.index_of(compose(f, fx)) for f in g.elements]
         assert classgroup._compose_map(g, x).tolist() == want, (d, x)
@@ -349,7 +347,7 @@ def test_structure_compositions_by_walk_side(monkeypatch):
 def test_inverse_position_and_box_forms_from_the_form_arrays():
     # the arrays enumerate_reduced_forms builds against the QuadForm path
     for d in (-23, -84, -3299, -5460, -340340, -1021020, -10289639):
-        g = group_structure(enumerate_reduced_forms(d, strict=False))
+        g = group_structure(enumerate_reduced_forms(d))
         assert g.inverse.tolist() == [g.index_of(opposite(f)) for f in g.elements]
         rows = [(*f, i) for i, f in enumerate(g.elements) if f.b >= 0]
         assert g.box_forms.tolist() == [list(r) for r in rows]
@@ -379,7 +377,7 @@ def test_group_built_from_its_forms_alone():
     # -340340 (h = 288) takes the array side of the composition walk, and
     # the ideal (2, 2) of -12 is not invertible
     for d in (-23, -3299, -340340, -12):
-        g = enumerate_reduced_forms(d, strict=False)
+        g = enumerate_reduced_forms(d)
         built = ClassGroup(g.disc, g.abc)
         assert (built.h, built.nonfundamental) == (g.h, g.nonfundamental)
         group_structure(built)
@@ -398,6 +396,13 @@ def test_group_is_its_discriminant_and_form_array():
     for bad in ([1, 1, 6], np.zeros((2, 3))):
         with pytest.raises(ValueError, match=r"shape \(3, h\)"):
             ClassGroup(g.disc, bad)
+
+
+def test_groups_compare_by_identity():
+    # abc, an array, has no truth value, so == cannot compare fields
+    g = enumerate_reduced_forms(-23)
+    assert g == g and {g: 1}[g] == 1
+    assert (enumerate_reduced_forms(-23) == enumerate_reduced_forms(-23)) is False
 
 
 def test_commands_at_array_walk_size_build_no_form_objects():
@@ -419,11 +424,11 @@ def test_enumeration_matches_the_pair_loop(monkeypatch):
     # one near -10^7; small passes split the pairs of one a across passes
     discs = [d for d in range(-3, -3001, -1) if d % 4 in (0, 1)] + [-10000019]
     for d in discs:
-        g = classgroup.enumerate_reduced_forms(d, strict=False)
+        g = classgroup.enumerate_reduced_forms(d)
         assert list(g.elements) == reference_reduced_forms(d)
         assert all(type(f) is QuadForm and type(f.a) is int for f in g.elements[:2])
     monkeypatch.setattr(classgroup, "_FORM_PAIRS", 7)
     for d in (-3, -4, -84, -3299, -2700):
-        assert list(classgroup.enumerate_reduced_forms(d, strict=False).elements) == (
+        assert list(classgroup.enumerate_reduced_forms(d).elements) == (
             reference_reduced_forms(d)
         )

@@ -297,7 +297,7 @@ def test_exit_2_bad_disc(capsys):
 
 
 def test_exit_2_nonfundamental_in_scan_path(capsys):
-    # scan skips them; direct commands accept with strict=False
+    # scan skips them; direct commands accept them
     rc, out, err = run_cli(["forms", "--disc", "-12"], capsys)
     assert rc == 0  # forms tolerates non-fundamental input
     rc, _, err = run_cli(["least-primes", "--disc", "-12", "--x-cap", "bogus*"], capsys)
@@ -820,6 +820,16 @@ def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
     assert rows[1:] == [
         line for d, line in want.items() if -200 <= int(d) and int(d) not in failed
     ]
+
+
+def test_scan_parses_each_rule_once(monkeypatch, capsys):
+    # the two default x rules and the t rule, once each, not once per D
+    monkeypatch.setattr(cli, "_chunk_map", map)
+    rules = []
+    real = cli.parse_scale
+    monkeypatch.setattr(cli, "parse_scale", lambda rule: rules.append(rule) or real(rule))
+    assert run_cli(["scan", "--range", "-300", "-3"], capsys)[0] == 0
+    assert rules == ["h*log2.1", "h2*log2", "h2*log2"]
 
 
 def test_scan_memory_stays_bounded(monkeypatch, capsys):

@@ -602,9 +602,42 @@ def test_psi_classes_match_psi_by_class(monkeypatch):
     want = [psi_by_class(g, t, w).tolist() for g, (_, t) in zip(groups, BATCH) for w in weights]
     for limit in LIMITS:
         monkeypatch.setattr(stats, "_TABLE_LIMIT", limit)
-        jobs = [psi_job(g, t, w) for g, (_, t) in zip(groups, BATCH) for w in weights]
+        jobs = [psi_job(g, t, w, arith.SIEVE_CAP_DEFAULT) for g, (_, t) in zip(groups, BATCH) for w in weights]
         got = run_jobs(jobs, stats.PrimeSource())
         assert [psa.tolist() for psa in got] == want  # bit for bit
+
+
+def _count_interval_classes(monkeypatch) -> list:
+    calls = []
+    real = arith.interval_classes
+    monkeypatch.setattr(arith, "interval_classes", lambda reqs: calls.append(reqs) or real(reqs))
+    return calls
+
+
+@pytest.mark.parametrize("limit,t,prime", [(3000, 2000, 3001), (30, 1000, 31)])
+def test_psi_prime_limit_is_checked_before_any_request(limit, t, prime, monkeypatch):
+    # the prime -> class limit, lowered here from 2^31, inside the segment
+    # [2000, 4000] or inside [2, sqrt(2T)] = [2, 44]: the first prime past
+    # it is named before any prime is classified
+    monkeypatch.setattr(arith, "_INT64_EXACT", limit)
+    calls = _count_interval_classes(monkeypatch)
+    with pytest.raises(
+        arith.LimitTooLarge,
+        match=rf"^prime {prime} at D = -23 is not below 2\^31, the prime -> class limit$",
+    ):
+        psi_by_class(enumerate_reduced_forms(-23), t, bump_weight())
+    assert calls == []
+
+
+def test_psi_segment_that_reaches_the_limit_without_a_prime_past_it(monkeypatch):
+    # at T = 1500 the segment [1500, 3000] reaches a limit of 3000 but holds
+    # no prime at or past it: the sums are those of the unpatched run
+    g, w = enumerate_reduced_forms(-23), bump_weight()
+    want = psi_by_class(g, 1500, w).tolist()
+    monkeypatch.setattr(arith, "_INT64_EXACT", 3000)
+    calls = _count_interval_classes(monkeypatch)
+    assert psi_by_class(g, 1500, w).tolist() == want  # bit for bit
+    assert calls
 
 
 @pytest.mark.parametrize("limit", LIMITS)
