@@ -4,29 +4,21 @@ distribution of primes among ideal classes."""
 from .qform import (
     Discriminant,
     QuadForm,
-    ReducedForm,
     NotADiscriminant,
     DiscMismatch,
     InvariantViolation,
     validate_discriminant,
     is_fundamental,
     identity_form,
-    is_reduced,
     reduce,
-    reduce_with_transform,
     compose,
-    opposite,
-    power,
-    evaluate,
 )
 from .classgroup import (
     ClassGroup,
-    Character,
     NotFundamental,
     InvalidIdealBasis,
     enumerate_reduced_forms,
     group_structure,
-    characters,
     ideal_class_of,
 )
 from .arith import (
@@ -39,12 +31,8 @@ from .arith import (
     iter_prime_blocks,
     sqrt_mod_prime,
     sqrt_disc_mod_4p,
-    prime_classes,
     classify_prime,
-    prime_power_class,
-    representation_count,
     representation_counts_upto,
-    dirichlet_r,
     dirichlet_r_upto,
     chi_table,
     l_one_chi,

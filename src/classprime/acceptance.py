@@ -86,7 +86,7 @@ def criterion_1() -> tuple[bool, str]:
 
 @_criterion(2, "Dirichlet formula", limit=60)
 def criterion_2() -> tuple[bool, str]:
-    """representation_count == dirichlet_r exactly for n <= 5000; split max = 4."""
+    """Brute-force r(n, D) == the divisor formula exactly for n <= 5000; split max = 4."""
     nmax = 5000
     bad = []
     for dv in (-3, -4, -8, -23, -47, -71, -163):

@@ -3,7 +3,9 @@
 Kronecker symbol, segmented prime sieve, classification of primes as
 split / inert / ramified with the classes of the primes above them,
 brute-force representation counts, the character divisor-sum formula
-they must match, and partial sums of L(1, chi_D).
+they must match, and partial sums of L(1, chi_D).  The scalar references
+they are tested against (prime_classes, prime_power_class,
+representation_count, dirichlet_r) are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -221,33 +223,14 @@ def check_prime_limit(primes: np.ndarray, d: int) -> None:
         raise LimitTooLarge(f"prime {p} at D = {d} is not below 2^31, the prime -> class limit")
 
 
-def _scalar_class(p: int, g: ClassGroup) -> tuple[int, int]:
-    """chi_D(p) and the class of the ideal (p, b) above p, -1 for inert p."""
+def _scalar_class(p: int, g: ClassGroup) -> tuple[int, Optional[int], int]:
+    """chi_D(p), the b of the ideal (p, b) above p (b = D mod 2, from
+    sqrt_disc_mod_4p) and the class of its reduced form; None and -1 for
+    inert p.  InvalidIdealBasis at primes dividing the conductor of a
+    non-fundamental D, where the ideal is not invertible."""
     d = g.disc.value
     b = sqrt_disc_mod_4p(d, p)
-    return kronecker(d, p), (-1 if b is None else ideal_class_of(p, b, g))
-
-
-def prime_classes(primes, g: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
-    """chi_D(p) and the class of the ideal (p, b) above p, for each prime p.
-
-    Returns (chi, idx) aligned with `primes`; idx is -1 for inert p.  For
-    split p the conjugate ideal lies in the inverse class.  b is the square
-    root of D mod 4p with b = D (mod 2) from sqrt_disc_mod_4p; the form
-    (p, b, (b^2 - D)/4p) is reduced and looked up among g's forms.  This
-    scalar route is the oracle of interval_classes, which gives the same
-    chi and, for split p, this class or its inverse.  Raises LimitTooLarge
-    when a prime or |D| is not below 2^31, and InvalidIdealBasis when the
-    ideal above p is not invertible, which happens only at primes dividing
-    the conductor of a non-fundamental D.
-    """
-    primes = np.asarray(primes, dtype=np.int64)
-    check_prime_limit(np.sort(primes), g.disc.value)
-    chi = np.empty(len(primes), dtype=np.int8)
-    idx = np.empty(len(primes), dtype=np.int64)
-    for j, p in enumerate(primes.tolist()):
-        chi[j], idx[j] = _scalar_class(p, g)
-    return chi, idx
+    return kronecker(d, p), b, (-1 if b is None else ideal_class_of(p, b, g))
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -321,8 +304,8 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     (g.box_forms, one per class up to inversion, so no prime is reached
     by two of them) with the form's class, and each prime reads its
     mark: a split p gets the class of (p, b) or its inverse, and a prime
-    no form reaches is inert.  p = 2 and p | D take the scalar route of
-    prime_classes.  No modular arithmetic is done.  Rows are enumerated
+    no form reaches is inert.  p = 2 and p | D take the scalar route,
+    _scalar_class.  No modular arithmetic is done.  Rows are enumerated
     in passes of at most _PASS_ROWS over every request together, and
     their points in passes of at most _PASS_POINTS, so memory beyond
     that is one byte per norm of the boxes (an int16 label per odd norm;
@@ -381,41 +364,22 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     scalar |= primes == 2
     hits = np.flatnonzero(scalar)
     for i, j in zip(hits.tolist(), np.searchsorted(ends, hits, side="right").tolist()):
-        chi[i], idx[i] = _scalar_class(int(primes[i]), requests[j][0])
+        chi[i], _, idx[i] = _scalar_class(int(primes[i]), requests[j][0])
     return list(zip(np.split(chi, ends[:-1]), np.split(idx, ends[:-1])))
 
 
 def classify_prime(p: int, g: ClassGroup) -> PrimeClassification:
-    """Split / inert / ramified behaviour of p, with the classes above it."""
-    [chi], [idx] = (a.tolist() for a in prime_classes([p], g))
+    """Split / inert / ramified behaviour of p, with the classes above it
+    (by _scalar_class); LimitTooLarge when p or |D| is not below 2^31."""
+    check_prime_limit(np.array([p]), g.disc.value)
+    chi, b, idx = _scalar_class(p, g)
     if chi == -1:
         return PrimeClassification(p, "inert", None, None, frozenset((0,)))
-    b = sqrt_disc_mod_4p(g.disc.value, p)
     if chi == 0:
         return PrimeClassification(p, "ramified", b, idx, frozenset((idx,)))
     return PrimeClassification(
         p, "split", b, idx, frozenset((idx, g.inverse_idx(idx)))
     )
-
-
-def prime_power_class(p: int, k: int, g: ClassGroup) -> list[tuple[int, int, float]]:
-    """Prime-power ideals over p with exponent k: (class, norm, Lambda).
-
-    Split p yields two entries (the power of each conjugate); ramified
-    one; inert a single identity-class entry of norm p^(2k).  Lambda is
-    the log of the underlying prime ideal's norm.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    info = classify_prime(p, g)
-    lp = math.log(p)
-    if info.kind == "inert":
-        return [(0, p ** (2 * k), 2.0 * lp)]
-    ck = g.power_idx(info.class_index, k)
-    if info.kind == "ramified":
-        return [(ck, p**k, lp)]
-    cki = g.power_idx(g.inverse_idx(info.class_index), k)
-    return [(ck, p**k, lp), (cki, p**k, lp)]
 
 
 # ---------------------------------------------------------------------------
@@ -444,45 +408,11 @@ def representation_counts_upto(nmax: int, d) -> np.ndarray:
     return total
 
 
-def representation_count(n: int, d) -> int:
-    """Number of (x, y) with Q(x, y) = n summed over all reduced Q of disc d."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not isinstance(d, Discriminant):
-        d = validate_discriminant(d)
-    g = enumerate_reduced_forms(d)
-    absd = -d.value
-    count = 0
-    for f in g.elements:
-        ymax = math.isqrt(4 * f.a * n // absd)
-        xmax = math.isqrt(4 * f.c * n // absd)
-        for y in range(-ymax, ymax + 1):
-            for x in range(-xmax, xmax + 1):
-                if f.a * x * x + f.b * x * y + f.c * y * y == n:
-                    count += 1
-    return count
-
-
-def dirichlet_r(n: int, d) -> int:
-    """w_D * sum over divisors e | n of (d/e); must equal r(n, d)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dv = d.value if isinstance(d, Discriminant) else validate_discriminant(d).value
-    total = 0
-    e = 1
-    while e * e <= n:
-        if n % e == 0:
-            total += kronecker(dv, e)
-            if e * e != n:
-                total += kronecker(dv, n // e)
-        e += 1
-    return unit_count(dv) * total
-
-
 def dirichlet_r_upto(nmax: int, d) -> np.ndarray:
-    """dirichlet_r(n, d) for 0 <= n <= nmax via a divisor-sum sieve split
-    by the divisor hyperbola at s = isqrt(nmax): the n = e k take chi(e) in
-    one strided add per e <= s, then, for e > s, one per cofactor k <= s."""
+    """The divisor formula w_D * sum over e | n of (d/e), which r(n, d) must
+    equal, for 0 <= n <= nmax: a divisor-sum sieve split by the divisor
+    hyperbola at s = isqrt(nmax): the n = e k take chi(e) in one strided
+    add per e <= s, then, for e > s, one per cofactor k <= s."""
     dv = d.value if isinstance(d, Discriminant) else validate_discriminant(d).value
     tbl = chi_table(dv, nmax + 1)
     out = np.zeros(nmax + 1, dtype=np.int64)

@@ -1,16 +1,16 @@
 """Form class groups of imaginary quadratic discriminants.
 
-Enumerates the reduced forms of a discriminant, computes the abelian
+Enumerates the reduced forms of a discriminant and computes the abelian
 group structure (invariant factors n_1 | n_2 | ... with generators and a
-full coordinate table) the first time it is read, and builds the dual
-character group.  Element order is lexicographic on (a, b, c); index 0
-is always the principal class.
+full coordinate table) the first time it is read; stats.psi_by_char
+transforms over its grid, and tests/oracles.py holds the per-character
+reference.  Element order is lexicographic on (a, b, c); index 0 is
+always the principal class.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
@@ -514,36 +514,6 @@ def group_structure(g: ClassGroup) -> ClassGroup:
     g._coords = tuple(zip(*coords.T.tolist()))
     g._position, g._class_at = _frozen(position), at.tolist()
     return g
-
-
-@dataclass(frozen=True, eq=False)
-class Character:
-    """Character of the class group given by exponents against the basis."""
-
-    group: ClassGroup
-    exponents: tuple[int, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return all(m == 0 for m in self.exponents)
-
-    def value(self, i: int) -> complex:
-        g = self.group
-        lcm = g.basis[-1][1] if g.basis else 1
-        # exact angle accumulation: everything stays an integer mod lcm
-        s = 0
-        for m, a, (_, n) in zip(self.exponents, g.coords[i], g.basis):
-            s += m * a * (lcm // n)
-        return cmath.exp(2j * math.pi * (s % lcm) / lcm)
-
-    def values(self) -> list[complex]:
-        return [self.value(i) for i in range(self.group.h)]
-
-
-def characters(g: ClassGroup) -> list[Character]:
-    """All h characters; the trivial character comes first."""
-    ranges = [range(n) for n in g.orders()]
-    return [Character(g, exps) for exps in itertools.product(*ranges)]
 
 
 def ideal_class_of(a: int, b: int, g: ClassGroup) -> int:

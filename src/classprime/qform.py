@@ -4,12 +4,14 @@ A form (a, b, c) stands for a*x^2 + b*x*y + c*y^2 with a > 0 and negative
 discriminant b^2 - 4ac.  Reduction computes the unique canonical
 representative of each proper equivalence class; composition implements
 the class group law.  Everything runs on Python integers, so there is no
-overflow to worry about, only time.
+overflow to worry about, only time.  The form-level routes that only the
+tests read (reduction with its transform, evaluation, inverse and power)
+are in tests/oracles.py.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 
 class NotADiscriminant(ValueError):
@@ -39,11 +41,6 @@ class QuadForm(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.a},{self.b},{self.c})"
-
-
-# Reduced forms and general forms share the representation; reduced-ness
-# is a predicate, not a separate type.
-ReducedForm = QuadForm
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -104,15 +101,6 @@ def _check_posdef(f: QuadForm) -> None:
         raise ValueError(f"form {f} has non-negative discriminant")
 
 
-def is_reduced(f: QuadForm) -> bool:
-    a, b, c = f
-    if not (-a < b <= a <= c):
-        return False
-    if a == c and b < 0:
-        return False
-    return True
-
-
 def _reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
     # hot path used by prime classification; plain ints in, plain ints out
     while True:
@@ -131,40 +119,6 @@ def reduce(f: QuadForm) -> QuadForm:
     """Canonical reduced representative of the class of f."""
     _check_posdef(f)
     return QuadForm(*_reduce_triple(f.a, f.b, f.c))
-
-
-def reduce_with_transform(
-    f: QuadForm,
-) -> tuple[QuadForm, tuple[int, int, int, int]]:
-    """Reduce f, returning (g, (p, q, r, s)) with det = 1 and
-    g(x, y) = f(p*x + q*y, r*x + s*y).
-    """
-    _check_posdef(f)
-    a, b, c = f
-    # accumulate the unimodular word; column action, so right-multiply
-    m11, m12, m21, m22 = 1, 0, 0, 1
-    while True:
-        if -a < b <= a:
-            if a > c:
-                a, b, c = c, -b, a
-                # S = [[0,-1],[1,0]]
-                m11, m12, m21, m22 = m12, -m11, m22, -m21
-                continue
-            if a == c and b < 0:
-                b = -b
-                m11, m12, m21, m22 = m12, -m11, m22, -m21
-            g = QuadForm(a, b, c)
-            if not is_reduced(g):
-                raise InvariantViolation(f"reduction ended at unreduced {g}")
-            return g, (m11, m12, m21, m22)
-        r = (a - b) // (2 * a)
-        b, c = b + 2 * r * a, a * r * r + b * r + c
-        # T^r = [[1,r],[0,1]]
-        m12, m22 = m11 * r + m12, m21 * r + m22
-
-
-def evaluate(f: QuadForm, x: int, y: int) -> int:
-    return f.a * x * x + f.b * x * y + f.c * y * y
 
 
 def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:
@@ -207,23 +161,3 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     c3 = k * l - w * m
     return QuadForm(*_reduce_triple(a3, b3, c3))
 
-
-def opposite(f: QuadForm) -> QuadForm:
-    """Inverse class: reduce (a, -b, c)."""
-    _check_posdef(f)
-    return QuadForm(*_reduce_triple(f.a, -f.b, f.c))
-
-
-def power(f: QuadForm, k: int) -> QuadForm:
-    """k-th power of the class of f (square and multiply)."""
-    d = f.disc()
-    if k < 0:
-        return power(opposite(f), -k)
-    acc = identity_form(d)
-    base = reduce(f)
-    while k:
-        if k & 1:
-            acc = compose(acc, base)
-        base = compose(base, base)
-        k >>= 1
-    return acc

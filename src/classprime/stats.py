@@ -32,9 +32,6 @@ class Weight:
     kind: str  # "bump" | "indicator"
     normalization: float
 
-    def __call__(self, x: float) -> float:
-        return weight_eval(self, x)
-
 
 # 1 / integral of exp(-1/((x-1)(2-x))) over (1, 2); tests recompute it
 # with mpmath
@@ -182,6 +179,8 @@ def run_jobs(jobs: Iterable[Job], source: PrimeSource) -> list:
                 advance(i, job, job.throw, exc)
                 continue
             requests.append((i, job, g, primes))
+        if not requests:  # every request of the round failed its limit check
+            return
         classified = arith.interval_classes([(g, primes) for _, _, g, primes in requests])
         for (i, job, _, primes), chi_idx in zip(requests, classified):
             advance(i, job, job.send, (primes, *chi_idx))
@@ -332,7 +331,7 @@ def psi_by_char(g: ClassGroup, psi_a: Sequence[float]) -> np.ndarray:
     """Character sums psi_chi = sum_A chi(A) psi_A, trivial character first."""
     # class A sits at its coordinates against the basis (g.position) on a
     # grid of shape g.orders(), or (1,) for the trivial group; characters
-    # flatten in the same C order, the order of classgroup.characters()
+    # flatten in the same C order, the order of characters() in tests/oracles.py
     grid = np.zeros(g.h)
     grid[g.position] = psi_a
     return g.h * np.fft.ifftn(grid.reshape(g.orders() or (1,))).ravel()

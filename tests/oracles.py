@@ -11,16 +11,44 @@ tables.
 
 `reference_reduced_forms` is the pair-by-pair loop that
 classgroup.enumerate_reduced_forms runs as numpy passes.
+
+The form routes (`reduce_with_transform`, `evaluate`, `opposite`,
+`power`) work on one form at a time with Python ints.  `scalar_class`
+is the one scalar prime -> class route of the tests, from `kronecker`,
+`sqrt_disc_mod_4p` and `ideal_class_of`: `prime_classes` maps it over
+primes as the oracle of arith.interval_classes' form box, and
+`prime_power_class` walks powers from it.  `representation_count` counts
+lattice points and `dirichlet_r` sums the divisor formula, one n at a
+time.  `Character` evaluates one character at one class, the reference
+for the FFT of stats.psi_by_char.
 """
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from classprime.arith import _simple_sieve, kronecker
-from classprime.classgroup import ClassGroup, _factorize
-from classprime.qform import InvariantViolation, QuadForm, compose
+from classprime.arith import _simple_sieve, kronecker, sqrt_disc_mod_4p, unit_count
+from classprime.classgroup import (
+    ClassGroup,
+    _factorize,
+    enumerate_reduced_forms,
+    ideal_class_of,
+)
+from classprime.qform import (
+    Discriminant,
+    InvariantViolation,
+    QuadForm,
+    _check_posdef,
+    _reduce_triple,
+    compose,
+    identity_form,
+    reduce,
+    validate_discriminant,
+)
 
 
 def compose_idx(g: ClassGroup, i: int, j: int) -> int:
@@ -155,3 +183,184 @@ def reference_reduced_forms(dv: int) -> list[QuadForm]:
             if 0 < b < a and c > a:
                 forms.append(QuadForm(a, -b, c))
     return sorted(forms)
+
+
+# ---------------------------------------------------------------------------
+# single forms
+
+def is_reduced(f: QuadForm) -> bool:
+    a, b, c = f
+    if not (-a < b <= a <= c):
+        return False
+    if a == c and b < 0:
+        return False
+    return True
+
+
+def reduce_with_transform(
+    f: QuadForm,
+) -> tuple[QuadForm, tuple[int, int, int, int]]:
+    """Reduce f, returning (g, (p, q, r, s)) with det = 1 and
+    g(x, y) = f(p*x + q*y, r*x + s*y).
+    """
+    _check_posdef(f)
+    a, b, c = f
+    # accumulate the unimodular word; column action, so right-multiply
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    while True:
+        if -a < b <= a:
+            if a > c:
+                a, b, c = c, -b, a
+                # S = [[0,-1],[1,0]]
+                m11, m12, m21, m22 = m12, -m11, m22, -m21
+                continue
+            if a == c and b < 0:
+                b = -b
+                m11, m12, m21, m22 = m12, -m11, m22, -m21
+            g = QuadForm(a, b, c)
+            if not is_reduced(g):
+                raise InvariantViolation(f"reduction ended at unreduced {g}")
+            return g, (m11, m12, m21, m22)
+        r = (a - b) // (2 * a)
+        b, c = b + 2 * r * a, a * r * r + b * r + c
+        # T^r = [[1,r],[0,1]]
+        m12, m22 = m11 * r + m12, m21 * r + m22
+
+
+def evaluate(f: QuadForm, x: int, y: int) -> int:
+    return f.a * x * x + f.b * x * y + f.c * y * y
+
+
+def opposite(f: QuadForm) -> QuadForm:
+    """Inverse class: reduce (a, -b, c)."""
+    _check_posdef(f)
+    return QuadForm(*_reduce_triple(f.a, -f.b, f.c))
+
+
+def power(f: QuadForm, k: int) -> QuadForm:
+    """k-th power of the class of f (square and multiply)."""
+    d = f.disc()
+    if k < 0:
+        return power(opposite(f), -k)
+    acc = identity_form(d)
+    base = reduce(f)
+    while k:
+        if k & 1:
+            acc = compose(acc, base)
+        base = compose(base, base)
+        k >>= 1
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# primes and representation numbers, one at a time
+
+def scalar_class(p: int, g: ClassGroup) -> tuple[int, int]:
+    """chi_D(p) and the class of the ideal (p, b) above p, -1 for inert p:
+    b is the square root of D mod 4p with b = D (mod 2), and the form
+    (p, b, (b^2 - D)/4p) is reduced and looked up among g's forms."""
+    d = g.disc.value
+    b = sqrt_disc_mod_4p(d, p)
+    return kronecker(d, p), (-1 if b is None else ideal_class_of(p, b, g))
+
+
+def prime_classes(primes, g: ClassGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(chi, idx) of scalar_class for each prime, as int8 and int64 arrays.
+
+    arith.interval_classes gives the same chi and, for split p, this class
+    or its inverse.  InvalidIdealBasis at primes dividing the conductor of
+    a non-fundamental D.
+    """
+    pairs = [scalar_class(p, g) for p in np.asarray(primes, dtype=np.int64).tolist()]
+    chi = np.array([c for c, _ in pairs], dtype=np.int8)
+    idx = np.array([i for _, i in pairs], dtype=np.int64)
+    return chi, idx
+
+
+def prime_power_class(p: int, k: int, g: ClassGroup) -> list[tuple[int, int, float]]:
+    """Prime-power ideals over p with exponent k: (class, norm, Lambda).
+
+    Split p yields two entries (the power of each conjugate); ramified
+    one; inert a single identity-class entry of norm p^(2k).  Lambda is
+    the log of the underlying prime ideal's norm.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    chi, idx = scalar_class(p, g)
+    lp = math.log(p)
+    if chi == -1:
+        return [(0, p ** (2 * k), 2.0 * lp)]
+    ck = g.power_idx(idx, k)
+    if chi == 0:
+        return [(ck, p**k, lp)]
+    cki = g.power_idx(g.inverse_idx(idx), k)
+    return [(ck, p**k, lp), (cki, p**k, lp)]
+
+
+def representation_count(n: int, d) -> int:
+    """Number of (x, y) with Q(x, y) = n summed over all reduced Q of disc d."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not isinstance(d, Discriminant):
+        d = validate_discriminant(d)
+    g = enumerate_reduced_forms(d)
+    absd = -d.value
+    count = 0
+    for f in g.elements:
+        ymax = math.isqrt(4 * f.a * n // absd)
+        xmax = math.isqrt(4 * f.c * n // absd)
+        for y in range(-ymax, ymax + 1):
+            for x in range(-xmax, xmax + 1):
+                if f.a * x * x + f.b * x * y + f.c * y * y == n:
+                    count += 1
+    return count
+
+
+def dirichlet_r(n: int, d) -> int:
+    """w_D * sum over divisors e | n of (d/e); must equal r(n, d)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    dv = d.value if isinstance(d, Discriminant) else validate_discriminant(d).value
+    total = 0
+    e = 1
+    while e * e <= n:
+        if n % e == 0:
+            total += kronecker(dv, e)
+            if e * e != n:
+                total += kronecker(dv, n // e)
+        e += 1
+    return unit_count(dv) * total
+
+
+# ---------------------------------------------------------------------------
+# characters, one value at a time
+
+@dataclass(frozen=True, eq=False)
+class Character:
+    """Character of the class group given by exponents against the basis."""
+
+    group: ClassGroup
+    exponents: tuple[int, ...]
+
+    @property
+    def is_trivial(self) -> bool:
+        return all(m == 0 for m in self.exponents)
+
+    def value(self, i: int) -> complex:
+        g = self.group
+        lcm = g.basis[-1][1] if g.basis else 1
+        # exact angle accumulation: everything stays an integer mod lcm
+        s = 0
+        for m, a, (_, n) in zip(self.exponents, g.coords[i], g.basis):
+            s += m * a * (lcm // n)
+        return cmath.exp(2j * math.pi * (s % lcm) / lcm)
+
+    def values(self) -> list[complex]:
+        return [self.value(i) for i in range(self.group.h)]
+
+
+def characters(g: ClassGroup) -> list[Character]:
+    """All h characters, in the C order of the grid of shape g.orders();
+    the trivial character comes first."""
+    ranges = [range(n) for n in g.orders()]
+    return [Character(g, exps) for exps in itertools.product(*ranges)]

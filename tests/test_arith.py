@@ -15,19 +15,16 @@ import classprime
 from classprime.arith import (
     LimitTooLarge,
     _periodic,
+    _scalar_class,
     _simple_sieve,
     chi_table,
     class_number_from_l,
     classify_prime,
-    dirichlet_r,
     dirichlet_r_upto,
     interval_classes,
     iter_prime_blocks,
     kronecker,
     l_one_chi,
-    prime_classes,
-    prime_power_class,
-    representation_count,
     representation_counts_upto,
     sieve_primes,
     sqrt_disc_mod_4p,
@@ -39,10 +36,16 @@ from classprime.classgroup import (
     InvalidIdealBasis,
     enumerate_reduced_forms,
     group_structure,
-    ideal_class_of,
 )
-from classprime.qform import QuadForm, evaluate, is_fundamental, validate_discriminant
-from oracles import reference_chi_table
+from classprime.qform import QuadForm, is_fundamental, validate_discriminant
+from oracles import (
+    dirichlet_r,
+    evaluate,
+    prime_classes,
+    prime_power_class,
+    reference_chi_table,
+    representation_count,
+)
 
 
 def test_unit_count():
@@ -448,16 +451,6 @@ def test_primes_represented_by_square_classes():
 KERNEL_DISCS = (-3, -4, -7, -8, -23, -84, -420, -5460, -3299, -10007, -10000019)
 
 
-def _scalar_classes(primes, g):
-    d = g.disc.value
-    chi, idx = [], []
-    for p in primes:
-        b = sqrt_disc_mod_4p(d, p)
-        chi.append(kronecker(d, p))
-        idx.append(-1 if b is None else ideal_class_of(p, b, g))
-    return chi, idx
-
-
 def _assert_box_matches_scalar(requests):
     # chi exactly; for split p other than 2 the class of (p, b) or its
     # inverse, and exactly the scalar class for ramified p, inert p and p = 2
@@ -479,9 +472,11 @@ def _primes_in(lo, hi):
 
 
 def _assert_kernel_matches_scalar(primes, g):
+    # the oracle against the library's scalar route, then against the box
     chi, idx = prime_classes(primes, g)
     assert chi.dtype == np.int8 and idx.dtype == np.int64
-    assert (chi.tolist(), idx.tolist()) == _scalar_classes(list(primes), g)
+    want = [_scalar_class(p, g) for p in primes]
+    assert (chi.tolist(), idx.tolist()) == ([c for c, _, _ in want], [i for *_, i in want])
     # one request per run of primes without a gap of 2^16
     primes = np.asarray(primes, dtype=np.int64)
     runs = np.split(primes, np.flatnonzero(np.diff(primes) > 2**16) + 1)
@@ -517,13 +512,18 @@ def test_prime_classes_rejects_conductor_primes(d):
 
 def test_prime_classes_int64_limit():
     g = enumerate_reduced_forms(-23)
-    assert prime_classes([2**31 - 1], g)[0].tolist() == [kronecker(-23, 2**31 - 1)]
+    [(chi, _)] = interval_classes([(g, [2**31 - 1])])
+    assert chi.tolist() == [kronecker(-23, 2**31 - 1)]
     with pytest.raises(LimitTooLarge):
-        prime_classes([3, 2**31 + 11], g)
+        interval_classes([(g, [3, 2**31 + 11])])
+    with pytest.raises(LimitTooLarge):
+        classify_prime(2**31 + 11, g)
     # the limit is checked before the group is read, so its forms can be stale
     big = validate_discriminant(-(2**31 + 3))
     with pytest.raises(LimitTooLarge):
-        prime_classes([3], ClassGroup(big, g.abc))
+        interval_classes([(ClassGroup(big, g.abc), [3])])
+    with pytest.raises(LimitTooLarge):
+        classify_prime(3, ClassGroup(big, g.abc))
 
 
 # ---------------------------------------------------------------------------

