@@ -223,6 +223,46 @@ def check_prime_limit(primes: np.ndarray, d: int) -> None:
         raise LimitTooLarge(f"prime {p} at D = {d} is not below 2^31, the prime -> class limit")
 
 
+# The prime bases up to 37: a number below _MR_LIMIT that is a strong
+# probable prime to each of them is prime (Sorenson and Webster, Strong
+# pseudoprimes to twelve prime bases, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test on the prime bases up to 37, exact
+    for 0 <= n < _MR_LIMIT (about 3.2e23); ValueError from there on."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is past the deterministic Miller-Rabin range")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def next_prime(n: int) -> int:
+    """The least prime >= n, by is_prime."""
+    while not is_prime(n):
+        n += 1
+    return n
+
+
 def _scalar_class(p: int, g: ClassGroup) -> tuple[int, Optional[int], int]:
     """chi_D(p), the b of the ideal (p, b) above p (b = D mod 2, from
     sqrt_disc_mod_4p) and the class of its reduced form; None and -1 for

@@ -1,11 +1,16 @@
 """Form class groups of imaginary quadratic discriminants.
 
-Enumerates the reduced forms of a discriminant and computes the abelian
-group structure (invariant factors n_1 | n_2 | ... with generators and a
-full coordinate table) the first time it is read; stats.psi_by_char
-transforms over its grid, and tests/oracles.py holds the per-character
-reference.  Element order is lexicographic on (a, b, c); index 0 is
-always the principal class.
+Enumerates the reduced forms of discriminants and computes each group's
+abelian structure (invariant factors n_1 | n_2 | ... with generators and
+a full coordinate table); stats.psi_by_char transforms over its grid,
+and tests/oracles.py holds the per-character reference.  Both steps run
+for many discriminants at once: enumerate_groups tests the (a, b) pairs
+of all of them in shared numpy passes, and group_structures walks the
+groups in lockstep, one array composition per round for all of them.  A
+single group is the batch of one: enumerate_reduced_forms, and
+group_structure, which ClassGroup calls the first time the structure is
+read.  Element order is lexicographic on (a, b, c); index 0 is always
+the principal class.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import Generator, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,8 +27,8 @@ from .qform import (
     InvariantViolation,
     QuadForm,
     _factorize,
+    NotADiscriminant,
     _reduce_triple,
-    compose,
     identity_form,
     validate_discriminant,
 )
@@ -72,10 +77,8 @@ class ClassGroup:
 
     @cached_property
     def _index(self) -> dict:
-        """Class index of each (a, b, c) tuple, QuadForms included.  Below
-        _ARRAY_WALK_H the walk composes the elements: as keys they save a tuple per class."""
-        forms = self.elements if self.h < _ARRAY_WALK_H else zip(*self.abc.tolist())
-        return {f: i for i, f in enumerate(forms)}
+        """Class index of each (a, b, c) tuple; a QuadForm, a tuple, finds it too."""
+        return {f: i for i, f in enumerate(zip(*self.abc.tolist()))}
 
     def _structured(self) -> ClassGroup:
         if self._basis is None:
@@ -175,7 +178,7 @@ def _frozen(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# (a, b) pairs per array pass of enumerate_reduced_forms
+# (a, b) pairs per array pass of enumerate_groups
 _FORM_PAIRS = 1 << 16
 
 
@@ -191,44 +194,91 @@ def _passes(sizes: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
         i = j
 
 
-def enumerate_reduced_forms(d) -> ClassGroup:
-    """Build the class group skeleton: all primitive reduced forms of d.
+def _pair_count(dv: int) -> int:
+    """The (a, b) pairs enumerate_groups tests for discriminant dv: the
+    sum over 1 <= a <= sqrt(|dv|/3) of (a - dv mod 2) // 2 + 1."""
+    top = math.isqrt(-dv // 3)
+    return (top + 1) ** 2 // 4 if dv & 1 else top + top * top // 4
+
+
+def batches(discs: list) -> Iterator[list]:
+    """discs in consecutive batches of at most _FORM_PAIRS (a, b) pairs in
+    all, so that enumerate_groups tests a batch in one pass, or of one
+    discriminant with more alone."""
+    sizes = np.array([_pair_count(d) for d in discs], dtype=np.int64)
+    for i, j in _passes(sizes, _FORM_PAIRS):
+        yield discs[i:j]
+
+
+def enumerate_groups(discs) -> list:
+    """The class group skeleton of each discriminant d of discs, in order:
+    all primitive reduced forms of d as a ClassGroup, or the exception
+    that fails d (NotADiscriminant, or InvariantViolation when the
+    identity form is missing).
 
     d is any valid discriminant; g.nonfundamental says which kind.  The
     pairs (a, b) with 1 <= a <= sqrt(|d|/3), 0 <= b <= a and b = d (mod 2)
-    are tested in numpy passes of _FORM_PAIRS: 4a | b^2 - d (in float64),
-    c >= a and gcd(a, b, c) = 1, with the twin (a, -b, c) unless |b| = a
-    or a = c.
+    of every d are tested together in numpy passes of _FORM_PAIRS, each
+    pair with a column naming its d: 4a | b^2 - d (in float64), c >= a
+    and gcd(a, b, c) = 1, with the twin (a, -b, c) unless |b| = a or a = c.
     """
-    if not isinstance(d, Discriminant):
-        d = validate_discriminant(d)
-    dv = d.value
-    parity = dv & 1
-    a_all = np.arange(1, math.isqrt(-dv // 3) + 1, dtype=np.int64)
-    per_a = (a_all - parity) // 2 + 1  # b = parity, parity + 2, ..., <= a
+    out: list = []
+    valid: list[tuple[int, Discriminant]] = []  # (place in out, d)
+    for d in discs:
+        try:
+            d = d if isinstance(d, Discriminant) else validate_discriminant(d)
+            valid.append((len(out), d))
+        except NotADiscriminant as exc:
+            d = exc
+        out.append(d)
+    if not valid:
+        return out
+    dvs = np.array([d.value for _, d in valid], dtype=np.int64)
+    tops = np.array([math.isqrt(-d.value // 3) for _, d in valid], dtype=np.int64)
+    # one row per (d, a): the place of d in valid, and a
+    row_k = np.repeat(np.arange(len(valid)), tops)
+    row_a = np.arange(1, len(row_k) + 1) - np.repeat(np.cumsum(tops) - tops, tops)
+    per_a = (row_a - (dvs[row_k] & 1)) // 2 + 1  # b = d mod 2, d mod 2 + 2, ..., <= a
     found = []
     for i, j in _passes(per_a, _FORM_PAIRS):
-        n = per_a[i:j]
-        a = np.repeat(a_all[i:j], n)
-        b = parity + 2 * (np.arange(len(a)) - np.repeat(np.cumsum(n) - n, n))
+        n, ks = per_a[i:j], row_k[i:j]
+        ends = np.cumsum(n)
+        a = np.repeat(row_a[i:j], n)
+        dv = dvs[ks[0]] if ks[0] == ks[-1] else np.repeat(dvs[ks], n)  # d of each pair
+        b = (dv & 1) + 2 * (np.arange(len(a)) - np.repeat(ends - n, n))
         # 4a | b^2 - d tested in float64, exactly: b^2 - d <= 4|d|/3 < 2^53,
         # so b^2 - d, 4a and an integer quotient are exact doubles, and
         # division rounds correctly; a non-multiple's quotient lies at
         # least 1/(4a) from every integer, more than its rounding error
         # of at most (b^2 - d)/(4a) 2^-53
         q = (b * b - dv) / (4 * a)
-        ok = q == np.floor(q)
-        a, b, c = a[ok], b[ok], q[ok].astype(np.int64)
+        at = np.flatnonzero(q == np.floor(q))
+        a, b, c = a[at], b[at], q[at].astype(np.int64)
+        k = ks[np.searchsorted(ends, at, side="right")]  # the place of d of each form
         # imprimitive forms only occur for non-fundamental d
         ok = (c >= a) & (np.gcd(np.gcd(a, b), c) == 1)
-        a, b, c = a[ok], b[ok], c[ok]
+        k, a, b, c = k[ok], a[ok], b[ok], c[ok]
         twin = (0 < b) & (b < a) & (c > a)
-        found += [np.stack([a, b, c]), np.stack([a[twin], -b[twin], c[twin]])]
-    abc = np.concatenate(found, axis=1)
-    abc = abc[:, np.lexsort((abc[1], abc[0]))]
-    if not abc.size or tuple(abc[:, 0].tolist()) != identity_form(dv):
-        raise InvariantViolation(f"identity form missing from the forms of {dv}")
-    return ClassGroup(d, abc)
+        found += [np.stack([k, a, b, c]), np.stack([k[twin], a[twin], -b[twin], c[twin]])]
+    kabc = np.concatenate(found, axis=1)
+    kabc = kabc[:, np.lexsort((kabc[2], kabc[1], kabc[0]))]
+    starts = np.searchsorted(kabc[0], np.arange(len(valid) + 1)).tolist()
+    for (place, d), lo, hi in zip(valid, starts, starts[1:]):
+        abc = kabc[1:, lo:hi]
+        if not abc.size or tuple(abc[:, 0].tolist()) != identity_form(d.value):
+            out[place] = InvariantViolation(f"identity form missing from the forms of {d.value}")
+        else:
+            out[place] = ClassGroup(d, abc)
+    return out
+
+
+def enumerate_reduced_forms(d) -> ClassGroup:
+    """The class group skeleton of d: enumerate_groups for d alone, whose
+    exception is raised."""
+    [g] = enumerate_groups([d])
+    if isinstance(g, Exception):
+        raise g
+    return g
 
 
 class _Presentation(NamedTuple):
@@ -268,15 +318,6 @@ class _Presentation(NamedTuple):
         return self.at[pos]
 
 
-# Class number from which group_structure's walk multiplies by a walk
-# generator with one array map of the whole group (_compose_map) rather
-# than one compose call per class.  A map has a fixed numpy cost of
-# about 60-100 compose calls, paid once per walk generator: cyclic
-# groups gain from about h = 70, walks of 5 or 6 generators from about
-# h = 300, and every group of scan --range -2000 -3 (h <= 56) stays below.
-_ARRAY_WALK_H = 256
-
-
 def _bezout(x: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
     """(gcd(x, m), u) with u x = gcd(x, m) (mod m), elementwise, for
     0 <= x < m: Euclid on (m, x), keeping the coefficients of x."""
@@ -291,16 +332,17 @@ def _bezout(x: np.ndarray, m) -> tuple[np.ndarray, np.ndarray]:
         s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
 
 
-def _reduce_arrays(dv: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Reduced (a, b, c) of each form (a, b, .) of discriminant dv: move b
-    into (-a, a], swap a and c where a > c, and repeat on the swapped."""
+def _reduce_arrays(dv: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Reduced (a, b, c) of each form (a, b, .) of discriminant dv (one
+    per form): move b into (-a, a], swap a and c where a > c, and repeat
+    on the swapped."""
     a, b = a.copy(), b.copy()
     c = np.empty_like(a)
     todo = np.arange(len(a))
     while todo.size:
         ta, tb = a[todo], b[todo]
         tb = tb + 2 * ((ta - tb) // (2 * ta)) * ta
-        tc = (tb * tb - dv) // (4 * ta)
+        tc = (tb * tb - dv[todo]) // (4 * ta)
         swap = ta > tc
         a[todo] = np.where(swap, tc, ta)
         b[todo] = np.where(swap, -tb, tb)
@@ -310,24 +352,29 @@ def _reduce_arrays(dv: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, .
     return a, b, c
 
 
-def _compose_map(g: ClassGroup, x: int) -> np.ndarray:
-    """Class of each class times class x, for the whole group at once.
+def _compose_maps(pairs: list) -> list:
+    """For each (g, x) of pairs, the class of s x for every class s of g,
+    a list by class index, or the InvariantViolation that fails it: a
+    composite that is not a class of g, named as g alone names it.
 
-    Dirichlet composition (Cohen, A Course in Computational Algebraic
-    Number Theory, Algorithm 5.4.7) of every form (a, b, c) with x's form
-    (ell, bx, cx) in int64, then reduction and lookup; a composite that
-    is not an element raises InvariantViolation.  int64 holds for
-    |D| < 2^31: a reduced form has a <= sqrt(|D|/3) <= 26755, so the
-    composite has a3 = ell a / d1^2 <= 7.2e8, |b3| <= a + 2 ell a and
-    b3^2 < 2.1e18, and the products that make r have factors below a + ell.
+    One array pass over the forms of every pair: Dirichlet composition
+    (Cohen, A Course in Computational Algebraic Number Theory, Algorithm
+    5.4.7) of each form (a, b, c) of g with x's form (ell, bx, cx), in
+    int64 with ell and D per form, then reduction, and lookup by (pair,
+    a, b) keys: sorted by them, the composites of a pair must be g's
+    classes.  int64 holds for |D| < 2^31: a reduced form has a <=
+    sqrt(|D|/3) <= 26755, so the composite has a3 = ell a / d1^2 <=
+    7.2e8, |b3| <= a + 2 ell a and b3^2 < 2.1e18, and the products that
+    make r have factors below a + ell.
     """
-    dv = g.disc.value
-    a, b, c = g.abc
-    ell, bx, cx = g.abc[:, x].tolist()
+    hs = [g.h for g, _ in pairs]
+    first = np.cumsum([0] + hs[:-1])  # each pair's first form
+    a, b, c = np.concatenate([g.abc for g, _ in pairs], axis=1)
+    ell, bx = np.repeat(np.array([g.abc[:2, x] for g, x in pairs]).T, hs, axis=1)
+    dv = np.repeat([g.disc.value for g, _ in pairs], hs)
     s = (b + bx) // 2  # b = bx (mod 2)
-    # y1 a = d (mod ell) for d = gcd(a, ell), looked up by a mod ell
-    gcds, coefs = _bezout(np.arange(ell), ell)
-    d, y1 = gcds[a % ell], coefs[a % ell]
+    # y1 a = d (mod ell) for d = gcd(a, ell)
+    d, y1 = _bezout(a % ell, ell)
     # x2 s + v d = d1 = gcd(s, d), so x2 = 0 and d1 = 1 where d = 1
     d1, x2 = np.ones_like(a), np.zeros_like(a)
     k = np.flatnonzero(d > 1)
@@ -336,36 +383,50 @@ def _compose_map(g: ClassGroup, x: int) -> np.ndarray:
     v1, v2 = ell // d1, a // d1
     r = ((y1 * y2 % v1) * ((b - s) % v1) - x2 * (c % v1)) % v1
     a3, b3 = v1 * v2, b + 2 * v2 * r
-    if np.any((b3 * b3 - dv) % (4 * a3)):
-        raise InvariantViolation(f"composition with {QuadForm(ell, bx, cx)} is not integral")
-    return g._permutation("composite", *_reduce_arrays(dv, a3, b3))
+    # a pair with a composite that is not integral fails; its forms are
+    # reduced as they were, since that composite has no reduction
+    broken = np.logical_or.reduceat((b3 * b3 - dv) % (4 * a3) != 0, first)
+    if broken.any():
+        keep = np.repeat(broken, hs)
+        a3, b3 = np.where(keep, a, a3), np.where(keep, b, b3)
+    a3, b3, c3 = _reduce_arrays(dv, a3, b3)
+    keys = (a3 << 32) + b3
+    order = np.lexsort((keys, np.repeat(np.arange(len(pairs)), hs)))
+    # the classes, pair by pair, are sorted by their keys (a << 32) + b
+    found = (keys[order] == (a << 32) + b) & (c3[order] == c)
+    whole = np.logical_and.reduceat(found, first)
+    idx = np.empty_like(keys)
+    idx[order] = np.arange(len(keys)) - np.repeat(first, hs)
+    maps = idx.tolist()
+    out: list = []
+    for (g, x), lo, h, bad, ok in zip(pairs, first.tolist(), hs, broken, whole):
+        if bad:
+            f = QuadForm(*g.abc[:, x].tolist())
+            out.append(InvariantViolation(f"composition with {f} is not integral"))
+        elif ok:
+            out.append(maps[lo : lo + h])
+        else:
+            try:
+                forms = (v[lo : lo + h] for v in (a3, b3, c3))
+                out.append(g._permutation("composite", *forms).tolist())
+            except InvariantViolation as exc:
+                out.append(exc)
+    return out
 
 
-class _Composer:
-    """Class of s x for a class s, by one compose call: the map that
-    _compose_map tabulates, for groups below _ARRAY_WALK_H."""
-
-    def __init__(self, g: ClassGroup, x: int):
-        self.g, self.fx = g, g.elements[x]
-
-    def __getitem__(self, s: int) -> int:
-        g = self.g
-        f = compose(g.elements[s], self.fx)
-        i = g._index.get(tuple(f))
-        if i is None:
-            raise InvariantViolation(f"composite {f} is not a class of {g.disc.value}")
-        return i
+# A walk yields its walk generators, one at a time, and is sent for each
+# x the class of s x for every class s, a list by class index; it returns
+# the group's presentation.
+Walk = Generator[int, list, _Presentation]
 
 
-def _presentation(g: ClassGroup) -> _Presentation:
-    """Walk the group, one multiplication by a walk generator per class.
+def _walk(g: ClassGroup) -> Walk:
+    """The walk that presents g, one multiplication by a walk generator per
+    class.
 
     Take the first class x outside the span so far, in index order, and
     extend the span by the cosets span * x^j, j = 1, ..., k - 1, where
-    x^k is the first power of x in the span.  Below _ARRAY_WALK_H
-    classes each multiplication is a compose call: h - 1 of them, as x
-    itself needs none.  From _ARRAY_WALK_H on, each walk generator costs
-    one _compose_map, and the multiplications are list lookups in it.
+    x^k is the first power of x in the span.
     """
     h = g.h
     at = [0]  # span in position order
@@ -377,7 +438,7 @@ def _presentation(g: ClassGroup) -> _Presentation:
     while len(at) < h:
         x = pos.index(-1, x)
         n = len(at)
-        times_x = _compose_map(g, x).tolist() if h >= _ARRAY_WALK_H else _Composer(g, x)
+        times_x = yield x
         p, powers = x, []  # x, ..., x^(k-1), then p = x^k
         for _ in range(h // n - 1):  # k n <= h
             powers.append(p)
@@ -407,6 +468,37 @@ def _presentation(g: ClassGroup) -> _Presentation:
     rel = np.array(landed, dtype=np.int64)[:, None] // weights % radix
     vec = np.array(pos, dtype=np.int64)[:, None] // weights % radix
     return _Presentation(tuple(radix), rel, np.array(at, dtype=np.int64), vec)
+
+
+def _presentations(groups: list) -> list:
+    """The presentation of each group of groups, or the InvariantViolation
+    that fails it, from their walks run in lockstep: round k composes,
+    in one _compose_maps pass, every class of each group still walking
+    with that group's k-th walk generator.  So the rounds number the most
+    walk generators of any group, and a failure ends its own walk only."""
+    out: list = [None] * len(groups)
+    asks: dict[int, tuple[Walk, int]] = {}  # place -> (walk, its next generator)
+
+    def advance(i: int, walk: Walk, arg) -> None:
+        try:
+            asks[i] = (walk, walk.send(arg))
+        except StopIteration as stop:
+            out[i] = stop.value
+        except InvariantViolation as exc:
+            out[i] = exc
+
+    for i, g in enumerate(groups):
+        advance(i, _walk(g), None)
+    while asks:
+        live = list(asks.items())
+        asks.clear()
+        maps = _compose_maps([(groups[i], x) for i, (_, x) in live])
+        for (i, (walk, _)), times_x in zip(live, maps):
+            if isinstance(times_x, InvariantViolation):
+                out[i] = times_x
+            else:
+                advance(i, walk, times_x)
+    return out
 
 
 def _peel(
@@ -463,23 +555,44 @@ def _peel(
     return gens  # orders descending by construction
 
 
+def group_structures(groups: list) -> list:
+    """group_structure of each group of groups, in order, with one lockstep
+    walk for all of them (_presentations): the group, filled, or the
+    InvariantViolation that fails it, which fails that group only."""
+    out = list(groups)
+    todo = [i for i, g in enumerate(groups) if g._basis is None]
+    for i, p in zip(todo, _presentations([groups[i] for i in todo])):
+        if not isinstance(p, _Presentation):
+            out[i] = p
+            continue
+        try:
+            _fill_structure(groups[i], p)
+        except InvariantViolation as exc:
+            out[i] = exc
+    return out
+
+
 def group_structure(g: ClassGroup) -> ClassGroup:
     """Fill basis (invariant factors, ascending), the coords table and
-    each class's grid position.
-
-    One walk presents the group (_presentation): h - 1 compositions
-    below _ARRAY_WALK_H classes, one array map per walk generator from
-    there on.  Each Sylow subgroup and its times-q map come from one
-    numpy map of the whole group; the peeling, the CRT merge of the Sylow
-    bases and the generators' vectors are Python int steps; the
-    coordinate grid is one more whole-group map, and its inverse is the
-    grid position.  ClassGroup calls this on first read of basis, coords,
-    orders() or position; calling it directly forces the computation,
-    and again does nothing.
+    each class's grid position: group_structures for g alone, whose
+    exception is raised.  ClassGroup calls this on first read of basis,
+    coords, orders() or position; calling it directly forces the
+    computation, and again does nothing.
     """
-    if g._basis is not None:
-        return g
-    p = _presentation(g)
+    [res] = group_structures([g])
+    if isinstance(res, Exception):
+        raise res
+    return res
+
+
+def _fill_structure(g: ClassGroup, p: _Presentation) -> None:
+    """Fill g's structure from its presentation p.
+
+    Each Sylow subgroup and its times-q map come from one numpy map of
+    the whole group; the peeling, the CRT merge of the Sylow bases and
+    the generators' vectors are Python int steps; the coordinate grid is
+    one more whole-group map, and its inverse is the grid position.
+    """
     primes = sorted(_factorize(g.h).items())
     # rows 2i and 2i + 1: (h / q^e) x, onto the q-Sylow subgroup, and q x
     scales = np.array([k for q, e in primes for k in (g.h // q**e, q)], dtype=np.int64)
@@ -513,7 +626,6 @@ def group_structure(g: ClassGroup) -> ClassGroup:
     g._basis = tuple(factors)
     g._coords = tuple(zip(*coords.T.tolist()))
     g._position, g._class_at = _frozen(position), at.tolist()
-    return g
 
 
 def ideal_class_of(a: int, b: int, g: ClassGroup) -> int:

@@ -18,11 +18,11 @@ import os
 import re
 import select
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import arith, heegner, stats
+from . import arith, classgroup, heegner, stats
 from .classgroup import ClassGroup, InvalidIdealBasis, NotFundamental, enumerate_reduced_forms
 from .qform import (
     InvariantViolation,
@@ -424,17 +424,30 @@ def _scan_columns(x_rules: list) -> list[str]:
     return cols
 
 
-def _scan_job(dv: int, x_rules, t_rule, w, sieve_cap: int, h_cap: int) -> stats.Job:
-    """The row of one D as a job of stats.run_jobs: its class group and
-    --h-cap check, its thresholds and T from the parsed rules, its psi sums
-    (psi_job checks their limits), its least-prime sweep, then the row.  A
-    failure on bad input or an internal check is the result instead: it
-    fails this D only."""
+def _scan_groups(discs: list[int], h_cap: int) -> Iterator:
+    """The class group of each D of discs, in order, structured, or the
+    exception that fails D: built one batch at a time (classgroup.batches),
+    each batch enumerated in one pass and walked in lockstep.  A D whose h
+    passes --h-cap fails before the walk."""
+    for batch in classgroup.batches(discs):
+        built = classgroup.enumerate_groups(batch)
+        for i, g in enumerate(built):
+            if isinstance(g, ClassGroup) and g.h > h_cap:
+                built[i] = UsageError(f"h = {g.h} exceeds cap {h_cap}")
+        walked = iter(classgroup.group_structures([g for g in built if isinstance(g, ClassGroup)]))
+        yield from (next(walked) if isinstance(g, ClassGroup) else g for g in built)
+
+
+def _scan_job(g, x_rules, t_rule, w, sieve_cap: int) -> stats.Job:
+    """The row of one D as a job of stats.run_jobs, from its class group g
+    or the exception that failed it: its thresholds and T from the parsed
+    rules, its psi sums (psi_job checks their limits), its least-prime
+    sweep, then the row.  A failure on bad input or an internal check is
+    the result instead: it fails this D only."""
+    if isinstance(g, Exception):
+        return g
     try:
-        g = enumerate_reduced_forms(dv)
-        if g.h > h_cap:
-            raise UsageError(f"h = {g.h} exceeds cap {h_cap}")
-        absd = -dv
+        dv, absd = g.disc.value, -g.disc.value
         xs = [scale_value(*rule, g.h, absd) for rule in x_rules]
         t = max(2.0, scale_value(*t_rule, g.h, absd))
         psa = yield from stats.psi_job(g, t, w, sieve_cap)
@@ -454,9 +467,13 @@ def _scan_job(dv: int, x_rules, t_rule, w, sieve_cap: int, h_cap: int) -> stats.
 
 def _scan_chunk(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int) -> list:
     """(D, row or the exception that failed it) for each D of discs, in
-    order, from one stats.run_jobs call with a job per D.  Rows and
-    exceptions are plain data, so a chunk can run in a worker process."""
-    jobs = (_scan_job(dv, x_rules, t_rule, w, sieve_cap, h_cap) for dv in discs)
+    order, from one stats.run_jobs call with a job per D; run_jobs reads
+    the jobs lazily, so a batch of groups is built when its first job
+    starts.  Rows and exceptions are plain data, so a chunk can run in a
+    worker process."""
+    jobs = (
+        _scan_job(g, x_rules, t_rule, w, sieve_cap) for g in _scan_groups(discs, h_cap)
+    )
     return list(zip(discs, stats.run_jobs(jobs, stats.PrimeSource(sieve_cap))))
 
 

@@ -79,22 +79,31 @@ class PrimeSource:
     passes its end, the table grows to at least twice its old limit, and
     only the new part is sieved.  Past it each request sieves exactly its
     own norms, so memory stays O(sqrt(hi) + block) per request in use,
-    whatever range is asked for.
+    whatever range is asked for; the last such block is kept, read-only,
+    and handed out again while the same request repeats, as it does when
+    every D of a scan has the same T.
     """
 
     def __init__(self, sieve_cap: int = arith.SIEVE_CAP_DEFAULT):
         self.cap = sieve_cap
         self.limit = 0
         self.table = np.empty(0, dtype=np.int64)
+        self.last: tuple[tuple[int, int], Optional[np.ndarray]] = ((0, 0), None)
 
     def primes(self, lo: int, hi: int) -> np.ndarray:
         """The primes in [lo, hi], ascending: a slice of the table when hi
-        is at most _TABLE_LIMIT, else sieved in one block.  LimitTooLarge
-        when hi is past the sieve cap."""
+        is at most _TABLE_LIMIT, else sieved in one block, or the last block
+        again for the same (lo, hi).  LimitTooLarge when hi is past the
+        sieve cap."""
         arith.check_sieve_limit(hi, self.cap)
         if hi > _TABLE_LIMIT:
-            block = arith.iter_prime_blocks(lo, hi, cap=self.cap, block=hi - lo + 1)
-            return next(block, self.table[:0])
+            if self.last[0] != (lo, hi):
+                self.last = ((0, 0), None)  # freed before the next block is sieved
+                block = arith.iter_prime_blocks(lo, hi, cap=self.cap, block=hi - lo + 1)
+                primes = next(block, np.empty(0, dtype=np.int64))
+                primes.flags.writeable = False
+                self.last = ((lo, hi), primes)
+            return self.last[1]
         if hi > self.limit:
             new = min(max(hi, 2 * self.limit), _TABLE_LIMIT, self.cap)
             more = arith.iter_prime_blocks(self.limit + 1, new, cap=self.cap, block=_BLOCK)
@@ -212,9 +221,9 @@ def psi_job(g: ClassGroup, T: float, w: Weight, sieve_cap: int) -> Job:
     sqrt(2T), then of the segment, each added to one accumulator as it
     comes back classified.  Its limits are checked before its first
     request: T >= 2, the sieve cap at sqrt(2T) and 2T, and the 2^31 prime
-    -> class limit, named by the first prime past it, in a range that
-    starts below it and reaches it (a range that starts past it fails at
-    its first request, naming its first prime)."""
+    -> class limit, named by the first prime past it: in a range that
+    starts below it and reaches it, sieved from 2^31; in a segment that
+    starts past it, its first prime, found by arith.next_prime."""
     if T < 2:
         raise ValueError("T must be >= 2")
     hi = int(2 * T)
@@ -227,6 +236,8 @@ def psi_job(g: ClassGroup, T: float, w: Weight, sieve_cap: int) -> Job:
         if lo < lim <= top:  # prime gaps below 2^64 are far under 2^16
             for primes in arith.iter_prime_blocks(lim, min(top, lim + (1 << 16)), cap=sieve_cap):
                 arith.check_prime_limit(primes, g.disc.value)
+        elif lim <= lo <= top:  # found by a primality test: no base primes to sieve
+            arith.check_prime_limit(np.array([arith.next_prime(lo)]), g.disc.value)
     acc = np.zeros(g.h)
     for lo, top in _pieces(*small):
         _psi_add_small_primes(acc, g, T, w, *(yield g, lo, top))

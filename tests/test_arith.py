@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import jacobi_symbol
 
 import classprime
+from classprime import arith
 from classprime.arith import (
     LimitTooLarge,
     _periodic,
@@ -110,6 +111,29 @@ def test_sieve_prime_counts():
 @pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 100, 10**6 + 7])
 def test_simple_sieve_matches_sympy(limit):
     assert _simple_sieve(limit).tolist() == list(sympy.primerange(0, limit + 1))
+
+
+# the least strong pseudoprimes to the first 1, 2, ..., 11 prime bases,
+# all composite, and a Carmichael number
+PSEUDOPRIMES = [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 561,
+]
+
+
+def test_miller_rabin_matches_sympy():
+    assert [n for n in range(-2, 20000) if arith.is_prime(n)] == list(sympy.primerange(0, 20000))
+    # and primes: 2^61 - 1, the last below 2^64, two past 10^18
+    for n in PSEUDOPRIMES + [2**61 - 1, 2**64 - 59, 10**18 + 3, 10**18 + 9]:
+        assert arith.is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError):
+        arith.is_prime(arith._MR_LIMIT)
+
+
+@given(st.integers(2, 2**62))
+@settings(max_examples=200, deadline=None)
+def test_next_prime_matches_sympy(n):
+    assert arith.next_prime(n) == sympy.nextprime(n - 1)
 
 
 def test_simple_sieve_memory():

@@ -11,8 +11,10 @@ from classprime import classgroup, cli, heegner, stats
 from classprime.classgroup import (
     ClassGroup,
     InvalidIdealBasis,
+    enumerate_groups,
     enumerate_reduced_forms,
     group_structure,
+    group_structures,
     ideal_class_of,
 )
 from classprime import qform
@@ -254,19 +256,20 @@ def test_ideal_class_is_translation_invariant(d, data):
 # every fundamental D in [-2000, -3] (-84 and -420 among them), then
 # 3 x 9, 2 x 2 x 2 x 2, two groups of h = 1275 and 1221 (primes-1e7 pool),
 # h = 6563 (large-h, a walk of width 1), 6 x 24 (walk radix (2, 6, 6, 2)),
-# 2 x 2 x 24 (a walk of width 4), and from classgroup._ARRAY_WALK_H on
-# 2 x 2 x 2 x 2 x 18, 2 x 2 x 2 x 40, 2 x 2 x 64 and two non-fundamental
-# D whose conductor 2 divides: (2, 2, 2, 2, 16) and (2, 132)
+# 2 x 2 x 24 (a walk of width 4), and from h = 256 on 2 x 2 x 2 x 2 x 18,
+# 2 x 2 x 2 x 40, 2 x 2 x 64 and two non-fundamental D whose conductor 2
+# divides: (2, 2, 2, 2, 16) and (2, 132)
 ORACLE_DISCS = [d for d in range(-2000, -2) if is_fundamental(d)] + [
     -3299, -5460, -10000019, -10022939, -10289639, -100036, -100020,
     -340340, -1000020, -200004, -1021020, -1200012,
 ]
 
 
-def test_oracle_discs_cover_both_walks():
+def test_oracle_discs_cover_h_from_1_to_6563():
+    # one walk at every h: small groups and eight from h = 256 on
     hs = [enumerate_reduced_forms(d).h for d in ORACLE_DISCS]
-    assert min(hs) < classgroup._ARRAY_WALK_H <= max(hs)
-    assert sum(h >= classgroup._ARRAY_WALK_H for h in hs) == 8
+    assert (min(hs), max(hs)) == (1, 6563)
+    assert sum(h >= 256 for h in hs) == 8
 
 
 def test_structure_matches_reference_peeling():
@@ -277,24 +280,36 @@ def test_structure_matches_reference_peeling():
         assert g.coords == coords, d
 
 
+def _count_compositions(monkeypatch) -> tuple[list, list]:
+    """Record each qform.compose call, and the pairs of each array pass."""
+    calls, passes = [], []
+    real_compose, real_maps = qform.compose, classgroup._compose_maps
+    monkeypatch.setattr(qform, "compose", lambda f, k: calls.append(1) or real_compose(f, k))
+    monkeypatch.setattr(
+        classgroup, "_compose_maps", lambda pairs: passes.append(len(pairs)) or real_maps(pairs)
+    )
+    return calls, passes
+
+
 @pytest.mark.parametrize("d", [-3299, -5460, -10007])
 def test_structure_makes_at_most_h_compositions(d, monkeypatch):
-    calls = []
-    real = classgroup.compose
-    monkeypatch.setattr(classgroup, "compose", lambda f, k: calls.append(1) or real(f, k))
+    # no form is composed alone: one array pass per walk generator
+    gens = len(_walk_generators(enumerate_reduced_forms(d)))
+    calls, passes = _count_compositions(monkeypatch)
 
     def refuse(*args):
         raise AssertionError("group_structure uses index arithmetic of its own")
 
     monkeypatch.setattr(ClassGroup, "compose_idx", refuse)
     monkeypatch.setattr(ClassGroup, "power_idx", refuse)
-    g = group_structure(enumerate_reduced_forms(d))
-    assert 0 < len(calls) <= g.h
+    group_structure(enumerate_reduced_forms(d))
+    assert calls == []
+    assert passes == [1] * gens
 
 
 def _walk_generators(g: ClassGroup) -> list[int]:
     """The walk's generators x_i: the classes at positions prod(radix[:i])."""
-    p = classgroup._presentation(g)
+    [p] = classgroup._presentations([g])
     return [int(p.at[math.prod(p.radix[:i])]) for i in range(len(p.radix))]
 
 
@@ -308,36 +323,89 @@ INT64_EDGE_DISCS = [-2147483647, -2147483643, -2147483640]
     ids=["oracle", *map(str, INT64_EDGE_DISCS)],
 )
 def test_compose_map_is_form_composition(discs):
-    # every class times every walk generator, on both sides of
-    # _ARRAY_WALK_H: the array map is the class of the composed form
-    for d in discs:
-        g = enumerate_reduced_forms(d)
-        for x in _walk_generators(g):
-            fx = g.elements[x]
-            want = [g.index_of(compose(f, fx)) for f in g.elements]
-            assert classgroup._compose_map(g, x).tolist() == want, (d, x)
+    # every class times every walk generator, at every h and in one array
+    # pass for all the groups: the map is the class of the composed form
+    pairs = [(g, x) for g in enumerate_groups(discs) for x in _walk_generators(g)]
+    for (g, x), got in zip(pairs, classgroup._compose_maps(pairs), strict=True):
+        fx = g.elements[x]
+        assert got == [g.index_of(compose(f, fx)) for f in g.elements], (g.disc.value, x)
 
 
 @pytest.mark.parametrize("d", [-3299, -2700, -100020, -1200012])
 def test_compose_map_for_every_class_as_x(d):
     # x whose a is not prime, so that 1 < gcd(a, ell) < ell for some a
     g = enumerate_reduced_forms(d)
+    maps = classgroup._compose_maps([(g, x) for x in range(g.h)])
     for x, fx in enumerate(g.elements):
         want = [g.index_of(compose(f, fx)) for f in g.elements]
-        assert classgroup._compose_map(g, x).tolist() == want, (d, x)
+        assert maps[x] == want, (d, x)
 
 
-def test_structure_compositions_by_walk_side(monkeypatch):
-    counted = []
-    real = qform.compose
-    counting = lambda f, k: counted.append(1) or real(f, k)
-    monkeypatch.setattr(qform, "compose", counting)
-    monkeypatch.setattr(classgroup, "compose", counting)
-    # the parent composed 6562 times here
-    g = group_structure(enumerate_reduced_forms(-10289639))
-    assert g.h >= classgroup._ARRAY_WALK_H and counted == []
-    g = group_structure(enumerate_reduced_forms(-1999))
-    assert g.h < classgroup._ARRAY_WALK_H and len(counted) == g.h - 1
+def test_structure_composes_in_one_pass_per_round(monkeypatch):
+    # h = 6563 and h = 11 walked together: no compose call, one array pass
+    # per lockstep round, and one map per walk generator (the parent
+    # composed 10 times for -1999)
+    groups = enumerate_groups([-10289639, -1999])
+    gens = [len(_walk_generators(g)) for g in enumerate_groups([-10289639, -1999])]
+    calls, passes = _count_compositions(monkeypatch)
+    assert group_structures(groups) == groups
+    assert calls == []
+    assert len(passes) == max(gens) and sum(passes) == sum(gens)
+
+
+def _structure_arrays(g: ClassGroup) -> tuple:
+    return (g.abc.tolist(), g.inverse.tolist(), g.basis, g.coords, g.position.tolist())
+
+
+def test_batched_groups_match_one_at_a_time():
+    # every discriminant in [-2100, -3], fundamental or not, and the oracle
+    # discriminants (h = 1 to 6563, two of conductor 2) in one mixed
+    # batch: enumerated in shared passes and walked in lockstep, each
+    # group is the one built alone
+    discs = [d for d in range(-3, -2101, -1) if d % 4 in (0, 1)] + ORACLE_DISCS
+    built = group_structures(enumerate_groups(discs))
+    assert [g.disc.value for g in built] == discs
+    for d, g in zip(discs, built):
+        alone = group_structure(enumerate_reduced_forms(d))
+        assert _structure_arrays(g) == _structure_arrays(alone), d
+
+
+def test_broken_group_fails_only_its_own_place_in_a_batch():
+    # -340340 less its last form among two whole groups: its composite
+    # that is no class fails it, with the text it raises alone
+    full = enumerate_reduced_forms(-340340)
+    broken = lambda: ClassGroup(full.disc, full.abc[:, :-1])
+    with pytest.raises(InvariantViolation) as alone:
+        group_structure(broken())
+    groups = enumerate_groups([-3299, -5460])
+    out = group_structures([groups[0], broken(), groups[1]])
+    assert out[0] is groups[0] and out[2] is groups[1]
+    assert type(out[1]) is InvariantViolation and str(out[1]) == str(alone.value)
+    assert str(out[1]).startswith("composite (")
+    for g, d in zip(groups, (-3299, -5460)):
+        assert _structure_arrays(g) == _structure_arrays(group_structure(enumerate_reduced_forms(d)))
+
+
+def test_enumeration_failures_stay_with_their_discriminant():
+    out = enumerate_groups([-23, 5, -4, -7])
+    assert [type(g) for g in out] == [ClassGroup, qform.NotADiscriminant, ClassGroup, ClassGroup]
+    assert [g.h for g in out if isinstance(g, ClassGroup)] == [3, 1, 1]
+    assert enumerate_groups([]) == []
+
+
+def test_batches_hold_one_pass_of_pairs():
+    # the pairs a batch enumerates sum to at most _FORM_PAIRS, or a larger
+    # D goes alone; _pair_count is the enumeration's own count
+    for d in (-3, -4, -7, -8, -2000, -2003, -786432, -1000003):
+        top = math.isqrt(-d // 3)
+        assert classgroup._pair_count(d) == sum((a - d % 2) // 2 + 1 for a in range(1, top + 1))
+    discs = list(qform.fundamental_discriminants(-800000, -780000))[::50] + [-2000, -3]
+    batches = list(classgroup.batches(discs))
+    assert sum(batches, []) == discs
+    for batch in batches:
+        pairs = sum(map(classgroup._pair_count, batch))
+        assert pairs <= classgroup._FORM_PAIRS or len(batch) == 1
+    assert any(len(b) == 1 and classgroup._pair_count(b[0]) > classgroup._FORM_PAIRS for b in batches)
 
 
 def test_inverse_position_and_box_forms_from_the_form_arrays():
@@ -402,17 +470,17 @@ def test_groups_compare_by_identity():
 
 
 def test_commands_at_array_walk_size_build_no_form_objects():
-    # h = 288 takes the array walk: the tables read g.abc, and only a
-    # reader that needs QuadForm objects builds g.elements
-    g = enumerate_reduced_forms(-340340)
-    assert g.h >= classgroup._ARRAY_WALK_H
-    stats.variance_report(g, 10.0**4, stats.bump_weight())
-    lp, _, _ = stats._least_sweep(g, 10.0**5)
-    heegner.repulsion_report(g, lp)
-    heegner.heegner_points(g)
-    cli._forms_table(g)
-    assert "elements" not in vars(g)
-    assert g.elements[0] == identity_form(-340340) and "elements" in vars(g)
+    # every h takes the array walk (h = 27 and 288 here): the tables read
+    # g.abc, and only a reader that needs QuadForm objects builds g.elements
+    for d in (-3299, -340340):
+        g = enumerate_reduced_forms(d)
+        stats.variance_report(g, 10.0**4, stats.bump_weight())
+        lp, _, _ = stats._least_sweep(g, 10.0**5)
+        heegner.repulsion_report(g, lp)
+        heegner.heegner_points(g)
+        cli._forms_table(g)
+        assert "elements" not in vars(g)
+        assert g.elements[0] == identity_form(d) and "elements" in vars(g)
 
 
 def test_enumeration_matches_the_pair_loop(monkeypatch):

@@ -402,9 +402,9 @@ def test_import_leaves_scipy_unloaded():
 
 def test_invariant_checks_survive_python_O():
     # (5, 9, 5) has discriminant -19 but is not reduced: its CM point has
-    # re = -0.9.  -340340 less its last form has h = 287, on the array
-    # side of the walk, and some class times the first walk generator is
-    # the missing form
+    # re = -0.9.  -340340 less its last form has h = 287 and -3299 less
+    # its last h = 26: at either h some class times the first walk
+    # generator is the missing form
     code = textwrap.dedent(
         """
         from classprime import classgroup
@@ -418,9 +418,9 @@ def test_invariant_checks_survive_python_O():
             heegner_point(g, 0)
         except InvariantViolation as exc:
             print("raised:", exc)
-        full = classgroup.enumerate_reduced_forms(-340340)
-        g = ClassGroup(full.disc, full.abc[:, :-1])
-        if g.h >= classgroup._ARRAY_WALK_H:
+        for d in (-340340, -3299):
+            full = classgroup.enumerate_reduced_forms(d)
+            g = ClassGroup(full.disc, full.abc[:, :-1])
             try:
                 classgroup.group_structure(g)
             except InvariantViolation as exc:
@@ -429,9 +429,11 @@ def test_invariant_checks_survive_python_O():
     )
     res = _python("-O", "-c", code)
     assert res.returncode == 0, res.stderr
-    first, second = res.stdout.splitlines()
+    first, *walks = res.stdout.splitlines()
     assert first.startswith("raised:")
-    assert second.startswith("raised: composite (") and second.endswith("is not a class of -340340")
+    assert len(walks) == 2
+    for line, d in zip(walks, (-340340, -3299)):
+        assert line.startswith("raised: composite (") and line.endswith(f"is not a class of {d}")
 
 
 def test_sieve_cap_exit_2(capsys):
@@ -451,11 +453,19 @@ def test_int64_limit_exit_2(capsys):
     assert "error:" in err and "2^31" in err
 
 
+def _record_walks(monkeypatch) -> list[int]:
+    """The h of each group walked from here on, in this process."""
+    walked = []
+    real = classgroup._presentations
+    monkeypatch.setattr(
+        classgroup, "_presentations", lambda groups: walked.extend(g.h for g in groups) or real(groups)
+    )
+    return walked
+
+
 def test_scan_counts_failures_exit_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_chunk_map", map)  # group_structure runs in this process
-    structured = []
-    real = classgroup.group_structure
-    monkeypatch.setattr(classgroup, "group_structure", lambda g: structured.append(g.h) or real(g))
+    monkeypatch.setattr(cli, "_chunk_map", map)  # the walks run in this process
+    structured = _record_walks(monkeypatch)
     rc, out, err = run_cli(
         ["scan", "--range", "-60", "-3", "--h-cap", "1"], capsys
     )
@@ -466,6 +476,22 @@ def test_scan_counts_failures_exit_2(monkeypatch, capsys):
     assert "# failed=14" in err.splitlines()
     # h is capped first, and the kept D have h = 1, whose character grid needs no basis
     assert structured == []
+
+
+def test_scan_walks_no_group_over_the_h_cap(monkeypatch, capsys):
+    # the cap is checked between a batch's enumeration and its walk, so a
+    # D with h > 2 is never walked, and it fails with the parent's line
+    monkeypatch.setattr(cli, "_chunk_map", map)
+    walked = _record_walks(monkeypatch)
+    rc, out, err = run_cli(["scan", "--range", "-100", "-3", "--h-cap", "2"], capsys)
+    assert rc == 2
+    assert walked and set(walked) == {2}
+    *lines, tail = err.splitlines()
+    assert len(lines) > 10 and tail == f"# failed={len(lines)}"
+    assert all(re.fullmatch(r"scan: D=-\d+ failed: h = \d+ exceeds cap 2", line) for line in lines)
+    assert lines[0] == "scan: D=-23 failed: h = 3 exceeds cap 2"
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) + len(lines) == len(list(qform.fundamental_discriminants(-100, -3)))
 
 
 def test_scan_identity_mismatch_exit_3(monkeypatch, capsys):
@@ -680,13 +706,20 @@ def test_structure_computed_only_when_read(argv, calls, monkeypatch, capsys):
 
 def test_variance_composes_only_inside_group_structure(monkeypatch, capsys):
     # compose_idx is coordinate arithmetic, so the small-prime loop of
-    # psi_by_class composes no forms
-    calls = {"inside": 0, "outside": 0}
+    # psi_by_class composes no forms; the walk composes by array passes,
+    # one per walk generator of -3299's group (3 x 9), and calls no
+    # compose at all
+    calls = {"inside": 0, "outside": 0, "compose": 0}
     depth = [0]
-    real_compose, real_structure = qform.compose, classgroup.group_structure
+    real_maps, real_structure = classgroup._compose_maps, classgroup.group_structure
+    real_compose = qform.compose
 
-    def counting(f, k):
-        calls["inside" if depth[0] else "outside"] += 1
+    def counting(pairs):
+        calls["inside" if depth[0] else "outside"] += len(pairs)
+        return real_maps(pairs)
+
+    def compose(f, k):
+        calls["compose"] += 1
         return real_compose(f, k)
 
     def structure(g):
@@ -696,13 +729,13 @@ def test_variance_composes_only_inside_group_structure(monkeypatch, capsys):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(qform, "compose", counting)
-    monkeypatch.setattr(classgroup, "compose", counting)
+    monkeypatch.setattr(qform, "compose", compose)
+    monkeypatch.setattr(classgroup, "_compose_maps", counting)
     monkeypatch.setattr(classgroup, "group_structure", structure)
     rc, _, _ = run_cli(["variance", "--disc", "-3299", "--t", "1e5"], capsys)
     assert rc == 0
-    assert 0 < calls["inside"] <= 27
-    assert calls["outside"] == 0
+    assert 0 < calls["inside"] <= 2
+    assert calls["outside"] == calls["compose"] == 0
 
 
 def test_scan_x_rules_shape_columns(capsys):
@@ -820,6 +853,53 @@ def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
     assert rows[1:] == [
         line for d, line in want.items() if -200 <= int(d) and int(d) not in failed
     ]
+
+
+def test_scan_with_a_constant_t_sieves_its_segment_once_per_chunk(monkeypatch, capsys):
+    # under --t-rule 3e6 every D asks for the segment [3e6, 6e6] in the
+    # same two blocks past the table of the primes up to 2^21: each
+    # chunk's PrimeSource sieves each block once, where the parent sieved
+    # both again for every D
+    monkeypatch.setattr(cli, "_chunk_map", map)
+    discs = list(qform.fundamental_discriminants(-50000, -49900))
+    chunks = len(cli._scan_chunks(discs, cli._usable_cpus()))
+    past = []
+    real = arith.iter_prime_blocks
+
+    def sieve(lo, hi, **kw):
+        if lo > stats._TABLE_LIMIT:
+            past.append((lo, hi))
+        return real(lo, hi, **kw)
+
+    monkeypatch.setattr(arith, "iter_prime_blocks", sieve)
+    rc, out, _ = run_cli(["scan", "--range", "-50000", "-49900", "--t-rule", "3e6"], capsys)
+    assert rc == 0 and len(out.splitlines()) == len(discs) + 1
+    assert len(discs) > 20 and len(past) <= 2 * chunks
+
+
+def test_psi_segment_past_the_prime_limit_is_named_up_front(capsys):
+    # the segment [3e9, 6e9] starts past 2^31: its first prime is named
+    # before any prime up to sqrt(2T) is classified
+    argv = ["variance", "--disc", "-23", "--t", "3e9", "--sieve-cap", "100000000000"]
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert err == "error: prime 3000000019 at D = -23 is not below 2^31, the prime -> class limit\n"
+
+
+def test_scan_segment_past_the_prime_limit_fails_each_d_quickly(capsys):
+    # T = 1e18: the parent classified every prime up to sqrt(2T), about
+    # 1.4e9, for each D before its segment failed
+    start = time.perf_counter()
+    argv = ["scan", "--range", "-100", "-60", "--t-rule=1e18", "--sieve-cap=100000000000000000000"]
+    rc, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 10
+    assert rc == 2 and out.count("\n") == 1
+    discs = list(qform.fundamental_discriminants(-100, -60))
+    assert err.splitlines() == [
+        f"scan: D={d} failed: prime 1000000000000000003 at D = {d} is not below 2^31, "
+        "the prime -> class limit"
+        for d in discs
+    ] + [f"# failed={len(discs)}"]
 
 
 def test_scan_parses_each_rule_once(monkeypatch, capsys):

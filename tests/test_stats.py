@@ -600,11 +600,14 @@ def _count_interval_classes(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("limit,t,prime", [(3000, 2000, 3001), (30, 1000, 31)])
+@pytest.mark.parametrize(
+    "limit,t,prime", [(3000, 2000, 3001), (30, 1000, 31), (100, 1000, 1009)]
+)
 def test_psi_prime_limit_is_checked_before_any_request(limit, t, prime, monkeypatch):
     # the prime -> class limit, lowered here from 2^31, inside the segment
-    # [2000, 4000] or inside [2, sqrt(2T)] = [2, 44]: the first prime past
-    # it is named before any prime is classified
+    # [2000, 4000], inside [2, sqrt(2T)] = [2, 44], or below the segment
+    # [1000, 2000]: the first prime past it (in the last case the
+    # segment's first prime) is named before any prime is classified
     monkeypatch.setattr(arith, "_INT64_EXACT", limit)
     calls = _count_interval_classes(monkeypatch)
     with pytest.raises(
@@ -616,13 +619,15 @@ def test_psi_prime_limit_is_checked_before_any_request(limit, t, prime, monkeypa
 
 
 def test_round_with_every_request_failed_classifies_nothing(monkeypatch):
-    # the segment [1000, 2000] starts past a limit lowered to 100, so its
-    # first request fails its limit check and leaves its round empty: the
-    # parent still called interval_classes with no requests
-    monkeypatch.setattr(arith, "_INT64_EXACT", 100)
+    # the sweep of D = -119 asks for [2, 224], then for [225, 448], which
+    # passes a limit lowered to 230 and is alone in its round: that round
+    # fails its limit check and calls interval_classes with no requests
+    # (psi_job names a segment past the limit before its first request,
+    # so a sweep makes such a round)
+    monkeypatch.setattr(arith, "_INT64_EXACT", 230)
     calls = _count_interval_classes(monkeypatch)
-    with pytest.raises(arith.LimitTooLarge, match=r"^prime 1009 at D = -23 "):
-        psi_by_class(enumerate_reduced_forms(-23), 1000, bump_weight())
+    with pytest.raises(arith.LimitTooLarge, match=r"^prime 233 at D = -119 "):
+        _least_sweep(enumerate_reduced_forms(-119), 1000)
     assert calls and all(calls)
 
 
@@ -716,6 +721,24 @@ def test_prime_source_parts_are_the_sieve(limit, monkeypatch):
         assert got.tolist() == want[(want >= lo) & (want <= hi)].tolist()
     with pytest.raises(arith.LimitTooLarge):
         source.primes(2, cap + 1)
+
+
+def test_prime_source_hands_a_repeated_block_out_again(monkeypatch):
+    # past the table, the last block sieved comes back, read-only, for the
+    # same request, after the sieve-cap check; another request sieves anew
+    past = _sieved_past_table(monkeypatch, stats._TABLE_LIMIT)
+    source = stats.PrimeSource(6 * 10**6)
+    lo, hi = 3 * 10**6, 3 * 10**6 + stats._BLOCK - 1
+    first = source.primes(lo, hi)
+    assert source.primes(lo, hi) is first and not first.flags.writeable
+    want = arith.sieve_primes(hi)
+    assert first.tolist() == want[want >= lo].tolist()
+    assert past == [(lo, hi)]
+    source.primes(hi + 1, 6 * 10**6)
+    assert source.primes(lo, hi).tolist() == first.tolist()
+    assert past == [(lo, hi), (hi + 1, 6 * 10**6), (lo, hi)]
+    with pytest.raises(arith.LimitTooLarge):
+        stats.PrimeSource(hi - 1).primes(lo, hi)
 
 
 def test_table_growth_sieves_each_prime_once(monkeypatch):
