@@ -342,9 +342,9 @@ def test_compose_map_for_every_class_as_x(d):
 
 
 def test_structure_composes_in_one_pass_per_round(monkeypatch):
-    # h = 6563 and h = 11 walked together: no compose call, one array pass
-    # per lockstep round, and one map per walk generator (the parent
-    # composed 10 times for -1999)
+    # h = 6563 and h = 27 walked together: no compose call, one array pass
+    # per lockstep round, and one map per walk generator (a walk by one
+    # composition per class makes 26 for -1999)
     groups = enumerate_groups([-10289639, -1999])
     gens = [len(_walk_generators(g)) for g in enumerate_groups([-10289639, -1999])]
     calls, passes = _count_compositions(monkeypatch)

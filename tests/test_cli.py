@@ -480,7 +480,7 @@ def test_scan_counts_failures_exit_2(monkeypatch, capsys):
 
 def test_scan_walks_no_group_over_the_h_cap(monkeypatch, capsys):
     # the cap is checked between a batch's enumeration and its walk, so a
-    # D with h > 2 is never walked, and it fails with the parent's line
+    # D with h > 2 is never walked, and it fails with the cap's message
     monkeypatch.setattr(cli, "_chunk_map", map)
     walked = _record_walks(monkeypatch)
     rc, out, err = run_cli(["scan", "--range", "-100", "-3", "--h-cap", "2"], capsys)
@@ -858,8 +858,7 @@ def test_scan_limit_failure_keeps_to_its_d(monkeypatch, capsys):
 def test_scan_with_a_constant_t_sieves_its_segment_once_per_chunk(monkeypatch, capsys):
     # under --t-rule 3e6 every D asks for the segment [3e6, 6e6] in the
     # same two blocks past the table of the primes up to 2^21: each
-    # chunk's PrimeSource sieves each block once, where the parent sieved
-    # both again for every D
+    # chunk's PrimeSource sieves each block once, not again for every D
     monkeypatch.setattr(cli, "_chunk_map", map)
     discs = list(qform.fundamental_discriminants(-50000, -49900))
     chunks = len(cli._scan_chunks(discs, cli._usable_cpus()))
@@ -887,8 +886,8 @@ def test_psi_segment_past_the_prime_limit_is_named_up_front(capsys):
 
 
 def test_scan_segment_past_the_prime_limit_fails_each_d_quickly(capsys):
-    # T = 1e18: the parent classified every prime up to sqrt(2T), about
-    # 1.4e9, for each D before its segment failed
+    # T = 1e18: the segment's first prime is named before any prime up to
+    # sqrt(2T), about 1.4e9, is classified
     start = time.perf_counter()
     argv = ["scan", "--range", "-100", "-60", "--t-rule=1e18", "--sieve-cap=100000000000000000000"]
     rc, out, err = run_cli(argv, capsys)
