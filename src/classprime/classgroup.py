@@ -417,10 +417,10 @@ def _compose_maps(pairs: list) -> list:
 # A walk yields its walk generators, one at a time, and is sent for each
 # x the class of s x for every class s, a list by class index; it returns
 # the group's presentation.
-Walk = Generator[int, list, _Presentation]
+_Walk = Generator[int, list, _Presentation]
 
 
-def _walk(g: ClassGroup) -> Walk:
+def _walk(g: ClassGroup) -> _Walk:
     """The walk that presents g, one multiplication by a walk generator per
     class.
 
@@ -477,9 +477,9 @@ def _presentations(groups: list) -> list:
     with that group's k-th walk generator.  So the rounds number the most
     walk generators of any group, and a failure ends its own walk only."""
     out: list = [None] * len(groups)
-    asks: dict[int, tuple[Walk, int]] = {}  # place -> (walk, its next generator)
+    asks: dict[int, tuple[_Walk, int]] = {}  # place -> (walk, its next generator)
 
-    def advance(i: int, walk: Walk, arg) -> None:
+    def advance(i: int, walk: _Walk, arg) -> None:
         try:
             asks[i] = (walk, walk.send(arg))
         except StopIteration as stop:
