@@ -10,7 +10,6 @@ from .qform import (
     validate_discriminant,
     is_fundamental,
     identity_form,
-    reduce,
     compose,
 )
 from .classgroup import (
@@ -26,11 +25,8 @@ from .arith import (
     PrimeClassification,
     LOneEstimate,
     unit_count,
-    kronecker,
     sieve_primes,
     iter_prime_blocks,
-    sqrt_mod_prime,
-    sqrt_disc_mod_4p,
     classify_prime,
     representation_counts_upto,
     dirichlet_r_upto,

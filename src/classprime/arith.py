@@ -1,11 +1,13 @@
 """Rational-prime arithmetic against a fixed negative discriminant.
 
-Kronecker symbol, segmented prime sieve, classification of primes as
-split / inert / ramified with the classes of the primes above them,
-brute-force representation counts, the character divisor-sum formula
-they must match, and partial sums of L(1, chi_D).  The scalar references
-they are tested against (prime_classes, prime_power_class,
-representation_count, dirichlet_r) are in tests/oracles.py.
+Segmented prime sieve, classification of primes as split / inert /
+ramified with the classes of the primes above them (one route, the form
+box of interval_classes), brute-force representation counts, the
+character divisor-sum formula they must match, and partial sums of
+L(1, chi_D).  The scalar references they are tested against (kronecker,
+the modular square roots, scalar_class, prime_classes,
+prime_power_class, representation_count, dirichlet_r) are in
+tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -38,33 +40,6 @@ def unit_count(d: int) -> int:
     if d == -4:
         return 4
     return 2
-
-
-def kronecker(d: int, n: int) -> int:
-    """Kronecker symbol (d/n) for n >= 0."""
-    if n == 0:
-        return 1 if d in (1, -1) else 0
-    if d % 2 == 0 and n % 2 == 0:
-        return 0
-    result = 1
-    t = 0
-    while n % 2 == 0:
-        n //= 2
-        t += 1
-    if t % 2 == 1 and d % 8 in (3, 5):
-        result = -result
-    a = d % n  # Jacobi symbol is periodic in the numerator for odd n > 0
-    while a != 0:
-        t = 0
-        while a % 2 == 0:
-            a //= 2
-            t += 1
-        if t % 2 == 1 and n % 8 in (3, 5):
-            result = -result
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a, n = n % a, a
-    return result if n == 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -133,68 +108,13 @@ def sieve_primes(limit: int, *, cap: int = SIEVE_CAP_DEFAULT) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# square roots of D modulo primes
-
-def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
-    """A square root of a mod odd prime p (Tonelli-Shanks), or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    return _sqrt_residue(a, p)
-
-
-def _sqrt_residue(a: int, p: int) -> int:
-    # assumes 0 < a < p is a quadratic residue mod odd p
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2  # deterministic: smallest quadratic non-residue
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, x = 0, t
-        while x != 1:
-            x = x * x % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return r
-
-
-def sqrt_disc_mod_4p(d: int, p: int) -> Optional[int]:
-    """Smallest b >= 0 with b^2 = d (mod 4p) and b = d (mod 2), or None."""
-    if p == 2:
-        for b in (0, 1, 2, 3):
-            if (b - d) % 2 == 0 and (b * b - d) % 8 == 0:
-                return b
-        return None
-    r = sqrt_mod_prime(d % p, p)
-    if r is None:
-        return None
-    return r if (r - d) % 2 == 0 else p - r
-
-
-# ---------------------------------------------------------------------------
 # classification of primes
 
 @dataclass(frozen=True)
 class PrimeClassification:
     p: int
     kind: str  # "split" | "inert" | "ramified"
-    sqrt_b: Optional[int]
-    class_index: Optional[int]  # class of the form (p, b, .)
+    class_index: Optional[int]  # a class above p; None for inert p
     classes: frozenset[int]
 
 
@@ -263,14 +183,22 @@ def next_prime(n: int) -> int:
     return n
 
 
-def _scalar_class(p: int, g: ClassGroup) -> tuple[int, Optional[int], int]:
-    """chi_D(p), the b of the ideal (p, b) above p (b = D mod 2, from
-    sqrt_disc_mod_4p) and the class of its reduced form; None and -1 for
-    inert p.  InvalidIdealBasis at primes dividing the conductor of a
+def _scalar_class(p: int, g: ClassGroup) -> tuple[int, int]:
+    """chi_D(p) and the class of the ideal (p, b) above p, -1 for inert p,
+    at the primes the form box leaves out: p = 2 and odd p | D.  There
+    the b with b^2 = D (mod 4p) and b = D (mod 2) has a closed form: for
+    p = 2 it is read off D mod 8 (0: b = 0, 4: b = 2, 1: split with
+    b = 1, 5: inert), and for odd p | D it is 0 or p, whichever has D's
+    parity.  InvalidIdealBasis at primes dividing the conductor of a
     non-fundamental D, where the ideal is not invertible."""
     d = g.disc.value
-    b = sqrt_disc_mod_4p(d, p)
-    return kronecker(d, p), b, (-1 if b is None else ideal_class_of(p, b, g))
+    if p != 2:
+        chi, b = 0, p * (d & 1)
+    elif d % 8 == 5:
+        return -1, -1
+    else:
+        chi, b = {0: (0, 0), 4: (0, 2), 1: (1, 1)}[d % 8]
+    return chi, ideal_class_of(p, b, g)
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -344,7 +272,7 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     (g.box_forms, one per class up to inversion, so no prime is reached
     by two of them) with the form's class, and each prime reads its
     mark: a split p gets the class of (p, b) or its inverse, and a prime
-    no form reaches is inert.  p = 2 and p | D take the scalar route,
+    no form reaches is inert.  p = 2 and p | D take the closed forms of
     _scalar_class.  No modular arithmetic is done.  Rows are enumerated
     in passes of at most _PASS_ROWS over every request together, and
     their points in passes of at most _PASS_POINTS, so memory beyond
@@ -404,22 +332,25 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     scalar |= primes == 2
     hits = np.flatnonzero(scalar)
     for i, j in zip(hits.tolist(), np.searchsorted(ends, hits, side="right").tolist()):
-        chi[i], _, idx[i] = _scalar_class(int(primes[i]), requests[j][0])
+        chi[i], idx[i] = _scalar_class(int(primes[i]), requests[j][0])
     return list(zip(np.split(chi, ends[:-1]), np.split(idx, ends[:-1])))
 
 
 def classify_prime(p: int, g: ClassGroup) -> PrimeClassification:
-    """Split / inert / ramified behaviour of p, with the classes above it
-    (by _scalar_class); LimitTooLarge when p or |D| is not below 2^31."""
+    """Split / inert / ramified behaviour of the prime p, with the classes
+    above it, as interval_classes gives them: for split p, class_index is
+    the class of (p, b) or its inverse.  LimitTooLarge when p or |D| is
+    not below 2^31, then ValueError when p is not prime."""
     check_prime_limit(np.array([p]), g.disc.value)
-    chi, b, idx = _scalar_class(p, g)
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+    [(chi, idx)] = interval_classes([(g, np.array([p]))])
+    chi, idx = int(chi[0]), int(idx[0])
     if chi == -1:
-        return PrimeClassification(p, "inert", None, None, frozenset((0,)))
+        return PrimeClassification(p, "inert", None, frozenset((0,)))
     if chi == 0:
-        return PrimeClassification(p, "ramified", b, idx, frozenset((idx,)))
-    return PrimeClassification(
-        p, "split", b, idx, frozenset((idx, g.inverse_idx(idx)))
-    )
+        return PrimeClassification(p, "ramified", idx, frozenset((idx,)))
+    return PrimeClassification(p, "split", idx, frozenset((idx, g.inverse_idx(idx))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Exact arithmetic of positive definite integral binary quadratic forms.
 
 A form (a, b, c) stands for a*x^2 + b*x*y + c*y^2 with a > 0 and negative
-discriminant b^2 - 4ac.  Reduction computes the unique canonical
-representative of each proper equivalence class; composition implements
-the class group law.  Everything runs on Python integers, so there is no
-overflow to worry about, only time.  The form-level routes that only the
-tests read (reduction with its transform, evaluation, inverse and power)
-are in tests/oracles.py.
+discriminant b^2 - 4ac.  Reduction of a triple computes the unique
+canonical representative of each proper equivalence class; composition
+implements the class group law.  Everything runs on Python integers, so
+there is no overflow to worry about, only time.  The form-level routes
+that only the tests read (reduction of a QuadForm, with and without its
+transform, evaluation, inverse and power) are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -113,12 +113,6 @@ def _reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int]:
             return a, b, c
         r = (a - b) // (2 * a)
         b, c = b + 2 * r * a, a * r * r + b * r + c
-
-
-def reduce(f: QuadForm) -> QuadForm:
-    """Canonical reduced representative of the class of f."""
-    _check_posdef(f)
-    return QuadForm(*_reduce_triple(f.a, f.b, f.c))
 
 
 def _solve_congruence(a: int, b: int, m: int) -> tuple[int, int]:

@@ -12,12 +12,15 @@ tables.
 `reference_reduced_forms` is the pair-by-pair loop that
 classgroup.enumerate_reduced_forms runs as numpy passes.
 
-The form routes (`reduce_with_transform`, `evaluate`, `opposite`,
-`power`) work on one form at a time with Python ints.  `scalar_class`
-is the one scalar prime -> class route of the tests, from `kronecker`,
-`sqrt_disc_mod_4p` and `ideal_class_of`: `prime_classes` maps it over
-primes as the oracle of arith.interval_classes' form box, and
-`prime_power_class` walks powers from it.  `representation_count` counts
+The form routes (`reduce`, `reduce_with_transform`, `evaluate`,
+`opposite`, `power`) work on one form at a time with Python ints.
+`kronecker` computes the Kronecker symbol by quadratic reciprocity, and
+`sqrt_disc_mod_4p` the b of the ideal (p, b) by Tonelli-Shanks
+(`sqrt_mod_prime`).  `scalar_class` is the one scalar prime -> class
+route of the tests, from those two and `ideal_class_of`: `prime_classes`
+maps it over primes as the oracle of arith.interval_classes' form box
+and of the closed forms of arith._scalar_class, and `prime_power_class`
+walks powers from it.  `representation_count` counts
 lattice points and `dirichlet_r` sums the divisor formula, one n at a
 time.  `Character` evaluates one character at one class, the reference
 for the FFT of stats.psi_by_char.
@@ -28,10 +31,11 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from classprime.arith import _simple_sieve, kronecker, sqrt_disc_mod_4p, unit_count
+from classprime.arith import _simple_sieve, unit_count
 from classprime.classgroup import (
     ClassGroup,
     _factorize,
@@ -46,7 +50,6 @@ from classprime.qform import (
     _reduce_triple,
     compose,
     identity_form,
-    reduce,
     validate_discriminant,
 )
 
@@ -197,6 +200,12 @@ def is_reduced(f: QuadForm) -> bool:
     return True
 
 
+def reduce(f: QuadForm) -> QuadForm:
+    """Canonical reduced representative of the class of f."""
+    _check_posdef(f)
+    return QuadForm(*_reduce_triple(f.a, f.b, f.c))
+
+
 def reduce_with_transform(
     f: QuadForm,
 ) -> tuple[QuadForm, tuple[int, int, int, int]]:
@@ -250,6 +259,87 @@ def power(f: QuadForm, k: int) -> QuadForm:
         base = compose(base, base)
         k >>= 1
     return acc
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker symbol and square roots of D modulo primes
+
+def kronecker(d: int, n: int) -> int:
+    """Kronecker symbol (d/n) for n >= 0."""
+    if n == 0:
+        return 1 if d in (1, -1) else 0
+    if d % 2 == 0 and n % 2 == 0:
+        return 0
+    result = 1
+    t = 0
+    while n % 2 == 0:
+        n //= 2
+        t += 1
+    if t % 2 == 1 and d % 8 in (3, 5):
+        result = -result
+    a = d % n  # Jacobi symbol is periodic in the numerator for odd n > 0
+    while a != 0:
+        t = 0
+        while a % 2 == 0:
+            a //= 2
+            t += 1
+        if t % 2 == 1 and n % 8 in (3, 5):
+            result = -result
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def sqrt_mod_prime(a: int, p: int) -> Optional[int]:
+    """A square root of a mod odd prime p (Tonelli-Shanks), or None."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    return _sqrt_residue(a, p)
+
+
+def _sqrt_residue(a: int, p: int) -> int:
+    # assumes 0 < a < p is a quadratic residue mod odd p
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2  # deterministic: smallest quadratic non-residue
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, q, p)
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    m = s
+    while t != 1:
+        i, x = 0, t
+        while x != 1:
+            x = x * x % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        r = r * b % p
+        c = b * b % p
+        t = t * c % p
+        m = i
+    return r
+
+
+def sqrt_disc_mod_4p(d: int, p: int) -> Optional[int]:
+    """Smallest b >= 0 with b^2 = d (mod 4p) and b = d (mod 2), or None."""
+    if p == 2:
+        for b in (0, 1, 2, 3):
+            if (b - d) % 2 == 0 and (b * b - d) % 8 == 0:
+                return b
+        return None
+    r = sqrt_mod_prime(d % p, p)
+    if r is None:
+        return None
+    return r if (r - d) % 2 == 0 else p - r
 
 
 # ---------------------------------------------------------------------------

