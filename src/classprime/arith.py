@@ -4,16 +4,19 @@ Segmented prime sieve, classification of primes as split / inert /
 ramified with the classes of the primes above them (one route, the form
 box of interval_classes), brute-force representation counts, the
 character divisor-sum formula they must match, and partial sums of
-L(1, chi_D).  The scalar references they are tested against (kronecker,
-the modular square roots, scalar_class, prime_classes,
+L(1, chi_D), whose blocks and Legendre tables run on one thread per
+usable CPU (_block_map).  The scalar references they are tested against
+(kronecker, the modular square roots, scalar_class, prime_classes,
 prime_power_class, representation_count, dirichlet_r) are in
 tests/oracles.py.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +30,9 @@ from .qform import Discriminant, QuadForm, _factorize, validate_discriminant
 
 SIEVE_CAP_DEFAULT = 10**9
 _BLOCK = 1 << 20
+# squares per part of _legendre_table: 4 MiB of int64 a thread, and ten
+# parts to share out at |D| ~ 1e7
+_LEGENDRE_PART = 1 << 19
 
 
 class LimitTooLarge(ValueError):
@@ -40,6 +46,62 @@ def unit_count(d: int) -> int:
     if d == -4:
         return 4
     return 2
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _block_map(fn, items: Sequence) -> list:
+    """[fn(x) for x in items], one thread per usable CPU, for numpy passes
+    that release the GIL.
+
+    Thread i, the caller being thread 0, runs items i, i + n, i + 2n, ...
+    for n threads, and results come back in item order.  Inline on one CPU
+    or for one item.  After the first failure, a KeyboardInterrupt in the
+    caller included, no item starts; every thread is joined before this
+    returns or raises, and the first exception is raised.  Plain threads,
+    not concurrent.futures, whose import pulls in logging.
+    """
+    n = min(usable_cpus(), len(items))
+    if n < 2:
+        return [fn(x) for x in items]
+    out = [None] * len(items)
+    errors: list[BaseException] = []
+    done = [threading.Event() for _ in range(n)]
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, len(items), n):
+                if errors:
+                    break
+                out[i] = fn(items[i])
+        except BaseException as exc:  # raised by the caller once all are joined
+            errors.append(exc)
+        done[first].set()
+
+    threads: list[threading.Thread] = []
+    try:
+        for i in range(1, n):
+            t = threading.Thread(target=run, args=(i,))
+            t.start()
+            threads.append(t)
+        run(0)
+    except BaseException as exc:  # a failed start or a KeyboardInterrupt
+        errors.append(exc)
+    for i, t in enumerate(threads, 1):
+        # an interrupted wait leaves done[i] as it was; an interrupted join
+        # may not (Python 3.11 can mark the running thread as stopped)
+        while not done[i].is_set():
+            try:
+                done[i].wait()
+            except BaseException as exc:  # a KeyboardInterrupt while waiting
+                errors.append(exc)
+        t.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +520,20 @@ def chi_table(d: int, m: int) -> np.ndarray:
 
 def _legendre_table(q: int, n: int) -> np.ndarray:
     """(k/q) for 0 <= k < min(q, n) as int8, q an odd prime, by marking
-    the squares i^2 mod q for 1 <= i <= (q-1)/2 in blocks of _BLOCK."""
+    the squares i^2 mod q for 1 <= i <= (q-1)/2 in parts of _LEGENDRE_PART
+    i, one thread per usable CPU (_block_map).  Every write stores the
+    byte 1, so the table does not depend on which thread marks a square."""
     t = np.full(min(q, n), -1, dtype=np.int8)
     t[0] = 0
     half = (q + 1) // 2
-    for lo in range(1, half, _BLOCK):
-        s = np.arange(lo, min(lo + _BLOCK, half), dtype=np.int64)
+
+    def mark(lo: int) -> None:
+        s = np.arange(lo, min(lo + _LEGENDRE_PART, half), dtype=np.int64)
         s *= s
         s %= q
         t[s if len(t) == q else s[s < len(t)]] = 1
+
+    _block_map(mark, range(1, half, _LEGENDRE_PART))
     return t
 
 
@@ -481,7 +548,13 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
 
     The reported tail bound |D|/terms comes from partial summation
     against the trivial character-sum bound.  Summed in blocks of _BLOCK
-    terms, so memory is O(|D| + _BLOCK) whatever `terms` is.
+    terms, each numpy's own sum of its terms (not a BLAS dot, whose
+    rounding follows its thread count), added in block order.  numpy
+    sums a block of n > 128 terms pairwise, adding the sums of its first
+    k = n//2 - (n//2) % 8 terms and of the rest last; those two halves
+    are summed on threads (_block_map), so the value is bit-identical
+    on any thread count.  Memory is O(|D|) for one period of chi_d plus
+    one half-block of terms per usable CPU, whatever `terms` is.
     """
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
@@ -491,14 +564,24 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
     if terms < m:
         raise ValueError(f"terms = {terms} must be at least |D| = {m}")
     tbl = chi_table(d.value, m)
-    value = 0.0
+    halves = []  # two per block; a block of n <= 128 terms has an empty second half
     for lo in range(1, terms + 1, _BLOCK):
-        recip = np.arange(lo, min(lo + _BLOCK, terms + 1), dtype=float)
-        np.divide(1.0, recip, out=recip)
-        # numpy's own sum, not a BLAS dot, whose rounding follows its thread count
-        np.multiply(recip, _periodic(tbl, lo, len(recip)), out=recip)
-        value += float(recip.sum())
+        n = min(_BLOCK, terms + 1 - lo)
+        k = n // 2 - n // 2 % 8 if n > 128 else n
+        halves += [(lo, lo + k), (lo + k, lo + n)]
+    sums = _block_map(lambda half: _sum_terms(tbl, *half), halves)
+    value = 0.0
+    for first, second in zip(sums[::2], sums[1::2]):
+        value += first + second
     return LOneEstimate(value, m / terms, terms)
+
+
+def _sum_terms(tbl: np.ndarray, lo: int, hi: int) -> float:
+    """numpy's sum of chi(k)/k over lo <= k < hi, tbl one period of chi."""
+    recip = np.arange(lo, hi, dtype=float)
+    np.divide(1.0, recip, out=recip)
+    np.multiply(recip, _periodic(tbl, lo, len(recip)), out=recip)
+    return float(recip.sum())
 
 
 def _periodic(tbl: np.ndarray, start: int, count: int) -> np.ndarray:

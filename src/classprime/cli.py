@@ -369,8 +369,8 @@ def cmd_dirichlet_check(args) -> int:
 
 
 # Largest --l-terms of heegner, given or default: l_one_chi takes time
-# linear in it, about 2 ns a term on a 2-core x86-64 box, so 10^10 terms
-# take about 20 s
+# linear in it, about 1.3 ns a term on a 2-core x86-64 box with both cores
+# (2.7 ns on one), so 10^10 terms take about 13 s
 _L_TERMS_LIMIT = 10**10
 
 
@@ -485,11 +485,6 @@ def _scan_chunk(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int) -> list:
 _CHUNK_ABSD = 1 << 15
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the OS does not say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _scan_chunks(discs: list[int], cpus: int) -> list[list[int]]:
     """discs dealt to n chunks, chunk i = discs[i::n]: one per CPU, fewer
     where the chunks would hold less than _CHUNK_ABSD summed |D| each."""
@@ -506,7 +501,7 @@ def _chunk_map(fn, chunks: list) -> Iterable:
     the pool's with block terminates it, so every worker has ended when
     this returns or raises, on an error or Ctrl-C too.
     """
-    workers = min(_usable_cpus(), len(chunks))
+    workers = min(arith.usable_cpus(), len(chunks))
     if workers < 2:
         return map(fn, chunks)
     import multiprocessing
@@ -528,7 +523,7 @@ def cmd_scan(args) -> int:
     x_rules = [parse_scale(r) for r in args.x_rule or ["h*log2.1", "h2*log2"]]
     t_rule = parse_scale(args.t_rule)
     w = stats.get_weight(args.weight)
-    chunks = _scan_chunks(list(fundamental_discriminants(lo, hi)), _usable_cpus())
+    chunks = _scan_chunks(list(fundamental_discriminants(lo, hi)), arith.usable_cpus())
     scan = functools.partial(
         _scan_chunk,
         x_rules=x_rules, t_rule=t_rule, w=w, sieve_cap=args.sieve_cap, h_cap=args.h_cap,

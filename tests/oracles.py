@@ -9,6 +9,10 @@ coordinate arithmetic but the enumeration of the forms.
 call per prime, where arith.chi_table multiplies prime-discriminant
 tables.
 
+`reference_l_one` sums L(1, chi_d) in whole blocks of 2^20 terms, one
+numpy sum per block added in order, where arith.l_one_chi sums each
+block's two pairwise halves on threads.
+
 `reference_reduced_forms` is the pair-by-pair loop that
 classgroup.enumerate_reduced_forms runs as numpy passes.
 
@@ -35,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from classprime.arith import _simple_sieve, unit_count
+from classprime.arith import _simple_sieve, chi_table, unit_count
 from classprime.classgroup import (
     ClassGroup,
     _factorize,
@@ -167,6 +171,17 @@ def reference_chi_table(d: int, m: int) -> np.ndarray:
                 np.negative(t[pe::pe], out=t[pe::pe])
             pe *= p
     return t
+
+
+def reference_l_one(d: int, terms: int) -> float:
+    """sum chi_d(n)/n over n <= terms in blocks of 2^20 terms, each numpy's
+    own sum of its terms, added in block order."""
+    tbl = chi_table(d, -d)
+    value = 0.0
+    for lo in range(1, terms + 1, 1 << 20):
+        n = np.arange(lo, min(lo + (1 << 20), terms + 1))
+        value += float((1.0 / n * tbl[n % -d]).sum())
+    return value
 
 
 def reference_reduced_forms(dv: int) -> list[QuadForm]:

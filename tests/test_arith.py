@@ -1,7 +1,10 @@
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -45,6 +48,7 @@ from oracles import (
     prime_power_class,
     reduce,
     reference_chi_table,
+    reference_l_one,
     representation_count,
     scalar_class,
     sqrt_disc_mod_4p,
@@ -342,7 +346,7 @@ def test_chi_table_matches_kronecker():
             assert t[n] == kronecker(d, n)
 
 
-def test_chi_table_matches_reference():
+def test_chi_table_matches_reference(monkeypatch):
     # prime-discriminant tables against the per-prime multiplicative fill
     nonfundamental = [-12, -16, -27, -36, -75, -108, -180, -300, -2700]
     fundamental = [d for d in range(-2000, -2) if is_fundamental(d)]
@@ -351,8 +355,13 @@ def test_chi_table_matches_reference():
             t = chi_table(d, m)
             assert t.dtype == np.int8
             assert np.array_equal(t, reference_chi_table(d, m)), (d, m)
+    # q = 10289639 marks its squares in ten parts, on one thread and on two
     d = -10289639
-    assert np.array_equal(chi_table(d, -d), reference_chi_table(d, -d))
+    want = reference_chi_table(d, -d)
+    for cpus in (1, 2):
+        monkeypatch.setattr(arith, "usable_cpus", lambda n=cpus: n)
+        assert np.array_equal(chi_table(d, -d), want)
+        assert np.array_equal(chi_table(d, 3 * 2**19 + 5), want[: 3 * 2**19 + 5])
 
 
 def test_chi_table_memory_is_bounded():
@@ -432,6 +441,115 @@ def test_l_one_sum_repeats_across_blas_thread_counts():
         assert res.returncode == 0, res.stderr
         values.add(res.stdout)
     assert len(values) == 1, values
+
+
+@pytest.mark.parametrize("d", [-23, -3299, -340340, -2700, -10289639])
+def test_l_one_matches_whole_block_sums_on_any_thread_count(d, monkeypatch):
+    # each block's two pairwise halves, summed apart, add up to numpy's sum
+    # of the whole block bit for bit: last blocks below the 8-term unroll,
+    # at and past the 128-term pairwise leaf, of half and of all 2^20
+    # terms.  -2700 = 30^2 * -3 has a conductor
+    blocks = -(d // 2**20)
+    for r in (1, 7, 128, 129, 2**19, 2**20 - 1, 2**20):
+        terms = blocks * 2**20 + r
+        want = reference_l_one(d, terms)
+        for cpus in (1, 2):
+            monkeypatch.setattr(arith, "usable_cpus", lambda n=cpus: n)
+            assert l_one_chi(d, terms).value == want, (r, cpus)
+
+
+def test_l_one_value_is_pinned(monkeypatch):
+    # the value of heegner --disc -10289639 --l-terms 20579278
+    for cpus in (1, 2):
+        monkeypatch.setattr(arith, "usable_cpus", lambda n=cpus: n)
+        assert repr(l_one_chi(-10289639, 20579278).value) == "6.4273316128113835"
+
+
+def test_block_map_interleaves_items_over_threads(monkeypatch):
+    # thread i runs items i, i + 3, ...; the caller is thread 0
+    before = threading.active_count()
+    for cpus, threads in ((1, 1), (3, 3), (16, 10)):
+        monkeypatch.setattr(arith, "usable_cpus", lambda n=cpus: n)
+        out = arith._block_map(lambda i: (i, threading.current_thread().name), range(10))
+        assert [i for i, _ in out] == list(range(10))
+        names = [name for _, name in out]
+        assert names[0] == threading.current_thread().name
+        assert names == [names[i % threads] for i in range(10)]
+        assert len(set(names)) == threads
+        assert threading.active_count() == before
+    assert arith._block_map(str, []) == []
+
+
+def _wait_for(cond):
+    deadline = time.monotonic() + 10
+    while not cond():
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+
+
+def test_block_map_failure_starts_no_further_item(monkeypatch):
+    # thread 1 fails on item 1 once item 0 has started; the caller's item 0
+    # ends only once that thread has, so the caller has seen the failure
+    # before its next item
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    started, zero_started = [], threading.Event()
+    boom = ZeroDivisionError("item 1")
+
+    def fn(i):
+        started.append(i)
+        if i == 1:
+            zero_started.wait(10)
+            raise boom
+        zero_started.set()
+        _wait_for(lambda: threading.active_count() == before)
+        return i
+
+    with pytest.raises(ZeroDivisionError) as info:
+        arith._block_map(fn, range(10))
+    assert info.value is boom
+    assert sorted(started) == [0, 1]
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where", ["share", "join"])
+def test_block_map_keyboard_interrupt_ends_the_call(where, monkeypatch):
+    # a KeyboardInterrupt in the caller's own item 0, or delivered as SIGINT
+    # while the caller, past its last item, joins thread 1: thread 1's
+    # item 1 still ends, and none of its further items starts
+    if where == "join" and not hasattr(signal, "pthread_kill"):
+        pytest.skip("needs signal.pthread_kill")
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 2)
+    before = threading.active_count()
+    caller = threading.get_ident()
+    started, one_started, interrupted = [], threading.Event(), threading.Event()
+    interrupt = KeyboardInterrupt()
+
+    def fn(i):
+        started.append(i)
+        if i == 0 and where == "share":
+            one_started.wait(10)
+            interrupted.set()
+            raise interrupt
+        if i == 1:
+            if where == "share":
+                one_started.set()
+                interrupted.wait(10)
+            else:
+                _wait_for(lambda: 8 in started)
+                time.sleep(0.05)  # the caller is past item 8, joining this thread
+                signal.pthread_kill(caller, signal.SIGINT)
+            time.sleep(0.05)  # the caller records the interrupt before this item ends
+        return i
+
+    with pytest.raises(KeyboardInterrupt) as info:
+        arith._block_map(fn, range(10))
+    if where == "share":
+        assert info.value is interrupt
+        assert sorted(started) == [0, 1]
+    else:
+        assert sorted(started) == [0, 1, 2, 4, 6, 8]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(

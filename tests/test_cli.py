@@ -374,6 +374,15 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_cli_import_leaves_out_concurrent_futures_and_logging():
+    # arith's threads are plain threading: concurrent.futures imports
+    # logging, which adds about 6.7 ms to every start-up
+    code = "import sys, classprime.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    res = _python("-c", code)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_closed_output_pipe_exits_141_without_traceback():
     # 6563 rows, more than the pipe holds, so the CLI is still writing
     # when the reader leaves after three lines, as `| head -3` does
@@ -802,7 +811,7 @@ def test_scan_classifies_in_few_rounds(monkeypatch, capsys):
     # two CPUs (114 in rounds of 2^16 points).  In process, so that the
     # calls are counted here
     monkeypatch.setattr(cli, "_chunk_map", map)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 2)
     calls = []
     real = arith.interval_classes
     monkeypatch.setattr(arith, "interval_classes", lambda requests: calls.append(1) or real(requests))
@@ -861,7 +870,7 @@ def test_scan_with_a_constant_t_sieves_its_segment_once_per_chunk(monkeypatch, c
     # chunk's PrimeSource sieves each block once, not again for every D
     monkeypatch.setattr(cli, "_chunk_map", map)
     discs = list(qform.fundamental_discriminants(-50000, -49900))
-    chunks = len(cli._scan_chunks(discs, cli._usable_cpus()))
+    chunks = len(cli._scan_chunks(discs, arith.usable_cpus()))
     past = []
     real = arith.iter_prime_blocks
 
@@ -953,7 +962,7 @@ def test_variance_memory_stays_bounded(capsys):
 # scan's process pool: the same bytes as in process, and no worker left
 
 pooled = pytest.mark.skipif(
-    cli._usable_cpus() < 2, reason="a pool needs two usable CPUs; tests start no more"
+    arith.usable_cpus() < 2, reason="a pool needs two usable CPUs; tests start no more"
 )
 
 
@@ -986,7 +995,7 @@ def _worker_state(_chunk):
 def test_chunk_map_runs_in_workers_that_ignore_sigint():
     state = list(cli._chunk_map(_worker_state, range(4)))
     assert {pid for pid, _ in state}.isdisjoint([os.getpid()])
-    assert len({pid for pid, _ in state}) <= cli._usable_cpus()
+    assert len({pid for pid, _ in state}) <= arith.usable_cpus()
     assert all(ignored for _, ignored in state)
     assert multiprocessing.active_children() == []
 
@@ -1007,7 +1016,7 @@ def test_pooled_scan_matches_in_process(argv, break_at_1003, want_rc, monkeypatc
         monkeypatch.setattr(stats, "variance_report", _broken_at_1003(stats.variance_report))
     monkeypatch.setattr(cli, "_CHUNK_ABSD", 1)
     discs = list(qform.fundamental_discriminants(int(argv[2]), int(argv[3])))
-    assert len(cli._scan_chunks(discs, cli._usable_cpus())) > 1
+    assert len(cli._scan_chunks(discs, arith.usable_cpus())) > 1
     pooled_run = run_cli(argv, capsys)
     assert multiprocessing.active_children() == []
     monkeypatch.setattr(cli, "_chunk_map", map)
