@@ -478,6 +478,15 @@ def test_block_map_interleaves_items_over_threads(monkeypatch):
         assert len(set(names)) == threads
         assert threading.active_count() == before
     assert arith._block_map(str, []) == []
+    # more threads than cores, switching often: no result is lost
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert arith._block_map(lambda i: i * i, range(5000)) == [i * i for i in range(5000)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
 
 
 def _wait_for(cond):
