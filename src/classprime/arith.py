@@ -4,8 +4,8 @@ Segmented prime sieve, classification of primes as split / inert /
 ramified with the classes of the primes above them (one route, the form
 box of interval_classes), brute-force representation counts, the
 character divisor-sum formula they must match, and partial sums of
-L(1, chi_D), whose blocks and Legendre tables run on one thread per
-usable CPU (_block_map).  The scalar references they are tested against
+L(1, chi_D), whose block halves and Legendre tables run on threads
+(_block_map).  The scalar references they are tested against
 (kronecker, the modular square roots, scalar_class, prime_classes,
 prime_power_class, representation_count, dirichlet_r) are in
 tests/oracles.py.
@@ -30,9 +30,9 @@ from .qform import Discriminant, QuadForm, _factorize, validate_discriminant
 
 SIEVE_CAP_DEFAULT = 10**9
 _BLOCK = 1 << 20
-# squares per part of _legendre_table: 4 MiB of int64 a thread, and ten
-# parts to share out at |D| ~ 1e7
-_LEGENDRE_PART = 1 << 19
+# squares _legendre_table marks at once, 8 MiB of int64 split into one
+# part per thread, so its memory does not grow with the CPU count
+_LEGENDRE_SPAN = 1 << 20
 
 
 class LimitTooLarge(ValueError):
@@ -53,9 +53,10 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _block_map(fn, items: Sequence) -> list:
-    """[fn(x) for x in items], one thread per usable CPU, for numpy passes
-    that release the GIL.
+def _block_map(fn, items: Sequence, most: int) -> list:
+    """[fn(x) for x in items], one thread per usable CPU but at most `most`,
+    for numpy passes that release the GIL; `most` bounds the items alive
+    at once, and so the memory, whatever the CPU count.
 
     Thread i, the caller being thread 0, runs items i, i + n, i + 2n, ...
     for n threads, and results come back in item order.  Inline on one CPU
@@ -64,7 +65,7 @@ def _block_map(fn, items: Sequence) -> list:
     returns or raises, and the first exception is raised.  Plain threads,
     not concurrent.futures, whose import pulls in logging.
     """
-    n = min(usable_cpus(), len(items))
+    n = min(usable_cpus(), most, len(items))
     if n < 2:
         return [fn(x) for x in items]
     out = [None] * len(items)
@@ -90,15 +91,20 @@ def _block_map(fn, items: Sequence) -> list:
         run(0)
     except BaseException as exc:  # a failed start or a KeyboardInterrupt
         errors.append(exc)
-    for i, t in enumerate(threads, 1):
-        # an interrupted wait leaves done[i] as it was; an interrupted join
-        # may not (Python 3.11 can mark the running thread as stopped)
-        while not done[i].is_set():
-            try:
-                done[i].wait()
-            except BaseException as exc:  # a KeyboardInterrupt while waiting
-                errors.append(exc)
-        t.join()
+    joined = 0
+    while joined < len(threads):
+        # an interrupted wait leaves done as it was, and an interrupted join
+        # may not (Python 3.11 can mark the running thread as stopped), so
+        # each thread is waited for and then joined, again after an
+        # interrupt; only one landing in the handler or on the loop test
+        # escapes
+        try:
+            while joined < len(threads):
+                done[joined + 1].wait()
+                threads[joined].join()
+                joined += 1
+        except BaseException as exc:  # a KeyboardInterrupt while joining
+            errors.append(exc)
     if errors:
         raise errors[0]
     return out
@@ -520,20 +526,23 @@ def chi_table(d: int, m: int) -> np.ndarray:
 
 def _legendre_table(q: int, n: int) -> np.ndarray:
     """(k/q) for 0 <= k < min(q, n) as int8, q an odd prime, by marking
-    the squares i^2 mod q for 1 <= i <= (q-1)/2 in parts of _LEGENDRE_PART
-    i, one thread per usable CPU (_block_map).  Every write stores the
-    byte 1, so the table does not depend on which thread marks a square."""
+    the squares i^2 mod q for 1 <= i <= (q-1)/2, _LEGENDRE_SPAN i at a
+    time split into one part per usable CPU (_block_map, at most 16 parts
+    of 2^16).  Every write stores the byte 1, so the table does not
+    depend on which thread marks a square."""
     t = np.full(min(q, n), -1, dtype=np.int8)
     t[0] = 0
     half = (q + 1) // 2
+    threads = min(usable_cpus(), 16)
+    part = _LEGENDRE_SPAN // threads
 
     def mark(lo: int) -> None:
-        s = np.arange(lo, min(lo + _LEGENDRE_PART, half), dtype=np.int64)
+        s = np.arange(lo, min(lo + part, half), dtype=np.int64)
         s *= s
         s %= q
         t[s if len(t) == q else s[s < len(t)]] = 1
 
-    _block_map(mark, range(1, half, _LEGENDRE_PART))
+    _block_map(mark, range(1, half, part), threads)
     return t
 
 
@@ -552,9 +561,10 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
     rounding follows its thread count), added in block order.  numpy
     sums a block of n > 128 terms pairwise, adding the sums of its first
     k = n//2 - (n//2) % 8 terms and of the rest last; those two halves
-    are summed on threads (_block_map), so the value is bit-identical
-    on any thread count.  Memory is O(|D|) for one period of chi_d plus
-    one half-block of terms per usable CPU, whatever `terms` is.
+    are summed on two threads where two CPUs are usable (_block_map), so
+    the value is bit-identical on any thread count.  Memory is O(|D|) for
+    one period of chi_d plus one block of terms, whatever `terms` and the
+    CPU count are.
     """
     if not isinstance(d, Discriminant):
         d = validate_discriminant(d)
@@ -569,7 +579,8 @@ def l_one_chi(d, terms: Optional[int] = None) -> LOneEstimate:
         n = min(_BLOCK, terms + 1 - lo)
         k = n // 2 - n // 2 % 8 if n > 128 else n
         halves += [(lo, lo + k), (lo + k, lo + n)]
-    sums = _block_map(lambda half: _sum_terms(tbl, *half), halves)
+    # two threads at most, so no more than one block's halves are alive
+    sums = _block_map(lambda half: _sum_terms(tbl, *half), halves, 2)
     value = 0.0
     for first, second in zip(sums[::2], sums[1::2]):
         value += first + second

@@ -378,6 +378,24 @@ def test_chi_table_memory_is_bounded():
     assert peak < 32 * 2**20
 
 
+def test_chi_table_memory_does_not_grow_with_cpus(monkeypatch):
+    # 16 usable CPUs split the same 2^20 squares into 16 parts of 2^16, so
+    # the peak is that of one CPU, under test_chi_table_memory_is_bounded's
+    # bound
+    d = -10289639
+    peaks = {}
+    for cpus in (1, 16):
+        monkeypatch.setattr(arith, "usable_cpus", lambda n=cpus: n)
+        tracemalloc.start()
+        try:
+            chi_table(d, -d)
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 32 * 2**20
+    assert peaks[16] < peaks[1] + 2**20, peaks
+
+
 def test_l_one_against_closed_forms():
     # h = w sqrt|D| L / 2pi inverted at the three classical points
     cases = [
@@ -429,6 +447,24 @@ def test_l_one_memory_is_bounded_in_terms():
     assert est.value == pytest.approx(math.fsum(each_term()), rel=1e-13)
 
 
+def test_l_one_memory_does_not_grow_with_cpus(monkeypatch):
+    # two threads at most, one per half-block, however many CPUs are
+    # usable: the peak is that of two CPUs, one block, under
+    # test_l_one_memory_is_bounded_in_terms's bound
+    d, terms = -10007, 10**7
+    peaks = {}
+    for cpus in (2, 16):
+        monkeypatch.setattr(arith, "usable_cpus", lambda n=cpus: n)
+        tracemalloc.start()
+        try:
+            l_one_chi(d, terms)
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 64 * 2**20
+    assert peaks[16] < peaks[2] + 2**20, peaks
+
+
 def test_l_one_sum_repeats_across_blas_thread_counts():
     # a BLAS dot splits its sum by thread: at the seed this read
     # 6.427331612811388 with one OpenBLAS thread and 6.42733161281139 with two
@@ -466,24 +502,25 @@ def test_l_one_value_is_pinned(monkeypatch):
 
 
 def test_block_map_interleaves_items_over_threads(monkeypatch):
-    # thread i runs items i, i + 3, ...; the caller is thread 0
+    # thread i runs items i, i + 3, ...; the caller is thread 0.  One
+    # thread per usable CPU, at most `most` and at most one per item
     before = threading.active_count()
-    for cpus, threads in ((1, 1), (3, 3), (16, 10)):
+    for cpus, most, threads in ((1, 16, 1), (3, 16, 3), (16, 16, 10), (16, 4, 4)):
         monkeypatch.setattr(arith, "usable_cpus", lambda n=cpus: n)
-        out = arith._block_map(lambda i: (i, threading.current_thread().name), range(10))
+        out = arith._block_map(lambda i: (i, threading.current_thread().name), range(10), most)
         assert [i for i, _ in out] == list(range(10))
         names = [name for _, name in out]
         assert names[0] == threading.current_thread().name
         assert names == [names[i % threads] for i in range(10)]
         assert len(set(names)) == threads
         assert threading.active_count() == before
-    assert arith._block_map(str, []) == []
+    assert arith._block_map(str, [], 16) == []
     # more threads than cores, switching often: no result is lost
     monkeypatch.setattr(arith, "usable_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        assert arith._block_map(lambda i: i * i, range(5000)) == [i * i for i in range(5000)]
+        assert arith._block_map(lambda i: i * i, range(5000), 8) == [i * i for i in range(5000)]
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
@@ -515,7 +552,7 @@ def test_block_map_failure_starts_no_further_item(monkeypatch):
         return i
 
     with pytest.raises(ZeroDivisionError) as info:
-        arith._block_map(fn, range(10))
+        arith._block_map(fn, range(10), 2)
     assert info.value is boom
     assert sorted(started) == [0, 1]
     assert threading.active_count() == before
@@ -552,13 +589,45 @@ def test_block_map_keyboard_interrupt_ends_the_call(where, monkeypatch):
         return i
 
     with pytest.raises(KeyboardInterrupt) as info:
-        arith._block_map(fn, range(10))
+        arith._block_map(fn, range(10), 2)
     if where == "share":
         assert info.value is interrupt
         assert sorted(started) == [0, 1]
     else:
         assert sorted(started) == [0, 1, 2, 4, 6, 8]
     assert threading.active_count() == before
+
+
+def test_block_map_joins_every_thread_after_an_interrupted_join(monkeypatch):
+    # a KeyboardInterrupt raised inside Thread.join, as SIGINT can: the
+    # caller still joins thread 1 and then thread 2, whose item is still
+    # running when the first join is interrupted, before it raises
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 3)
+    before = threading.active_count()
+    interrupt = KeyboardInterrupt()
+    joins = []
+    real_join = threading.Thread.join
+
+    def join(self, timeout=None):
+        joins.append(self)
+        if len(joins) == 1:
+            raise interrupt
+        return real_join(self, timeout)
+
+    monkeypatch.setattr(threading.Thread, "join", join)
+    started = []
+
+    def fn(i):
+        started.append(i)
+        time.sleep(0.2 if i == 2 else 0.01)
+        return i
+
+    with pytest.raises(KeyboardInterrupt) as info:
+        arith._block_map(fn, range(3), 3)
+    assert info.value is interrupt
+    assert sorted(started) == [0, 1, 2]
+    assert threading.active_count() == before
+    assert len(joins) == 3 and joins[0] is joins[1] is not joins[2]
 
 
 @pytest.mark.parametrize(
