@@ -5,10 +5,11 @@ ramified with the classes of the primes above them (one route, the form
 box of interval_classes), brute-force representation counts, the
 character divisor-sum formula they must match, and partial sums of
 L(1, chi_D), whose block halves and Legendre tables run on threads
-(_block_map).  The scalar references they are tested against
-(kronecker, the modular square roots, scalar_class, prime_classes,
-prime_power_class, representation_count, dirichlet_r) are in
-tests/oracles.py.
+(_block_map).  _fork_map, its process twin, runs Python work that holds
+the GIL, scan's chunks and psi's class parts, in forked children.  The
+scalar references they are tested against (kronecker, the modular
+square roots, scalar_class, prime_classes, prime_power_class,
+representation_count, dirichlet_r) are in tests/oracles.py.
 """
 from __future__ import annotations
 
@@ -37,6 +38,10 @@ _LEGENDRE_SPAN = 1 << 20
 
 class LimitTooLarge(ValueError):
     """Requested sieve limit exceeds the configured cap."""
+
+
+class WorkerLost(RuntimeError):
+    """A child of _fork_map ended without sending its results."""
 
 
 def unit_count(d: int) -> int:
@@ -108,6 +113,105 @@ def _block_map(fn, items: Sequence, most: int) -> list:
     if errors:
         raise errors[0]
     return out
+
+
+def _fork_map(fn, items: Sequence) -> list:
+    """[fn(x) for x in items] in forked child processes, the process twin
+    of _block_map, for Python work that holds the GIL.
+
+    Child i of n = min(usable CPUs, len(items)) runs items i, i + n,
+    i + 2n, ..., ignoring SIGINT, so Ctrl-C reaches the caller alone, and
+    sends their results, or the exception it raised, through a pipe.  fn
+    and the items reach it by fork, so only results are pickled.  The
+    caller only waits, on the pipes and the children's sentinels, and
+    results come back in item order.  An exception a child sent is raised;
+    a child that ends without sending gives each of its items a WorkerLost
+    naming its signal or exit status, and the others go on.  Every child
+    is killed if still running and reaped before this returns or raises,
+    on Ctrl-C too.  Inline on one CPU, for one item, or while other
+    threads run, since a fork copies the caller's thread alone.
+    multiprocessing is imported here, not with this module: it costs
+    about 8.5 ms at start-up.
+    """
+    n = min(usable_cpus(), len(items))
+    if n < 2 or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    import multiprocessing.connection
+    import signal
+
+    def child(first: int, conn) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        try:
+            result = True, [fn(items[i]) for i in range(first, len(items), n)]
+        except BaseException as exc:  # raised by the caller
+            result = False, exc
+        conn.send(result)
+
+    ctx = multiprocessing.get_context("fork")
+    out: list = [None] * len(items)
+    procs, pipes = [], []
+    try:
+        # SIGINT stays blocked from each fork until the child ignores it; a
+        # Ctrl-C meanwhile reaches the caller once all are started
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for first in range(n):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=child, args=(first, send))
+                proc.start()
+                send.close()  # the child holds the only write end
+                procs.append(proc)
+                pipes.append(recv)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        owner = {obj: i for i in range(n) for obj in (pipes[i], procs[i].sentinel)}
+        left = set(range(n))
+        while left:
+            ready = multiprocessing.connection.wait([o for o, i in owner.items() if i in left])
+            for i in {owner[obj] for obj in ready} & left:
+                left.remove(i)
+                try:
+                    # a child that has ended wrote all it will; one still
+                    # sending is read to the end of its message
+                    sent = pipes[i].recv() if pipes[i].poll() else None
+                except EOFError:
+                    sent = None
+                if sent is None:
+                    procs[i].join()
+                    out[i::n] = [WorkerLost(_ended(procs[i].exitcode))] * len(out[i::n])
+                elif not sent[0]:
+                    raise sent[1]
+                else:
+                    out[i::n] = sent[1]
+    finally:
+        for proc in procs:
+            proc.kill()
+        interrupt = None
+        for proc in procs:
+            while proc.exitcode is None:  # joined again after a Ctrl-C
+                try:
+                    proc.join()
+                except KeyboardInterrupt as exc:
+                    interrupt = exc
+        for conn in pipes:
+            conn.close()
+        if interrupt is not None:
+            raise interrupt
+    return out
+
+
+def _ended(code: int) -> str:
+    """How a child that sent no results ended, from its exit code."""
+    import signal
+
+    if code >= 0:
+        return f"a worker process exited with status {code} before sending its results"
+    try:
+        name = signal.Signals(-code).name
+    except ValueError:
+        name = str(-code)
+    return f"a worker process was ended by signal {name} before sending its results"
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +381,19 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     return r
 
 
-def box_points(g: ClassGroup, lo: int, hi: int) -> int:
+def _marked(g: ClassGroup, forms: Optional[np.ndarray] = None) -> np.ndarray:
+    """The box forms a request marks: those it names, else g.box_forms."""
+    return g.box_forms if forms is None else forms
+
+
+def box_points(g: ClassGroup, lo: int, hi: int, forms: Optional[np.ndarray] = None) -> int:
     """About the lattice points interval_classes enumerates for [lo, hi]
-    against g: per form with b >= 0, the area pi (hi - lo) / (2 sqrt|D|)
-    of its odd values over y >= 0, plus one."""
+    against g: per form marked (forms, all of g.box_forms by default), the
+    area pi (hi - lo) / (2 sqrt|D|) of its odd values over y >= 0, plus
+    one."""
     absd = -g.disc.value
     per_form = math.pi * max(hi - lo + 1, 0) / (2 * math.sqrt(absd)) + 1
-    return int(len(g.box_forms) * per_form)
+    return int(len(_marked(g, forms)) * per_form)
 
 
 def _box_runs(a, b, c, cls, absd, lo, hi, shift, rows):
@@ -327,10 +437,11 @@ def _box_runs(a, b, c, cls, absd, lo, hi, shift, rows):
 def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     """chi_D(p) and a class above p for the primes of each request.
 
-    A request is (g, primes): ascending primes, classified against the
-    class group g.  Returns (chi, idx) per request, aligned with its
-    primes, as int8 and int64 arrays; idx is -1 for inert p.  A request
-    without primes gets empty arrays.
+    A request is (g, primes) or (g, primes, forms): ascending primes,
+    classified against the class group g, and the rows of g.box_forms it
+    marks, all of them when forms is None or left out.  Returns (chi, idx)
+    per request, aligned with its primes, as int8 and int64 arrays; idx
+    is -1 for inert p.  A request without primes gets empty arrays.
 
     An odd prime p not dividing D is a value of a reduced form exactly
     when the ideals above p lie in the form's class or its inverse (Cox,
@@ -341,7 +452,10 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     by two of them) with the form's class, and each prime reads its
     mark: a split p gets the class of (p, b) or its inverse, and a prime
     no form reaches is inert.  p = 2 and p | D take the closed forms of
-    _scalar_class.  No modular arithmetic is done.  Rows are enumerated
+    _scalar_class.  A request that names forms marks only their values: a
+    prime that none of them reaches reads chi = -1 and idx = -1, as an
+    inert prime does, while p = 2 and p | D still take the closed forms.
+    No modular arithmetic is done.  Rows are enumerated
     in passes of at most _PASS_ROWS over every request together, and
     their points in passes of at most _PASS_POINTS, so memory beyond
     that is one byte per norm of the boxes (an int16 label per odd norm;
@@ -352,13 +466,13 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     """
     if not requests:
         return []
-    requests = [(g, np.asarray(p, dtype=np.int64)) for g, p in requests]
-    d = np.array([g.disc.value for g, _ in requests], dtype=np.int64)
-    for (_, primes), dv in zip(requests, d.tolist()):
+    requests = [(g, np.asarray(p, dtype=np.int64), _marked(g, *f)) for g, p, *f in requests]
+    d = np.array([g.disc.value for g, _, _ in requests], dtype=np.int64)
+    for (_, primes, _), dv in zip(requests, d.tolist()):
         check_prime_limit(primes, dv)
     # request i's box covers the norms lo[i]..hi[i], its first prime to its
     # last; a request without primes gets the empty box 2..1
-    spans = [p[[0, -1]] if len(p) else (2, 1) for _, p in requests]
+    spans = [p[[0, -1]] if len(p) else (2, 1) for _, p, _ in requests]
     lo, hi = np.array(spans, dtype=np.int64).T
     # odd n of request i is marked at off[i] + (n - base[i]) // 2, that is
     # at (n + shift[i]) >> 1
@@ -366,8 +480,8 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     size = np.maximum(hi - base, -1) // 2 + 1
     off = np.cumsum(size) - size
     shift = 2 * off - base
-    forms = [g.box_forms for g, _ in requests]
-    h = max(g.h for g, _ in requests)
+    forms = [f for _, _, f in requests]
+    h = max(g.h for g, _, _ in requests)
     label = np.full(int(size.sum()), -1, dtype=np.int16 if h < 1 << 15 else np.int32)
     r = np.repeat(np.arange(len(requests)), [len(f) for f in forms])
     # one column per (request, form): a, b, c, class, |D|, lo, hi, shift
@@ -387,9 +501,9 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
             q >>= 1
             label[q] = np.repeat(mark[u:v], n)
             del k, q
-    lens = [len(primes) for _, primes in requests]
+    lens = [len(primes) for _, primes, _ in requests]
     ends = np.cumsum(lens)
-    primes = np.concatenate([primes for _, primes in requests])
+    primes = np.concatenate([primes for _, primes, _ in requests])
     at = np.repeat(shift, lens)
     at += primes
     at >>= 1

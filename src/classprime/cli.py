@@ -4,8 +4,8 @@ Subcommands: forms, least-primes, variance, scan, dirichlet-check,
 heegner, selftest.  Output goes to stdout (or --out) as CSV or JSON with
 identical numeric content; per-class tables are CSV rows, summaries go
 to stderr in CSV mode and into the JSON object otherwise.  Exit codes:
-0 ok, 2 bad input, 3 internal identity or invariant violation, 4 oracle
-mismatch.
+0 ok, 2 bad input or a resource limit (a worker process lost included),
+3 internal identity or invariant violation, 4 oracle mismatch.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import os
 import re
 import select
 import sys
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,13 +41,14 @@ class OracleMismatch(RuntimeError):
     pass
 
 
-# exceptions that mean bad input: exit 2
+# exceptions that mean bad input or a resource limit: exit 2
 _INPUT_ERRORS = (
     NotADiscriminant,
     NotFundamental,
     InvalidIdealBasis,
     UsageError,
     arith.LimitTooLarge,
+    arith.WorkerLost,
 )
 
 
@@ -477,7 +478,8 @@ def _scan_chunk(discs, x_rules, t_rule, w, sieve_cap: int, h_cap: int) -> list:
     return list(zip(discs, stats.run_jobs(jobs, stats.PrimeSource(sieve_cap))))
 
 
-# scan maps _scan_chunk over chunks of its D, dealt in turn so that each
+# scan maps _scan_chunk over chunks of its D (arith._fork_map, one child
+# process per chunk and the parent idle), dealt in turn so that each
 # holds D of every size and costs about the same; no more chunks than
 # _CHUNK_ABSD fits into their summed |D|: under the default rules a D's
 # work grows about like |D|, and a smaller chunk (tens of ms) does not pay
@@ -490,28 +492,6 @@ def _scan_chunks(discs: list[int], cpus: int) -> list[list[int]]:
     where the chunks would hold less than _CHUNK_ABSD summed |D| each."""
     n = max(1, min(cpus, len(discs), -sum(discs) // _CHUNK_ABSD))
     return [discs[i::n] for i in range(n)]
-
-
-def _chunk_map(fn, chunks: list) -> Iterable:
-    """fn over chunks, results in order.
-
-    One chunk, or one usable CPU: builtin map, in process.  Otherwise a
-    fork process pool with a worker per usable CPU, at most one per chunk;
-    each worker ignores SIGINT, so Ctrl-C reaches the parent only.  Leaving
-    the pool's with block terminates it, so every worker has ended when
-    this returns or raises, on an error or Ctrl-C too.
-    """
-    workers = min(arith.usable_cpus(), len(chunks))
-    if workers < 2:
-        return map(fn, chunks)
-    import multiprocessing
-    import signal
-
-    # fork, not spawn: a spawned worker would import numpy and this package
-    # again, about a fifth of the time of a 611-D scan on two cores
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-        return pool.map(fn, chunks)
 
 
 def cmd_scan(args) -> int:
@@ -528,10 +508,15 @@ def cmd_scan(args) -> int:
         _scan_chunk,
         x_rules=x_rules, t_rule=t_rule, w=w, sieve_cap=args.sieve_cap, h_cap=args.h_cap,
     )
+    # a chunk whose worker was lost fails each of its D with that loss
+    done = [
+        [(dv, res) for dv in chunk] if isinstance(res, arith.WorkerLost) else res
+        for chunk, res in zip(chunks, arith._fork_map(scan, chunks))
+    ]
     rows = []
     failures: list[Exception] = []
     # each chunk comes back in scan order, decreasing D; merge them into it
-    for dv, res in heapq.merge(*_chunk_map(scan, chunks), key=lambda r: -r[0]):
+    for dv, res in heapq.merge(*done, key=lambda r: -r[0]):
         if isinstance(res, dict):
             rows.append(res)
         else:

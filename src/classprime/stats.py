@@ -1,6 +1,7 @@
 """Distribution of prime ideals among ideal classes.
 
 Weighted per-class sums psi_A over prime-power ideal norms in [T, 2T],
+whose segment is split by class over forked children (arith._fork_map),
 their character transform psi_chi, the variance across classes computed
 two independent ways (definitional and spectral, which must agree to
 1e-9), least representable primes per class, and exceptional-class
@@ -123,13 +124,15 @@ def _pieces(lo: int, hi: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + _BLOCK - 1, hi)
 
 
-# A job yields requests (g, lo, hi): the norm interval [lo, hi], one of
-# _pieces, against the class group g.  It is sent, for each, (primes, chi,
-# idx): the primes in [lo, hi] and, as arith.interval_classes gives them,
-# chi_D(p) and a class above p, -1 for inert p; for split p the class of
-# (p, b) or its inverse, which every consumer here treats alike.  Its
-# return value is its result.
-Job = Generator[tuple[ClassGroup, int, int], tuple[np.ndarray, np.ndarray, np.ndarray], object]
+# A job yields requests (g, lo, hi) or (g, lo, hi, forms): the norm
+# interval [lo, hi], one of _pieces, against the class group g, and the
+# box forms to mark (arith.interval_classes; all of g.box_forms when forms
+# is None or left out).  It is sent, for each, (primes, chi, idx): the
+# primes in [lo, hi] and, as arith.interval_classes gives them, chi_D(p)
+# and a class above p, -1 for inert p; for split p the class of (p, b) or
+# its inverse, which every consumer here treats alike.  Its return value
+# is its result.
+Job = Generator[tuple, tuple[np.ndarray, np.ndarray, np.ndarray], object]
 
 # Lattice points a round of run_jobs covers (arith.box_points), unless one
 # request has more.  scan --range -2000 -3 in process (two chunks) takes
@@ -156,12 +159,12 @@ def run_jobs(jobs: Iterable[Job], source: PrimeSource) -> list:
     raises itself.  The other jobs go on.
     """
     results: list = []
-    asks: dict[int, tuple] = {}  # (job, g, lo, hi), in the order the jobs get their turn
+    asks: dict[int, tuple] = {}  # (job, request), in the order the jobs get their turn
     fresh = iter(jobs)
 
     def advance(i: int, job: Job, step, arg) -> None:
         try:
-            asks[i] = (job, *step(arg))
+            asks[i] = (job, step(arg))
         except StopIteration as stop:
             results[i] = stop.value
         except arith.LimitTooLarge as exc:
@@ -180,25 +183,24 @@ def run_jobs(jobs: Iterable[Job], source: PrimeSource) -> list:
         """One round: classify the primes of the requests live and send them."""
         requests = []
         for i in live:
-            job, g, lo, hi = asks.pop(i)
+            job, (g, lo, hi, *forms) = asks.pop(i)
             try:
                 primes = source.primes(lo, hi)
                 arith.check_prime_limit(primes, g.disc.value)
             except arith.LimitTooLarge as exc:
                 advance(i, job, job.throw, exc)
                 continue
-            requests.append((i, job, g, primes))
+            requests.append((i, job, (g, primes, *forms)))
         if not requests:  # every request of the round failed its limit check
             return
-        classified = arith.interval_classes([(g, primes) for _, _, g, primes in requests])
-        for (i, job, _, primes), chi_idx in zip(requests, classified):
+        classified = arith.interval_classes([req for _, _, req in requests])
+        for (i, job, (_, primes, *_)), chi_idx in zip(requests, classified):
             advance(i, job, job.send, (primes, *chi_idx))
 
     while True:
         live, points = [], 0
         for i in turns():
-            _, g, lo, hi = asks[i]
-            n = arith.box_points(g, lo, hi)
+            n = arith.box_points(*asks[i][1])
             if live and points + n > _ROUND_POINTS:
                 break
             live.append(i)
@@ -216,14 +218,13 @@ def _run_one(job: Job, sieve_cap: int):
     return res
 
 
-def psi_job(g: ClassGroup, T: float, w: Weight, sieve_cap: int) -> Job:
-    """psi_by_class as a job of run_jobs: the pieces of the norms up to
-    sqrt(2T), then of the segment, each added to one accumulator as it
-    comes back classified.  Its limits are checked before its first
-    request: T >= 2, the sieve cap at sqrt(2T) and 2T, and the 2^31 prime
-    -> class limit, named by the first prime past it: in a range that
-    starts below it and reaches it, sieved from 2^31; in a segment that
-    starts past it, its first prime, found by arith.next_prime."""
+def _psi_ranges(g: ClassGroup, T: float, sieve_cap: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The norm ranges of the psi sums, [2, sqrt(2T)] and the segment
+    [T, 2T] (past sqrt(2T)), once their limits are checked: T >= 2, the
+    sieve cap at sqrt(2T) and 2T, and the 2^31 prime -> class limit, named
+    by the first prime past it: in a range that starts below it and
+    reaches it, sieved from 2^31; in a segment that starts past it, its
+    first prime, found by arith.next_prime."""
     if T < 2:
         raise ValueError("T must be >= 2")
     hi = int(2 * T)
@@ -238,12 +239,39 @@ def psi_job(g: ClassGroup, T: float, w: Weight, sieve_cap: int) -> Job:
                 arith.check_prime_limit(primes, g.disc.value)
         elif lim <= lo <= top:  # found by a primality test: no base primes to sieve
             arith.check_prime_limit(np.array([arith.next_prime(lo)]), g.disc.value)
+    return small, segment
+
+
+def _own_classes(g: ClassGroup, forms: np.ndarray) -> np.ndarray:
+    """A mask of the classes box forms reach: each one's class and its inverse."""
+    own = np.zeros(g.h, dtype=bool)
+    own[forms[:, 3]] = True
+    own[g.inverse[forms[:, 3]]] = True
+    return own
+
+
+def _psi_sums(g: ClassGroup, T: float, w: Weight, small, segment, forms=None) -> Job:
+    """The psi sums over the checked ranges of _psi_ranges as a job: the
+    pieces of small, then of segment, each added to one accumulator as it
+    comes back classified.  With forms, rows of g.box_forms, the segment
+    requests mark only those forms and add terms only to the classes they
+    reach (_own_classes), whose sums are then those of the whole job, bit
+    for bit; the small primes are added whole."""
     acc = np.zeros(g.h)
     for lo, top in _pieces(*small):
         _psi_add_small_primes(acc, g, T, w, *(yield g, lo, top))
+    own = None if forms is None else _own_classes(g, forms)
     for lo, top in _pieces(*segment):
-        _psi_add_segment(acc, g, T, w, *(yield g, lo, top))
+        _psi_add_segment(acc, g, T, w, *(yield g, lo, top, forms), own)
     return acc
+
+
+def psi_job(g: ClassGroup, T: float, w: Weight, sieve_cap: int, forms=None) -> Job:
+    """psi_by_class as a job of run_jobs, its limits checked before its
+    first request (_psi_ranges).  With forms, rows of g.box_forms, its
+    segment requests name them and only the classes they reach, each
+    form's class and its inverse, get their sums; the rest are partial."""
+    return (yield from _psi_sums(g, T, w, *_psi_ranges(g, T, sieve_cap), forms))
 
 
 def psi_by_class(
@@ -256,10 +284,33 @@ def psi_by_class(
     Terms are products of math.log and weight_eval's value (math.exp on
     each prime, the rest in numpy, which rounds the same), added in
     ascending prime order, a split prime's conjugate directly after it, so
-    the result is bit-identical to a per-prime loop.  A run of one psi_job,
-    which checks the limits.
+    the result is bit-identical to a per-prime loop.
+
+    The limits are checked once, here.  The segment is then split by
+    class into n = min(usable CPUs, box forms, its box points //
+    _ROUND_POINTS) parts, part j marking g.box_forms[j::n], summed in
+    forked children (arith._fork_map), each with the whole small-prime
+    part; every class takes its sums from the one part whose forms reach
+    it, where they are the same terms added in the same order, so the
+    result is the same bits on any CPU count.  With n < 2, one job runs
+    in process.  A lost child raises arith.WorkerLost.
     """
-    return _run_one(psi_job(g, T, w, sieve_cap), sieve_cap)
+    small, segment = _psi_ranges(g, T, sieve_cap)
+    n = min(arith.usable_cpus(), len(g.box_forms), arith.box_points(g, *segment) // _ROUND_POINTS)
+    if n < 2:
+        return _run_one(_psi_sums(g, T, w, small, segment), sieve_cap)
+    parts = [g.box_forms[j::n] for j in range(n)]
+
+    def part(forms: np.ndarray) -> np.ndarray:
+        return _run_one(_psi_sums(g, T, w, small, segment, forms), sieve_cap)
+
+    out = np.zeros(g.h)
+    for forms, acc in zip(parts, arith._fork_map(part, parts)):
+        if isinstance(acc, arith.WorkerLost):
+            raise acc
+        own = _own_classes(g, forms)
+        out[own] = acc[own]
+    return out
 
 
 def _psi_add_small_primes(
@@ -323,10 +374,13 @@ def _weights(w: Weight, x: np.ndarray) -> np.ndarray:
 
 
 def _psi_add_segment(
-    acc: np.ndarray, g: ClassGroup, T: float, w: Weight, primes, chis, idxs
+    acc: np.ndarray, g: ClassGroup, T: float, w: Weight, primes, chis, idxs, own=None
 ) -> None:
-    """Add the first powers of segment primes (higher powers exceed 2T)."""
+    """Add the first powers of segment primes (higher powers exceed 2T),
+    only those of the classes of the mask own when it is given."""
     kept = chis != -1  # inert p has norm p^2 > 2T
+    if own is not None:
+        kept[kept] = own[idxs[kept]]
     ps, cls = primes[kept], idxs[kept]
     lw = _map_scalar(math.log, ps) * _weights(w, ps / T)
     # row i: prime i's class, then its conjugate's; C order adds them

@@ -630,6 +630,85 @@ def test_block_map_joins_every_thread_after_an_interrupted_join(monkeypatch):
     assert len(joins) == 3 and joins[0] is joins[1] is not joins[2]
 
 
+# processes: arith._fork_map
+
+forked = pytest.mark.skipif(
+    arith.usable_cpus() < 2, reason="a fork map needs two usable CPUs; tests start no more"
+)
+
+
+@forked
+def test_fork_map_deals_items_to_children_in_turn(monkeypatch):
+    # child i of 3 runs items i, i + 3, ...; none runs in the caller, and
+    # results come back in item order
+    import multiprocessing
+
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 3)
+    out = arith._fork_map(lambda i: (i, os.getpid()), range(7))
+    assert [i for i, _ in out] == list(range(7))
+    pids = [pid for _, pid in out]
+    assert pids == [pids[i % 3] for i in range(7)]
+    assert len(set(pids)) == 3 and os.getpid() not in pids
+    assert arith._fork_map(str, []) == []
+    assert multiprocessing.active_children() == []
+
+
+@forked
+@pytest.mark.parametrize("end,how", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was ended by signal SIGKILL"),
+    (lambda: os._exit(7), "exited with status 7"),
+])
+def test_fork_map_gives_a_lost_child_s_items_worker_lost(end, how, monkeypatch):
+    # the child of items 1 and 3 ends without sending: both get one
+    # WorkerLost, and the other child's results still come back
+    import multiprocessing
+
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 2)
+
+    def fn(i):
+        if i == 3:
+            end()
+        return i * i
+
+    out = arith._fork_map(fn, range(4))
+    assert out[0] == 0 and out[2] == 4
+    assert isinstance(out[1], arith.WorkerLost) and out[1] is out[3]
+    assert str(out[1]) == f"a worker process {how} before sending its results"
+    assert multiprocessing.active_children() == []
+
+
+@forked
+def test_fork_map_raises_what_a_child_raised(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 2)
+
+    def fn(i):
+        if i == 1:
+            raise ZeroDivisionError(f"item {i}")
+        return i
+
+    with pytest.raises(ZeroDivisionError, match="^item 1$"):
+        arith._fork_map(fn, range(2))
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_runs_inline_while_other_threads_run(monkeypatch):
+    # a fork copies only the calling thread, so with another thread alive
+    # the items run in the caller, as on one CPU or for one item
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 2)
+    assert arith._fork_map(lambda i: os.getpid(), [0]) == [os.getpid()]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert arith._fork_map(lambda i: os.getpid(), range(3)) == [os.getpid()] * 3
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+
+
 @pytest.mark.parametrize(
     "d,h",
     [(-3, 1), (-4, 1), (-23, 3), (-47, 5), (-71, 7), (-84, 4), (-163, 1), (-479, 25), (-10007, 77)],
@@ -884,6 +963,32 @@ def test_interval_classes_empty_request():
         assert chi.dtype == np.int8 and idx.dtype == np.int64
         assert len(chi) == len(idx) == 0
     assert [a.tolist() for a in got[1]] == [a.tolist() for a in solo]
+
+
+def test_interval_classes_with_named_forms_mark_only_theirs():
+    # a request naming some box forms reads the whole box's chi and class
+    # at the primes whose class or its inverse is a named form's, chi = -1
+    # and idx = -1 at the other odd primes not dividing D, and the closed
+    # forms at p = 2 and p | D (8 * -10007 is fundamental); box_points
+    # counts the named forms only
+    g = enumerate_reduced_forms(-80056)
+    primes = _primes_in(2, 30000)
+    [(chi, idx)] = interval_classes([(g, primes)])
+    scalar = (g.disc.value % primes == 0) | (primes == 2)
+    per_form = math.pi * 29999 / (2 * math.sqrt(80056)) + 1
+    for forms in (g.box_forms[1::3], g.box_forms[:1], g.box_forms[:0]):
+        own = np.zeros(g.h, dtype=bool)
+        own[forms[:, 3]] = own[g.inverse[forms[:, 3]]] = True
+        reached = (chi != -1) & own[idx] | scalar
+        alone = interval_classes([(g, primes, forms)])
+        beside = interval_classes([(g, primes, None), (g, primes, forms)])
+        assert [a.tolist() for a in beside[0]] == [chi.tolist(), idx.tolist()]
+        for chi_f, idx_f in (alone[0], beside[1]):
+            assert chi_f[reached].tolist() == chi[reached].tolist()
+            assert idx_f[reached].tolist() == idx[reached].tolist()
+            assert set(chi_f[~reached].tolist()) <= {-1} and set(idx_f[~reached].tolist()) <= {-1}
+        assert arith.box_points(g, 2, 30000, forms) == int(len(forms) * per_form)
+    assert arith.box_points(g, 2, 30000) == int(len(g.box_forms) * per_form)
 
 
 BATCH_DISCS = (-3, -4, -23, -84, -420, -1999, -3299)

@@ -3,7 +3,7 @@ import csv
 import io
 import json
 import math
-import multiprocessing.pool
+import multiprocessing.connection
 import os
 import pickle
 import re
@@ -376,8 +376,12 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 def test_cli_import_leaves_out_concurrent_futures_and_logging():
     # arith's threads are plain threading: concurrent.futures imports
-    # logging, which adds about 6.7 ms to every start-up
-    code = "import sys, classprime.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    # logging, which adds about 6.7 ms to every start-up; multiprocessing,
+    # about 8.5 ms, is imported by arith._fork_map when it first forks
+    code = (
+        "import sys, classprime.cli; "
+        "print(sorted({'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules)))"
+    )
     res = _python("-c", code)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
@@ -473,7 +477,7 @@ def _record_walks(monkeypatch) -> list[int]:
 
 
 def test_scan_counts_failures_exit_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_chunk_map", map)  # the walks run in this process
+    monkeypatch.setattr(arith, "_fork_map", map)  # the walks run in this process
     structured = _record_walks(monkeypatch)
     rc, out, err = run_cli(
         ["scan", "--range", "-60", "-3", "--h-cap", "1"], capsys
@@ -490,7 +494,7 @@ def test_scan_counts_failures_exit_2(monkeypatch, capsys):
 def test_scan_walks_no_group_over_the_h_cap(monkeypatch, capsys):
     # the cap is checked between a batch's enumeration and its walk, so a
     # D with h > 2 is never walked, and it fails with the cap's message
-    monkeypatch.setattr(cli, "_chunk_map", map)
+    monkeypatch.setattr(arith, "_fork_map", map)
     walked = _record_walks(monkeypatch)
     rc, out, err = run_cli(["scan", "--range", "-100", "-3", "--h-cap", "2"], capsys)
     assert rc == 2
@@ -810,7 +814,7 @@ def test_scan_classifies_in_few_rounds(monkeypatch, capsys):
     # per chunk, with a job per D, takes 36 calls in the 2 dealt chunks of
     # two CPUs (114 in rounds of 2^16 points).  In process, so that the
     # calls are counted here
-    monkeypatch.setattr(cli, "_chunk_map", map)
+    monkeypatch.setattr(arith, "_fork_map", map)
     monkeypatch.setattr(arith, "usable_cpus", lambda: 2)
     calls = []
     real = arith.interval_classes
@@ -868,7 +872,7 @@ def test_scan_with_a_constant_t_sieves_its_segment_once_per_chunk(monkeypatch, c
     # under --t-rule 3e6 every D asks for the segment [3e6, 6e6] in the
     # same two blocks past the table of the primes up to 2^21: each
     # chunk's PrimeSource sieves each block once, not again for every D
-    monkeypatch.setattr(cli, "_chunk_map", map)
+    monkeypatch.setattr(arith, "_fork_map", map)
     discs = list(qform.fundamental_discriminants(-50000, -49900))
     chunks = len(cli._scan_chunks(discs, arith.usable_cpus()))
     past = []
@@ -912,7 +916,7 @@ def test_scan_segment_past_the_prime_limit_fails_each_d_quickly(capsys):
 
 def test_scan_parses_each_rule_once(monkeypatch, capsys):
     # the two default x rules and the t rule, once each, not once per D
-    monkeypatch.setattr(cli, "_chunk_map", map)
+    monkeypatch.setattr(arith, "_fork_map", map)
     rules = []
     real = cli.parse_scale
     monkeypatch.setattr(cli, "parse_scale", lambda rule: rules.append(rule) or real(rule))
@@ -927,7 +931,7 @@ def test_scan_memory_stays_bounded(monkeypatch, capsys):
     # most 2^18 box forms, and the prime source a table of the primes up
     # to 2^21.  The bound holds per worker: in process, the chunks run one
     # after another
-    monkeypatch.setattr(cli, "_chunk_map", map)
+    monkeypatch.setattr(arith, "_fork_map", map)
     tracemalloc.start()
     try:
         rc = cli.main(["scan", "--range", "-2000", "-3", "--out", os.devnull])
@@ -949,6 +953,26 @@ def test_variance_memory_stays_bounded(capsys):
     tracemalloc.start()
     try:
         argv = ["variance", "--disc", "-10000019", "--t", "1e6", "--out", os.devnull]
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_variance_memory_stays_bounded(cpus, monkeypatch, capsys):
+    # at T = 1e7 the psi segment splits into one part per CPU; run here one
+    # after another, the parts keep under test_variance_memory_stays_bounded's
+    # bound (7.1 MiB, against 7.3 MiB for the whole segment in one job)
+    monkeypatch.setattr(arith, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(arith, "_fork_map", map)
+    classgroup.enumerate_reduced_forms(-23)  # numpy's first-use allocations stay outside
+    tracemalloc.start()
+    try:
+        argv = ["variance", "--disc", "-10000019", "--t", "1e7", "--out", os.devnull]
         rc = cli.main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -993,7 +1017,7 @@ def _worker_state(_chunk):
 
 @pooled
 def test_chunk_map_runs_in_workers_that_ignore_sigint():
-    state = list(cli._chunk_map(_worker_state, range(4)))
+    state = list(arith._fork_map(_worker_state, range(4)))
     assert {pid for pid, _ in state}.isdisjoint([os.getpid()])
     assert len({pid for pid, _ in state}) <= arith.usable_cpus()
     assert all(ignored for _, ignored in state)
@@ -1019,9 +1043,17 @@ def test_pooled_scan_matches_in_process(argv, break_at_1003, want_rc, monkeypatc
     assert len(cli._scan_chunks(discs, arith.usable_cpus())) > 1
     pooled_run = run_cli(argv, capsys)
     assert multiprocessing.active_children() == []
-    monkeypatch.setattr(cli, "_chunk_map", map)
+    monkeypatch.setattr(arith, "_fork_map", map)
     assert pooled_run == run_cli(argv, capsys)
     assert pooled_run[0] == want_rc
+
+
+def _interrupt_the_wait(monkeypatch) -> None:
+    """Ctrl-C, as it reaches the parent alone while _fork_map waits."""
+    def interrupted(objects, timeout=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
 
 
 @pooled
@@ -1037,16 +1069,98 @@ def test_pooled_scan_failure_ends_every_worker(crash, monkeypatch):
         def broken(g, T, w, **kw):
             time.sleep(60)
 
-        def interrupted(self, timeout=None):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(multiprocessing.pool.MapResult, "get", interrupted)
+        _interrupt_the_wait(monkeypatch)
     monkeypatch.setattr(stats, "variance_report", broken)
     t0 = time.monotonic()
     with pytest.raises(crash):
         cli.main(["scan", "--range", "-2000", "-3", "--out", os.devnull])
     assert multiprocessing.active_children() == []
     assert time.monotonic() - t0 < 30
+
+
+def _in_the_part_of_class_0(parent: int, act):
+    """stats._psi_add_segment that calls act() in the forked part whose
+    classes hold class 0, and adds as before everywhere else."""
+    real = stats._psi_add_segment
+
+    def add(acc, g, T, w, primes, chis, idxs, own=None):
+        if os.getpid() != parent and own is not None and own[0]:
+            act()
+        return real(acc, g, T, w, primes, chis, idxs, own)
+
+    return add
+
+
+@pooled
+@pytest.mark.parametrize("crash", [ZeroDivisionError, KeyboardInterrupt])
+def test_split_variance_failure_ends_every_worker(crash, monkeypatch):
+    # the psi parts of variance at T = 1e7 run in forked children: an
+    # internal error in one propagates, and Ctrl-C while the parent waits
+    # ends them, not waited for
+    if crash is ZeroDivisionError:
+        def act():
+            raise ZeroDivisionError("internal bug")
+    else:
+        def act():
+            time.sleep(60)
+
+        _interrupt_the_wait(monkeypatch)
+    monkeypatch.setattr(stats, "_psi_add_segment", _in_the_part_of_class_0(os.getpid(), act))
+    t0 = time.monotonic()
+    with pytest.raises(crash):
+        cli.main(["variance", "--disc", "-10000019", "--t", "1e7", "--out", os.devnull])
+    assert multiprocessing.active_children() == []
+    assert time.monotonic() - t0 < 30
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+_LOST = "a worker process was ended by signal SIGKILL before sending its results"
+
+
+@pooled
+def test_scan_with_a_killed_worker_fails_its_chunk(monkeypatch, capsys):
+    # the worker whose chunk holds D = -1003 is killed, as the OOM killer
+    # would: each D of that chunk fails with the loss, the other chunk's
+    # rows are printed, and the scan exits 2 at once
+    parent, real = os.getpid(), cli._scan_chunk
+
+    def dying(discs, *args, **kw):
+        if -1003 in discs and os.getpid() != parent:
+            _die()
+        return real(discs, *args, **kw)
+
+    argv = ["scan", "--range", "-2000", "-3"]
+    discs = list(qform.fundamental_discriminants(-2000, -3))
+    chunks = cli._scan_chunks(discs, arith.usable_cpus())
+    [lost] = [c for c in chunks if -1003 in c]
+    assert len(chunks) > 1
+    monkeypatch.setattr(cli, "_scan_chunk", dying)
+    t0 = time.monotonic()
+    rc, out, err = run_cli(argv, capsys)
+    assert time.monotonic() - t0 < 10
+    assert multiprocessing.active_children() == []
+    assert rc == 2
+    assert err.splitlines() == [f"scan: D={d} failed: {_LOST}" for d in sorted(lost, reverse=True)] + [
+        f"# failed={len(lost)}"
+    ]
+    monkeypatch.setattr(arith, "_fork_map", map)
+    monkeypatch.setattr(cli, "_scan_chunk", real)
+    _, whole, _ = run_cli(argv, capsys)
+    header, *rows = whole.splitlines()
+    assert out.splitlines() == [header] + [r for r in rows if int(r.split(",")[0]) not in lost]
+
+
+@pooled
+def test_variance_with_a_killed_worker_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(stats, "_psi_add_segment", _in_the_part_of_class_0(os.getpid(), _die))
+    t0 = time.monotonic()
+    rc, out, err = run_cli(["variance", "--disc", "-10000019", "--t", "1e7"], capsys)
+    assert time.monotonic() - t0 < 10
+    assert multiprocessing.active_children() == []
+    assert (rc, out, err) == (2, "", f"error: {_LOST}\n")
 
 
 @pooled
@@ -1254,7 +1368,7 @@ def test_every_argv_ends_in_a_documented_exit(command, data):
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
-        mp.setattr(cli, "_chunk_map", map)  # scan in process: no worker processes
+        mp.setattr(arith, "_fork_map", map)  # scan in process: no worker processes
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # argparse rejects an argument

@@ -687,12 +687,18 @@ def _sieved_past_table(monkeypatch, limit: int) -> list[tuple[int, int]]:
 def test_psi_segment_sieves_only_its_own_norms(monkeypatch):
     # variance --disc -10000019 --t 1e7: the segment [T, 2T] lies past the
     # table of the primes up to 2^21, and only it is sieved there, one
-    # block of at most 2^21 integers per request
+    # block of at most 2^21 integers per request; split in two parts, run
+    # here one after another, each part sieves the same blocks
     g = _group(-10000019)
     past = _sieved_past_table(monkeypatch, stats._TABLE_LIMIT)
-    psi_by_class(g, 1e7, bump_weight())
+    monkeypatch.setattr(arith, "_fork_map", map)
     hi = 2 * 10**7
-    assert past == [(lo, min(lo + stats._BLOCK - 1, hi)) for lo in range(10**7, hi + 1, stats._BLOCK)]
+    blocks = [(lo, min(lo + stats._BLOCK - 1, hi)) for lo in range(10**7, hi + 1, stats._BLOCK)]
+    for cpus in (1, 2):
+        monkeypatch.setattr(arith, "usable_cpus", lambda: cpus)
+        past.clear()
+        psi_by_class(g, 1e7, bump_weight())
+        assert past == blocks * cpus
 
 
 @pytest.mark.parametrize("limit", [0, 30, 1998, 2**21])
@@ -833,3 +839,60 @@ def test_run_jobs_starts_jobs_lazily_in_order(monkeypatch):
         waiting = {i for i in range(j) if before.count(("ask", i)) > before.count(("got", i))}
         r, end = ([r for r in rounds if r > k] + [len(log)] * 2)[:2]
         assert waiting <= {i for kind, i in log[r:end] if kind == "got"}
+
+
+# ---------------------------------------------------------------------------
+# psi sums split by class over forked parts
+
+def _parts_used(monkeypatch) -> list[int]:
+    """The number of parts of each psi split from here on; the parts run
+    in forked children as they would."""
+    used = []
+    real = arith._fork_map
+    monkeypatch.setattr(arith, "_fork_map", lambda fn, items: used.append(len(items)) or real(fn, items))
+    return used
+
+
+@pytest.mark.parametrize("d,T,round_points,parts", [
+    (-10000019, 1e7, stats._ROUND_POINTS, [2, 3]),  # T = 1e7 splits as it is
+    (-3054243, 1e5, 1 << 10, [2, 3]),  # -3 * 1009^2: 1009 divides the conductor
+    (-163, 1e5, 1 << 10, []),  # one box form: never split
+])
+def test_psi_split_is_bit_identical_on_any_cpu_count(d, T, round_points, parts, monkeypatch):
+    g = _group(d)
+    monkeypatch.setattr(stats, "_ROUND_POINTS", round_points)
+    used = _parts_used(monkeypatch)
+    for w in (bump_weight(), indicator_weight()):
+        got = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(arith, "usable_cpus", lambda: cpus)
+            got.append(psi_by_class(g, T, w).tobytes())
+        assert got[1] == got[0] and got[2] == got[0]
+    assert used == parts * 2
+
+
+@pytest.mark.parametrize("d,T", [(-3299, 2e3), (-3299, 2e5), (-84, 3e4), (-5460, 1e5)])
+def test_forced_psi_split_equals_per_prime_loop(d, T, monkeypatch):
+    # rounds of 128 points split even these small segments, the ramified
+    # prime 3299 inside [2000, 4000] included; the children inherit the
+    # patched budget
+    g = _group(d)
+    monkeypatch.setattr(stats, "_ROUND_POINTS", 1 << 7)
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 3)
+    used = _parts_used(monkeypatch)
+    for w in (bump_weight(), indicator_weight()):
+        assert psi_by_class(g, T, w).tolist() == _psi_by_class_reference(g, T, w)
+    assert used and all(n > 1 for n in used)
+
+
+def test_psi_job_with_named_forms_sums_only_their_classes():
+    # a part's job marks its forms only, and its sums are the whole job's
+    # at the classes those forms reach, each form's class and its inverse
+    g, w = _group(-3299), bump_weight()
+    whole = psi_by_class(g, 2e3, w)
+    forms = g.box_forms[1::3]
+    [part] = run_jobs([psi_job(g, 2e3, w, arith.SIEVE_CAP_DEFAULT, forms)], stats.PrimeSource())
+    own = np.zeros(g.h, dtype=bool)
+    own[forms[:, 3]] = own[g.inverse[forms[:, 3]]] = True
+    assert 0 < own.sum() < g.h
+    assert part[own].tobytes() == whole[own].tobytes()
