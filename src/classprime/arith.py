@@ -173,9 +173,10 @@ def _fork_map(fn, items: Sequence) -> list:
                 left.remove(i)
                 try:
                     # a child that has ended wrote all it will; one still
-                    # sending is read to the end of its message
+                    # sending is read to the end of its message, unless it
+                    # ends first (OSError)
                     sent = pipes[i].recv() if pipes[i].poll() else None
-                except EOFError:
+                except (EOFError, OSError):
                     sent = None
                 if sent is None:
                     procs[i].join()
@@ -488,18 +489,26 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     cols = np.vstack([np.concatenate(forms).T, -d[r], lo[r], hi[r], shift[r]])
     # y = 0 .. isqrt(4 a hi / |D|), and no row for an empty box
     rows = (_isqrt(4 * cols[0] * cols[6] // cols[4]) + 1) * (cols[5] <= cols[6])
+    # positions are int32, whose products numpy vectorises, while the label
+    # fits: along a run of values f(x) in [lo, hi] from x0, alpha k + beta =
+    # step (a (x + x0) + b y) stays within 4 sqrt(a hi) < 2^31 (a below
+    # sqrt(|D| / 3), hi and |D| below 2^31), (alpha k + beta) k = f(x) -
+    # f(x0) within hi - lo, and gamma = f(x0) + shift within 2 len(label)
+    pos = np.int32 if len(label) < 1 << 30 else np.int64
     for i, j in _passes(rows, _PASS_ROWS):
-        count, alpha, beta, gamma, mark = _box_runs(*cols[:, i:j], rows[i:j])
+        count, *coef, mark = _box_runs(*cols[:, i:j], rows[i:j])
+        alpha, beta, gamma = (c.astype(pos) for c in coef)
+        mark = mark.astype(label.dtype)
         for u, v in _passes(count, _PASS_POINTS):
             n = count[u:v]
-            k = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+            k = np.arange(int(n.sum()), dtype=pos) - np.repeat((np.cumsum(n) - n).astype(pos), n)
             q = np.repeat(alpha[u:v], n)
             q *= k
             q += np.repeat(beta[u:v], n)
             q *= k
             q += np.repeat(gamma[u:v], n)
             q >>= 1
-            label[q] = np.repeat(mark[u:v], n)
+            label[q.astype(np.intp, copy=False)] = np.repeat(mark[u:v], n)
             del k, q
     lens = [len(primes) for _, primes, _ in requests]
     ends = np.cumsum(lens)
@@ -510,11 +519,10 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     idx = label[at].astype(np.int64)
     del label, at  # so the read-out holds few arrays of the primes' size at once
     chi = np.where(idx >= 0, np.int8(1), np.int8(-1))
-    scalar = np.repeat(d, lens) % primes == 0
-    scalar |= primes == 2
-    hits = np.flatnonzero(scalar)
-    for i, j in zip(hits.tolist(), np.searchsorted(ends, hits, side="right").tolist()):
-        chi[i], idx[i] = _scalar_class(int(primes[i]), requests[j][0])
+    for (g, p, _), dv, start in zip(requests, d.tolist(), (ends - lens).tolist()):
+        near = p[:np.searchsorted(p, -dv, side="right")]  # p | D needs p <= |D|
+        for i in (start + np.flatnonzero((dv % near == 0) | (near == 2))).tolist():
+            chi[i], idx[i] = _scalar_class(int(primes[i]), g)
     return list(zip(np.split(chi, ends[:-1]), np.split(idx, ends[:-1])))
 
 

@@ -380,7 +380,11 @@ def _psi_add_segment(
     only those of the classes of the mask own when it is given."""
     kept = chis != -1  # inert p has norm p^2 > 2T
     if own is not None:
-        kept[kept] = own[idxs[kept]]
+        # a split prime was reached by a marked form, so its class is own;
+        # a ramified one (chi 0) takes its closed form's class, which may
+        # not be.  p = 2 lies below every segment.
+        ram = np.flatnonzero(chis == 0)
+        kept[ram] = own[idxs[ram]]
     ps, cls = primes[kept], idxs[kept]
     lw = _map_scalar(math.log, ps) * _weights(w, ps / T)
     # row i: prime i's class, then its conjugate's; C order adds them

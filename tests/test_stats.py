@@ -887,7 +887,9 @@ def test_forced_psi_split_equals_per_prime_loop(d, T, monkeypatch):
 
 def test_psi_job_with_named_forms_sums_only_their_classes():
     # a part's job marks its forms only, and its sums are the whole job's
-    # at the classes those forms reach, each form's class and its inverse
+    # at the classes those forms reach, each form's class and its inverse;
+    # the other classes get no segment term, not even the ramified 3299 in
+    # [2000, 4000], whose class these forms do not reach
     g, w = _group(-3299), bump_weight()
     whole = psi_by_class(g, 2e3, w)
     forms = g.box_forms[1::3]
@@ -896,3 +898,7 @@ def test_psi_job_with_named_forms_sums_only_their_classes():
     own[forms[:, 3]] = own[g.inverse[forms[:, 3]]] = True
     assert 0 < own.sum() < g.h
     assert part[own].tobytes() == whole[own].tobytes()
+    small, _ = stats._psi_ranges(g, 2e3, arith.SIEVE_CAP_DEFAULT)
+    [small_only] = run_jobs([stats._psi_sums(g, 2e3, w, small, (2, 1))], stats.PrimeSource())
+    assert not own[arith.classify_prime(3299, g).class_index]
+    assert part[~own].tobytes() == small_only[~own].tobytes()
