@@ -489,7 +489,7 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     cols = np.vstack([np.concatenate(forms).T, -d[r], lo[r], hi[r], shift[r]])
     # y = 0 .. isqrt(4 a hi / |D|), and no row for an empty box
     rows = (_isqrt(4 * cols[0] * cols[6] // cols[4]) + 1) * (cols[5] <= cols[6])
-    # positions are int32, whose products numpy vectorises, while the label
+    # positions are int32, whose products numpy runs faster, while the label
     # fits: along a run of values f(x) in [lo, hi] from x0, alpha k + beta =
     # step (a (x + x0) + b y) stays within 4 sqrt(a hi) < 2^31 (a below
     # sqrt(|D| / 3), hi and |D| below 2^31), (alpha k + beta) k = f(x) -
