@@ -953,6 +953,41 @@ def test_interval_classes_mark_only_their_own_interval():
     assert np.concatenate([idx for _, idx in parts]).tolist() == whole[1].tolist()
 
 
+def test_interval_classes_at_the_prime_limit_with_the_widest_form():
+    # the box where its int32 positions reach furthest: D = -(2^31 - 1),
+    # primes just below 2^31 and, beside the principal form, a reduced
+    # form with a near sqrt(|D| / 3).  A prime reads a form's class
+    # exactly when it is among that form's values, found row by row from
+    # s = 2 a x + b y, and chi = -1 where neither form reaches it
+    d = -(2**31 - 1)
+    a, b = next((a, b) for a in range(math.isqrt(-d // 3), 0, -1) for b in range(a, 0, -2)
+                if (b * b - d) % (4 * a) == 0 and b * b - d >= 4 * a * a)
+    abc = np.array([(1, 1, (1 - d) // 4), (a, b, (b * b - d) // (4 * a))], dtype=np.int64).T
+    g = ClassGroup(validate_discriminant(d), abc)
+    assert a > 26000
+    lo, hi = 2**31 - 2**21, 2**31 - 2
+    primes = _primes_in(lo, hi)
+
+    def values(fa, fb, fc):
+        # 4 a lo <= s^2 + |D| y^2 <= 4 a hi, both signs of s
+        out = set()
+        for y in range(math.isqrt(4 * fa * hi // -d) + 1):
+            top = math.isqrt(4 * fa * hi + d * y * y)
+            low = 4 * fa * lo + d * y * y
+            bottom = math.isqrt(low - 1) + 1 if low > 0 else 0
+            for s_lo, s_hi in ((bottom, top), (-top, -bottom)):
+                for x in range(-((fb * y - s_lo) // (2 * fa)), (s_hi - fb * y) // (2 * fa) + 1):
+                    out.add(fa * x * x + fb * x * y + fc * y * y)
+        return out
+
+    reach = [values(*f) for f in abc.T.tolist()]
+    want = [next((i for i, v in enumerate(reach) if p in v), -1) for p in primes.tolist()]
+    [(chi, idx)] = interval_classes([(g, primes)])
+    assert idx.tolist() == want
+    assert chi.tolist() == [1 if i >= 0 else -1 for i in want]
+    assert want.count(1) > 0  # the principal form's values there are even or squares
+
+
 def test_interval_classes_empty_request():
     # a request without primes gets empty arrays, alone or beside others
     g = enumerate_reduced_forms(-23)
