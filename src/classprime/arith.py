@@ -124,8 +124,9 @@ def _fork_map(fn, items: Sequence) -> list:
     sends their results, or the exception it raised, through a pipe.  fn
     and the items reach it by fork, so only results are pickled.  The
     caller only waits, on the pipes and the children's sentinels, and
-    results come back in item order.  An exception a child sent is raised;
-    a child that ends without sending gives each of its items a WorkerLost
+    results come back in item order.  An exception a child sent is raised,
+    a RuntimeError where it or the results cannot be pickled; a child that
+    ends without sending gives each of its items a WorkerLost
     naming its signal or exit status, and the others go on.  Every child
     is killed if still running and reaped before this returns or raises,
     on Ctrl-C too.  Inline on one CPU, for one item, or while other
@@ -146,7 +147,10 @@ def _fork_map(fn, items: Sequence) -> list:
             result = True, [fn(items[i]) for i in range(first, len(items), n)]
         except BaseException as exc:  # raised by the caller
             result = False, exc
-        conn.send(result)
+        try:
+            conn.send(result)  # pickled whole before any byte is written
+        except Exception as exc:
+            conn.send((False, RuntimeError(f"a worker's results could not be sent: {exc!r}")))
 
     ctx = multiprocessing.get_context("fork")
     out: list = [None] * len(items)

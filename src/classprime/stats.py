@@ -254,24 +254,28 @@ def _psi_sums(g: ClassGroup, T: float, w: Weight, small, segment, forms=None) ->
     """The psi sums over the checked ranges of _psi_ranges as a job: the
     pieces of small, then of segment, each added to one accumulator as it
     comes back classified.  With forms, rows of g.box_forms, the segment
-    requests mark only those forms and add terms only to the classes they
-    reach (_own_classes), whose sums are then those of the whole job, bit
-    for bit; the small primes are added whole."""
+    requests mark only those forms, so a split prime no named form reaches
+    reads chi = -1 and adds nothing; the sums of the classes the forms
+    reach (_own_classes) are then those of the whole job, bit for bit, and
+    the small primes are added whole."""
     acc = np.zeros(g.h)
     for lo, top in _pieces(*small):
         _psi_add_small_primes(acc, g, T, w, *(yield g, lo, top))
-    own = None if forms is None else _own_classes(g, forms)
     for lo, top in _pieces(*segment):
-        _psi_add_segment(acc, g, T, w, *(yield g, lo, top, forms), own)
+        _psi_add_segment(acc, g, T, w, *(yield g, lo, top, forms))
     return acc
 
 
-def psi_job(g: ClassGroup, T: float, w: Weight, sieve_cap: int, forms=None) -> Job:
+def psi_job(g: ClassGroup, T: float, w: Weight, sieve_cap: int) -> Job:
     """psi_by_class as a job of run_jobs, its limits checked before its
-    first request (_psi_ranges).  With forms, rows of g.box_forms, its
-    segment requests name them and only the classes they reach, each
-    form's class and its inverse, get their sums; the rest are partial."""
-    return (yield from _psi_sums(g, T, w, *_psi_ranges(g, T, sieve_cap), forms))
+    first request (_psi_ranges)."""
+    return (yield from _psi_sums(g, T, w, *_psi_ranges(g, T, sieve_cap)))
+
+
+# parts of a split psi segment at most: each forked part holds about
+# 13 MiB of its own pages (sieve, form box label, read-out arrays) at
+# T = 1e7 and 1e8, so the memory does not grow with the CPU count
+_PSI_PARTS = 4
 
 
 def psi_by_class(
@@ -287,8 +291,8 @@ def psi_by_class(
     the result is bit-identical to a per-prime loop.
 
     The limits are checked once, here.  The segment is then split by
-    class into n = min(usable CPUs, box forms, its box points //
-    _ROUND_POINTS) parts, part j marking g.box_forms[j::n], summed in
+    class into n = min(usable CPUs, _PSI_PARTS, box forms, its box points
+    // _ROUND_POINTS) parts, part j marking g.box_forms[j::n], summed in
     forked children (arith._fork_map), each with the whole small-prime
     part; every class takes its sums from the one part whose forms reach
     it, where they are the same terms added in the same order, so the
@@ -296,7 +300,8 @@ def psi_by_class(
     in process.  A lost child raises arith.WorkerLost.
     """
     small, segment = _psi_ranges(g, T, sieve_cap)
-    n = min(arith.usable_cpus(), len(g.box_forms), arith.box_points(g, *segment) // _ROUND_POINTS)
+    points = arith.box_points(g, *segment)
+    n = min(arith.usable_cpus(), _PSI_PARTS, len(g.box_forms), points // _ROUND_POINTS)
     if n < 2:
         return _run_one(_psi_sums(g, T, w, small, segment), sieve_cap)
     parts = [g.box_forms[j::n] for j in range(n)]
@@ -374,17 +379,10 @@ def _weights(w: Weight, x: np.ndarray) -> np.ndarray:
 
 
 def _psi_add_segment(
-    acc: np.ndarray, g: ClassGroup, T: float, w: Weight, primes, chis, idxs, own=None
+    acc: np.ndarray, g: ClassGroup, T: float, w: Weight, primes, chis, idxs
 ) -> None:
-    """Add the first powers of segment primes (higher powers exceed 2T),
-    only those of the classes of the mask own when it is given."""
+    """Add the first powers of segment primes (higher powers exceed 2T)."""
     kept = chis != -1  # inert p has norm p^2 > 2T
-    if own is not None:
-        # a split prime was reached by a marked form, so its class is own;
-        # a ramified one (chi 0) takes its closed form's class, which may
-        # not be.  p = 2 lies below every segment.
-        ram = np.flatnonzero(chis == 0)
-        kept[ram] = own[idxs[ram]]
     ps, cls = primes[kept], idxs[kept]
     lw = _map_scalar(math.log, ps) * _weights(w, ps / T)
     # row i: prime i's class, then its conjugate's; C order adds them

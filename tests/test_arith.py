@@ -693,6 +693,28 @@ def test_fork_map_raises_what_a_child_raised(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@forked
+@pytest.mark.parametrize("fails", [False, True])
+def test_fork_map_raises_an_internal_error_for_what_cannot_be_pickled(fails, monkeypatch):
+    # a result or an exception that holds a lambda cannot cross the pipe:
+    # the caller gets a RuntimeError, not a WorkerLost
+    import multiprocessing
+
+    monkeypatch.setattr(arith, "usable_cpus", lambda: 2)
+
+    def fn(i):
+        if i == 1:
+            if fails:
+                raise ZeroDivisionError(lambda: i)
+            return lambda: i
+        return i
+
+    with pytest.raises(RuntimeError, match="^a worker's results could not be sent: ") as err:
+        arith._fork_map(fn, range(2))
+    assert not isinstance(err.value, arith.WorkerLost)
+    assert multiprocessing.active_children() == []
+
+
 def test_fork_map_runs_inline_while_other_threads_run(monkeypatch):
     # a fork copies only the calling thread, so with another thread alive
     # the items run in the caller, as on one CPU or for one item

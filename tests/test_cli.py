@@ -1079,16 +1079,16 @@ def test_pooled_scan_failure_ends_every_worker(crash, monkeypatch):
 
 
 def _in_the_part_of_class_0(parent: int, act):
-    """stats._psi_add_segment that calls act() in the forked part whose
-    classes hold class 0, and adds as before everywhere else."""
-    real = stats._psi_add_segment
+    """stats._psi_sums that calls act() in the forked part whose classes
+    hold class 0, and sums as before everywhere else."""
+    real = stats._psi_sums
 
-    def add(acc, g, T, w, primes, chis, idxs, own=None):
-        if os.getpid() != parent and own is not None and own[0]:
+    def sums(g, T, w, small, segment, forms=None):
+        if os.getpid() != parent and forms is not None and stats._own_classes(g, forms)[0]:
             act()
-        return real(acc, g, T, w, primes, chis, idxs, own)
+        return real(g, T, w, small, segment, forms)
 
-    return add
+    return sums
 
 
 @pooled
@@ -1105,7 +1105,7 @@ def test_split_variance_failure_ends_every_worker(crash, monkeypatch):
             time.sleep(60)
 
         _interrupt_the_wait(monkeypatch)
-    monkeypatch.setattr(stats, "_psi_add_segment", _in_the_part_of_class_0(os.getpid(), act))
+    monkeypatch.setattr(stats, "_psi_sums", _in_the_part_of_class_0(os.getpid(), act))
     t0 = time.monotonic()
     with pytest.raises(crash):
         cli.main(["variance", "--disc", "-10000019", "--t", "1e7", "--out", os.devnull])
@@ -1155,7 +1155,7 @@ def test_scan_with_a_killed_worker_fails_its_chunk(monkeypatch, capsys):
 
 @pooled
 def test_variance_with_a_killed_worker_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(stats, "_psi_add_segment", _in_the_part_of_class_0(os.getpid(), _die))
+    monkeypatch.setattr(stats, "_psi_sums", _in_the_part_of_class_0(os.getpid(), _die))
     t0 = time.monotonic()
     rc, out, err = run_cli(["variance", "--disc", "-10000019", "--t", "1e7"], capsys)
     assert time.monotonic() - t0 < 10

@@ -871,34 +871,30 @@ def test_psi_split_is_bit_identical_on_any_cpu_count(d, T, round_points, parts, 
     assert used == parts * 2
 
 
+@pytest.mark.parametrize("cpus", [3, 64])
 @pytest.mark.parametrize("d,T", [(-3299, 2e3), (-3299, 2e5), (-84, 3e4), (-5460, 1e5)])
-def test_forced_psi_split_equals_per_prime_loop(d, T, monkeypatch):
+def test_forced_psi_split_equals_per_prime_loop(d, T, cpus, monkeypatch):
     # rounds of 128 points split even these small segments, the ramified
     # prime 3299 inside [2000, 4000] included; the children inherit the
-    # patched budget
+    # patched budget.  On 64 CPUs there are still _PSI_PARTS parts, so
+    # the memory does not grow with the CPU count
     g = _group(d)
     monkeypatch.setattr(stats, "_ROUND_POINTS", 1 << 7)
-    monkeypatch.setattr(arith, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(arith, "usable_cpus", lambda: cpus)
     used = _parts_used(monkeypatch)
     for w in (bump_weight(), indicator_weight()):
         assert psi_by_class(g, T, w).tolist() == _psi_by_class_reference(g, T, w)
-    assert used and all(n > 1 for n in used)
+    assert used == [min(cpus, stats._PSI_PARTS)] * 2
 
 
-def test_psi_job_with_named_forms_sums_only_their_classes():
+def test_psi_sums_with_named_forms_match_the_whole_at_their_classes():
     # a part's job marks its forms only, and its sums are the whole job's
-    # at the classes those forms reach, each form's class and its inverse;
-    # the other classes get no segment term, not even the ramified 3299 in
-    # [2000, 4000], whose class these forms do not reach
+    # at the classes those forms reach, each form's class and its inverse
     g, w = _group(-3299), bump_weight()
     whole = psi_by_class(g, 2e3, w)
     forms = g.box_forms[1::3]
-    [part] = run_jobs([psi_job(g, 2e3, w, arith.SIEVE_CAP_DEFAULT, forms)], stats.PrimeSource())
-    own = np.zeros(g.h, dtype=bool)
-    own[forms[:, 3]] = own[g.inverse[forms[:, 3]]] = True
+    ranges = stats._psi_ranges(g, 2e3, arith.SIEVE_CAP_DEFAULT)
+    [part] = run_jobs([stats._psi_sums(g, 2e3, w, *ranges, forms)], stats.PrimeSource())
+    own = stats._own_classes(g, forms)
     assert 0 < own.sum() < g.h
     assert part[own].tobytes() == whole[own].tobytes()
-    small, _ = stats._psi_ranges(g, 2e3, arith.SIEVE_CAP_DEFAULT)
-    [small_only] = run_jobs([stats._psi_sums(g, 2e3, w, small, (2, 1))], stats.PrimeSource())
-    assert not own[arith.classify_prime(3299, g).class_index]
-    assert part[~own].tobytes() == small_only[~own].tobytes()
