@@ -14,7 +14,11 @@ sieving past its table on a fixed block grid; the CSV tables of forms,
 least-primes and heegner at D = -340340 were frozen before those tables
 were written column by column; scan's failure paths (a sieve cap that
 fails some D, an h cap that fails some D), with their exit code and
-stderr, were frozen before one generator took over each scan D.
+stderr, were frozen before one generator took over each scan D;
+least-primes at D = -300000003, heegner at D = -10289639 (x cap 1e6,
+capped with classes left open) and forms at D = -1000000003 were frozen
+before the least-prime sweep narrowed its requests to the open classes
+and the form enumeration skipped the a that no form can have.
 Refactors must reproduce them.  Regenerate them only for a change that is meant to alter
 output.
 """
@@ -93,6 +97,15 @@ def _cases() -> list[tuple[str, list[str]]]:
         ["scan", "--range", "-100", "-3", "--sieve-cap", "1000"],
     ))
     cases.append(("scan_-30_-3_h-cap1.csv", ["scan", "--range", "-30", "-3", "--h-cap", "1"]))
+    # large |D|: a sweep to |D|/4 that narrows to the open classes, one
+    # that ends at its cap with classes open, and a form enumeration that
+    # skips most a
+    cases.append(("least-primes_-300000003.csv", ["least-primes", "--disc", "-300000003"]))
+    cases.append((
+        "heegner_-10289639.csv",
+        ["heegner", "--disc", "-10289639", "--x-cap", "1e6", "--l-terms", "20579278"],
+    ))
+    cases.append(("forms_-1000000003.csv", ["forms", "--disc", "-1000000003"]))
     return cases
 
 
