@@ -460,6 +460,8 @@ def interval_classes(requests) -> list[tuple[np.ndarray, np.ndarray]]:
     _scalar_class.  A request that names forms marks only their values: a
     prime that none of them reaches reads chi = -1 and idx = -1, as an
     inert prime does, while p = 2 and p | D still take the closed forms.
+    A psi part names its share of the box, and a least-prime sweep, once
+    it knows its first inert prime, the forms of the classes still open.
     No modular arithmetic is done.  Rows are enumerated
     in passes of at most _PASS_ROWS over every request together, and
     their points in passes of at most _PASS_POINTS, so memory beyond

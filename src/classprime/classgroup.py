@@ -195,19 +195,53 @@ def _passes(sizes: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
 
 
 def _pair_count(dv: int) -> int:
-    """The (a, b) pairs enumerate_groups tests for discriminant dv: the
-    sum over 1 <= a <= sqrt(|dv|/3) of (a - dv mod 2) // 2 + 1."""
+    """The (a, b) pairs enumerate_groups tests for discriminant dv at
+    most: the sum over 1 <= a <= sqrt(|dv|/3) of (a - dv mod 2) // 2 + 1,
+    before the a that give no form are skipped."""
     top = math.isqrt(-dv // 3)
     return (top + 1) ** 2 // 4 if dv & 1 else top + top * top // 4
 
 
 def batches(discs: list) -> Iterator[list]:
     """discs in consecutive batches of at most _FORM_PAIRS (a, b) pairs in
-    all, so that enumerate_groups tests a batch in one pass, or of one
-    discriminant with more alone."""
+    all, by _pair_count, so that enumerate_groups tests a batch in one
+    pass, or of one discriminant with more alone."""
     sizes = np.array([_pair_count(d) for d in discs], dtype=np.int64)
     for i, j in _passes(sizes, _FORM_PAIRS):
         yield discs[i:j]
+
+
+def _inert_odd_primes(dvs: np.ndarray, tops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, q): every odd prime q <= tops[k] with Legendre symbol
+    (dvs[k]/q) = -1, by Euler's criterion across all the d at once:
+    d^((q-1)/2) = -1 (mod q), in int64, since q^2 < 2^62."""
+    from .arith import _simple_sieve  # arith imports this module
+
+    q = _simple_sieve(int(tops.max()))[1:]
+    k, j = np.nonzero(q <= tops[:, None])
+    q = q[j]
+    base, e, power = dvs[k] % q, (q - 1) // 2, np.ones_like(q)
+    while e.any():
+        power = np.where(e & 1, power * base % q, power)
+        base, e = base * base % q, e >> 1
+    inert = power == q - 1
+    return k[inert], q[inert]
+
+
+def _roots_possible(dvs, tops, row_k, row_a) -> np.ndarray:
+    """A mask of the rows (k, a) for which b^2 = dvs[k] (mod 4a) may have a
+    root: none has when an odd prime q with (d/q) = -1 divides a, or when
+    a is even and d = 5 (mod 8), as then b is odd, b^2 = 1 (mod 8) and
+    4a | b^2 - d fails mod 8.  Exact for every d, fundamental or not."""
+    keep = ~((row_a & 1 == 0) & (dvs[row_k] % 8 == 5))
+    k, q = _inert_odd_primes(dvs, tops)
+    # the multiples j q <= tops[k] of each (k, q), j = 1, 2, ...; the row of
+    # (k, a) is start[k] + a - 1
+    start = np.cumsum(tops) - tops
+    n = tops[k] // q
+    j = np.arange(1, int(n.sum()) + 1) - np.repeat(np.cumsum(n) - n, n)
+    keep[np.repeat(start[k] - 1, n) + np.repeat(q, n) * j] = False
+    return keep
 
 
 def enumerate_groups(discs) -> list:
@@ -221,6 +255,9 @@ def enumerate_groups(discs) -> list:
     of every d are tested together in numpy passes of _FORM_PAIRS, each
     pair with a column naming its d: 4a | b^2 - d (in float64), c >= a
     and gcd(a, b, c) = 1, with the twin (a, -b, c) unless |b| = a or a = c.
+    Only the a for which b^2 = d (mod 4a) may have a root are paired
+    (_roots_possible, its Legendre symbols taken across all the d at
+    once), so _pair_count, which batches sizes with, is an upper bound.
     """
     out: list = []
     valid: list[tuple[int, Discriminant]] = []  # (place in out, d)
@@ -235,9 +272,12 @@ def enumerate_groups(discs) -> list:
         return out
     dvs = np.array([d.value for _, d in valid], dtype=np.int64)
     tops = np.array([math.isqrt(-d.value // 3) for _, d in valid], dtype=np.int64)
-    # one row per (d, a): the place of d in valid, and a
+    # one row per (d, a): the place of d in valid, and a; only the rows
+    # that can give a form are kept
     row_k = np.repeat(np.arange(len(valid)), tops)
     row_a = np.arange(1, len(row_k) + 1) - np.repeat(np.cumsum(tops) - tops, tops)
+    keep = _roots_possible(dvs, tops, row_k, row_a)
+    row_k, row_a = row_k[keep], row_a[keep]
     per_a = (row_a - (dvs[row_k] & 1)) // 2 + 1  # b = d mod 2, d mod 2 + 2, ..., <= a
     found = []
     for i, j in _passes(per_a, _FORM_PAIRS):

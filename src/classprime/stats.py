@@ -491,14 +491,19 @@ def variance(g: ClassGroup, T: float, w: Weight, **kw) -> float:
 def sweep_job(g: ClassGroup, x_cap: float, sieve_cap: int) -> Job:
     """_least_sweep as a job of run_jobs.
 
-    Asks for the pieces of the norms up to 16h + 64 first, that end
-    doubled until it reaches |D|/4, below which the principal class holds
-    no prime, then of norm intervals that double, and stops after the
-    piece that fills the last class: later primes cannot improve either
-    vector.  So the sieve goes only about as far as the sweep reaches,
-    and it classifies the same primes as if it had started at 16h + 64.
-    The norm variant differs only at the principal class, which inert
-    primes reach with norm p^2.
+    Asks for the pieces of norm intervals that double, from [2, 16h + 64],
+    and stops after the piece that fills the last class: later primes
+    cannot improve either vector.  When the form box of the norms up to
+    |D|/4, below which the principal class holds no prime, is small
+    (arith.box_points within _ROUND_POINTS), the first interval reaches
+    |D|/4 at once, 16h + 64 doubled until it does.  Once the first inert
+    prime is known, each request names only the box forms whose class or
+    inverse class is still open: a split prime that no named form reaches
+    reads chi = -1, as an inert one does, and take ignores it.  So the
+    sieve goes only about as far as the sweep reaches, the box marks only
+    the values that can still fill a class, and both vectors are those of
+    a per-prime loop.  The norm variant differs only at the principal
+    class, which inert primes reach with norm p^2.
     """
     hi = math.ceil(x_cap) - 1
     top = min(hi, sieve_cap)
@@ -521,15 +526,27 @@ def sweep_job(g: ClassGroup, x_cap: float, sieve_cap: int) -> Job:
         least[new] = first[new]
         return int(np.count_nonzero(new))
 
+    def request(a: int, b: int) -> tuple:
+        """[a, b] against g, naming the box forms of the open classes once
+        the first inert prime is known."""
+        if first_inert is None:
+            return g, a, b
+        cls = g.box_forms[:, 3]
+        open_ = least == 0
+        return g, a, b, g.box_forms[open_[cls] | open_[g.inverse[cls]]]
+
     # the principal form's values are (2x + b y)^2/4 + |D| y^2/4: squares
     # where y = 0, at least |D|/4 elsewhere, so the principal class holds
     # no prime below |D|/4
     lo, end = 2, 16 * g.h + 64
-    while 4 * end < -g.disc.value:
-        end *= 2
+    jump = end
+    while 4 * jump < -g.disc.value:
+        jump *= 2
+    if arith.box_points(g, 2, min(jump, top)) <= _ROUND_POINTS:
+        end = jump
     while lo <= top and filled < g.h:
         for a, b in _pieces(lo, min(end, top)):
-            filled += take(*(yield g, a, b))
+            filled += take(*(yield request(a, b)))
             if filled == g.h:
                 break
         lo, end = end + 1, 2 * end

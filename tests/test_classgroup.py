@@ -485,8 +485,9 @@ def test_commands_at_array_walk_size_build_no_form_objects():
 
 def test_enumeration_matches_the_pair_loop(monkeypatch):
     # every discriminant down to -3000, non-fundamental ones included, and
-    # one near -10^7; small passes split the pairs of one a across passes
-    discs = [d for d in range(-3, -3001, -1) if d % 4 in (0, 1)] + [-10000019]
+    # two near -10^7, -10012811 = 5 (mod 8) with every even a skipped;
+    # small passes split the pairs of one a across passes
+    discs = [d for d in range(-3, -3001, -1) if d % 4 in (0, 1)] + [-10000019, -10012811]
     for d in discs:
         g = classgroup.enumerate_reduced_forms(d)
         assert list(g.elements) == reference_reduced_forms(d)
@@ -496,3 +497,31 @@ def test_enumeration_matches_the_pair_loop(monkeypatch):
         assert list(classgroup.enumerate_reduced_forms(d).elements) == (
             reference_reduced_forms(d)
         )
+    assert [enumerate_reduced_forms(d).h for d in INT64_EDGE_DISCS] == [19865, 6942, 17408]
+
+
+def _rows_kept(discs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows (k, a) of enumerate_groups over discs, and the mask of
+    those classgroup._roots_possible keeps."""
+    dvs = np.array(discs, dtype=np.int64)
+    tops = np.array([math.isqrt(-d // 3) for d in discs], dtype=np.int64)
+    row_k = np.repeat(np.arange(len(discs)), tops)
+    row_a = np.arange(1, len(row_k) + 1) - np.repeat(np.cumsum(tops) - tops, tops)
+    return row_k, row_a, classgroup._roots_possible(dvs, tops, row_k, row_a)
+
+
+def test_skipped_rows_have_no_square_root():
+    # every d down to -3000 in one batch: no a that is skipped has a b
+    # with b^2 = d (mod 4a), whatever its form would be (reduced or not,
+    # primitive or not), so the skip is exact for every discriminant
+    discs = [d for d in range(-3, -3001, -1) if d % 4 in (0, 1)]
+    row_k, row_a, keep = _rows_kept(discs)
+    for k, a in zip(row_k[~keep].tolist(), row_a[~keep].tolist()):
+        assert all((b * b - discs[k]) % (4 * a) for b in range(2 * a)), (discs[k], a)
+    assert 0 < (~keep).sum() < len(keep)
+    # the share of the (a, b) pairs left at the largest |D| the CLI tests
+    discs = [-10000019, -10289639, -1000000003, -2147483647]
+    row_k, row_a, keep = _rows_kept(discs)
+    pairs = (row_a - (np.array(discs)[row_k] & 1)) // 2 + 1
+    left = [pairs[keep & (row_k == k)].sum() / pairs[row_k == k].sum() for k in range(len(discs))]
+    assert [round(x, 2) for x in left] == [0.19, 0.63, 0.08, 0.19]

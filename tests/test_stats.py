@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import re
 from typing import Optional
 
 import mpmath
@@ -34,7 +35,8 @@ from classprime.stats import (
     variance_report,
     weight_eval,
 )
-from oracles import characters, evaluate, prime_power_class, scalar_class
+from oracles import characters, evaluate, kronecker, prime_power_class, scalar_class
+from test_classgroup import INT64_EDGE_DISCS
 
 
 def _group(d):
@@ -495,7 +497,7 @@ def _counting_prime_classes(monkeypatch) -> list[int]:
     real = arith.interval_classes
 
     def counting(requests):
-        counted.append(sum(len(primes) for _, primes in requests))
+        counted.append(sum(len(primes) for _, primes, *_ in requests))
         return real(requests)
 
     monkeypatch.setattr(arith, "interval_classes", counting)
@@ -522,17 +524,100 @@ def test_least_sweep_slices_double_across_blocks():
     assert max(lp) > 2 * 2**20 and None not in lp
 
 
-@pytest.mark.parametrize("d,x_cap,calls,primes", [(-10000019, 1e12, 2, 191182), (-10289639, 1e6, 1, 78498)])
-def test_least_sweep_starts_at_the_principal_floor(d, x_cap, calls, primes, monkeypatch):
-    # the principal class holds no prime below |D|/4, so the first slice
-    # reaches it; first slices of 16h + 64 classified the same primes in 9
-    # and 5 calls (least-primes --disc -10000019, heegner --disc -10289639
-    # --x-cap 1e6)
+def _sweep_requests(monkeypatch) -> list[tuple]:
+    """(g, primes, forms) of each request classified from here on; forms
+    is None where the request marks the whole box."""
+    asked = []
+    real = arith.interval_classes
+
+    def spy(requests):
+        asked.extend((g, primes, forms[0] if forms else None) for g, primes, *forms in requests)
+        return real(requests)
+
+    monkeypatch.setattr(arith, "interval_classes", spy)
+    return asked
+
+
+@pytest.mark.parametrize("d,x_cap,principal,reached,left_open", [
+    (-10000019, 1e12, 2500187, 2500187, []),
+    (-10289639, 1e6, None, 999983, [0, 17, 18]),
+], ids=["-10000019", "-10289639"])
+def test_least_sweep_starts_at_the_principal_floor(d, x_cap, principal, reached, left_open, monkeypatch):
+    # the principal class holds no prime below |D|/4, but the box of the
+    # norms up to |D|/4 is large at these D, so the sweep doubles from
+    # 16h + 64 and, once the first inert prime is known, marks only the
+    # forms of open classes: the requests that mark the whole box end
+    # below 2^19.  least-primes --disc -10000019 still ends in the piece
+    # of the principal class's least prime, 2,500,187, just past |D|/4;
+    # heegner --disc -10289639 --x-cap 1e6 reaches its cap with the same
+    # 3 classes open.  Reading up to |D|/4 whole, the parent took 2 calls
+    # and 191,182 primes, and 1 call and 78,498 primes
     g = _group(d)
-    counted = _counting_prime_classes(monkeypatch)
-    _least_sweep(g, x_cap)
-    assert len(counted) == calls
-    assert sum(counted) == primes
+    asked = _sweep_requests(monkeypatch)
+    lp, _, _ = _least_sweep(g, x_cap)
+    assert max(int(p[-1]) for _, p, forms in asked if forms is None) < 2**19
+    last = asked[-1][1]
+    assert last[0] <= reached <= last[-1]
+    assert lp[0] == principal
+    assert [i for i, p in enumerate(lp) if p is None] == left_open
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_of(d: int, x_cap: float):
+    """_least_sweep_reference at D = d, or the exception it raises."""
+    try:
+        return _least_sweep_reference(enumerate_reduced_forms(d), x_cap)
+    except Exception as exc:
+        return exc
+
+
+def _check_named_forms(g, asked, least, first_inert) -> None:
+    """Every request up to the one holding first_inert marks the whole box,
+    and every later one only forms whose class or inverse class is open at
+    its first prime, every open class reached by one of them."""
+    inv = g.inverse
+    whole = True
+    for _, primes, forms in asked:
+        if whole:
+            assert forms is None
+            whole = not (len(primes) and primes[0] <= first_inert <= primes[-1])
+            continue
+        assert forms is not None
+        if not len(primes):
+            continue
+        open_ = np.array([p is None or p >= primes[0] for p in least])
+        cls = forms[:, 3]
+        assert (open_[cls] | open_[inv[cls]]).all()
+        reached = np.zeros(g.h, dtype=bool)
+        reached[cls] = reached[inv[cls]] = True
+        assert not (open_ & ~reached).any()
+
+
+@pytest.mark.parametrize("d,x_cap", [
+    (-23, 1e3), (-3299, 1e4), (-340340, 3e5), (-2700, 1e4), (-10000019, 3e6),
+    (-10289639, 1e6), *((d, 6e5) for d in INT64_EDGE_DISCS),
+])
+def test_narrowed_sweep_equals_per_prime_loop(d, x_cap, monkeypatch):
+    # as run, and with a round budget of one point, under which every sweep
+    # here doubles from 16h + 64 and so narrows early.  -2700 is not
+    # fundamental: both raise the same InvalidIdealBasis at p = 2.  The
+    # sweep at -10289639 ends at its cap with classes open
+    g = enumerate_reduced_forms(d)
+    want = _reference_of(d, x_cap)
+    first_inert = next(
+        (p for p in arith.sieve_primes(int(x_cap)).tolist() if kronecker(d, p) == -1), math.inf
+    )
+    for round_points in (stats._ROUND_POINTS, 1):
+        monkeypatch.setattr(stats, "_ROUND_POINTS", round_points)
+        asked = _sweep_requests(monkeypatch)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+                _least_sweep(g, x_cap)
+            continue
+        lp, ln, capped = _least_sweep(g, x_cap)
+        assert (lp, ln) == want and not capped
+        _check_named_forms(g, asked, lp, first_inert)
+    assert any(forms is not None for _, _, forms in asked) == (d not in (-2700, -23))
 
 
 def _largest_sieved(monkeypatch) -> list[int]:
@@ -782,7 +867,9 @@ def test_rounds_keep_to_their_pair_budget(monkeypatch):
     real = arith.interval_classes
 
     def recording(requests):
-        points = sum(arith.box_points(g, primes[0], primes[-1]) for g, primes in requests)
+        points = sum(
+            arith.box_points(g, primes[0], primes[-1], *forms) for g, primes, *forms in requests
+        )
         rounds.append((points, len(requests)))
         return real(requests)
 
