@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from classprime import arith
-from classprime.classgroup import enumerate_reduced_forms, group_structure
+from classprime.classgroup import InvalidIdealBasis, enumerate_reduced_forms, group_structure
 from classprime.qform import QuadForm
 from classprime import stats
 from classprime.stats import (
@@ -550,8 +550,9 @@ def test_least_sweep_starts_at_the_principal_floor(d, x_cap, principal, reached,
     # below 2^19.  least-primes --disc -10000019 still ends in the piece
     # of the principal class's least prime, 2,500,187, just past |D|/4;
     # heegner --disc -10289639 --x-cap 1e6 reaches its cap with the same
-    # 3 classes open.  Reading up to |D|/4 whole, the parent took 2 calls
-    # and 191,182 primes, and 1 call and 78,498 primes
+    # 3 classes open.  Reading up to |D|/4 in its first request, with the
+    # whole box, the sweep took 2 calls and 191,182 primes, and 1 call and
+    # 78,498 primes
     g = _group(d)
     asked = _sweep_requests(monkeypatch)
     lp, _, _ = _least_sweep(g, x_cap)
@@ -560,15 +561,6 @@ def test_least_sweep_starts_at_the_principal_floor(d, x_cap, principal, reached,
     assert last[0] <= reached <= last[-1]
     assert lp[0] == principal
     assert [i for i, p in enumerate(lp) if p is None] == left_open
-
-
-@functools.lru_cache(maxsize=None)
-def _reference_of(d: int, x_cap: float):
-    """_least_sweep_reference at D = d, or the exception it raises."""
-    try:
-        return _least_sweep_reference(enumerate_reduced_forms(d), x_cap)
-    except Exception as exc:
-        return exc
 
 
 def _check_named_forms(g, asked, least, first_inert) -> None:
@@ -603,13 +595,17 @@ def test_narrowed_sweep_equals_per_prime_loop(d, x_cap, monkeypatch):
     # fundamental: both raise the same InvalidIdealBasis at p = 2.  The
     # sweep at -10289639 ends at its cap with classes open
     g = enumerate_reduced_forms(d)
-    want = _reference_of(d, x_cap)
+    try:
+        want = _least_sweep_reference(g, x_cap)
+    except InvalidIdealBasis as exc:
+        want = exc
     first_inert = next(
         (p for p in arith.sieve_primes(int(x_cap)).tolist() if kronecker(d, p) == -1), math.inf
     )
+    asked = _sweep_requests(monkeypatch)
     for round_points in (stats._ROUND_POINTS, 1):
         monkeypatch.setattr(stats, "_ROUND_POINTS", round_points)
-        asked = _sweep_requests(monkeypatch)
+        asked.clear()
         if isinstance(want, Exception):
             with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
                 _least_sweep(g, x_cap)
@@ -617,6 +613,8 @@ def test_narrowed_sweep_equals_per_prime_loop(d, x_cap, monkeypatch):
         lp, ln, capped = _least_sweep(g, x_cap)
         assert (lp, ln) == want and not capped
         _check_named_forms(g, asked, lp, first_inert)
+    # under the budget of one point every sweep here that gets past its
+    # first request narrows; -23 fills its classes in it
     assert any(forms is not None for _, _, forms in asked) == (d not in (-2700, -23))
 
 
