@@ -391,14 +391,13 @@ def _marked(g: ClassGroup, forms: Optional[np.ndarray] = None) -> np.ndarray:
     return g.box_forms if forms is None else forms
 
 
-def box_points(g: ClassGroup, lo: int, hi: int, forms: Optional[np.ndarray] = None) -> int:
+def box_points(g: ClassGroup, lo: int, hi: int) -> int:
     """About the lattice points interval_classes enumerates for [lo, hi]
-    against g: per form marked (forms, all of g.box_forms by default), the
-    area pi (hi - lo) / (2 sqrt|D|) of its odd values over y >= 0, plus
-    one."""
+    against the whole box of g: per form of g.box_forms, the area
+    pi (hi - lo) / (2 sqrt|D|) of its odd values over y >= 0, plus one."""
     absd = -g.disc.value
     per_form = math.pi * max(hi - lo + 1, 0) / (2 * math.sqrt(absd)) + 1
-    return int(len(_marked(g, forms)) * per_form)
+    return int(len(g.box_forms) * per_form)
 
 
 def _box_runs(a, b, c, cls, absd, lo, hi, shift, rows):

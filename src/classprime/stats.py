@@ -136,8 +136,8 @@ Job = Generator[tuple, tuple[np.ndarray, np.ndarray, np.ndarray], object]
 
 # Lattice points a round of run_jobs covers (arith.box_points), unless one
 # request has more.  scan --range -2000 -3 in process (two chunks) takes
-# 114, 36 and 16 rounds at 2^16, 2^18 and 2^20 points, for tracemalloc
-# peaks of 6.4, 6.6 and 8.8 MiB.
+# 114, 37 and 17 rounds at 2^16, 2^18 and 2^20 points, for tracemalloc
+# peaks of 6.3, 6.0 and 8.2 MiB.
 _ROUND_POINTS = 1 << 18
 
 
@@ -145,9 +145,11 @@ def run_jobs(jobs: Iterable[Job], source: PrimeSource) -> list:
     """Run each job and return the results, in the order of jobs.
 
     Each round moves unfinished jobs on by one request each, in turn, as
-    many as fit in _ROUND_POINTS lattice points of the form box over their
-    norm intervals, or one larger request alone: it takes their primes
-    from source and one arith.interval_classes call classifies them all.
+    many as fit in _ROUND_POINTS lattice points of the whole form box over
+    their norm intervals, or one larger request alone: it takes their
+    primes from source and one arith.interval_classes call classifies them
+    all.  A request that names fewer forms counts the whole box too, as
+    the call's label takes a byte per norm of its interval all the same.
     A round that takes every waiting request also starts the next jobs,
     while their first requests fit in it.  So the jobs in flight hold at
     most _ROUND_POINTS box forms in all (a request covers at least one
@@ -200,7 +202,7 @@ def run_jobs(jobs: Iterable[Job], source: PrimeSource) -> list:
     while True:
         live, points = [], 0
         for i in turns():
-            n = arith.box_points(*asks[i][1])
+            n = arith.box_points(*asks[i][1][:3])
             if live and points + n > _ROUND_POINTS:
                 break
             live.append(i)
@@ -493,17 +495,14 @@ def sweep_job(g: ClassGroup, x_cap: float, sieve_cap: int) -> Job:
 
     Asks for the pieces of norm intervals that double, from [2, 16h + 64],
     and stops after the piece that fills the last class: later primes
-    cannot improve either vector.  When the form box of the norms up to
-    |D|/4, below which the principal class holds no prime, is small
-    (arith.box_points within _ROUND_POINTS), the first interval reaches
-    |D|/4 at once, 16h + 64 doubled until it does.  Once the first inert
-    prime is known, each request names only the box forms whose class or
-    inverse class is still open: a split prime that no named form reaches
-    reads chi = -1, as an inert one does, and take ignores it.  So the
-    sieve goes only about as far as the sweep reaches, the box marks only
-    the values that can still fill a class, and both vectors are those of
-    a per-prime loop.  The norm variant differs only at the principal
-    class, which inert primes reach with norm p^2.
+    cannot improve either vector.  Once the first inert prime is known,
+    each request names only the box forms whose class or inverse class is
+    still open: a split prime that no named form reaches reads chi = -1,
+    as an inert one does, and take ignores it.  So the sieve goes only
+    about as far as the sweep reaches, the box marks only the values that
+    can still fill a class, and both vectors are those of a per-prime
+    loop.  The norm variant differs only at the principal class, which
+    inert primes reach with norm p^2.
     """
     hi = math.ceil(x_cap) - 1
     top = min(hi, sieve_cap)
@@ -535,15 +534,7 @@ def sweep_job(g: ClassGroup, x_cap: float, sieve_cap: int) -> Job:
         open_ = least == 0
         return g, a, b, g.box_forms[open_[cls] | open_[g.inverse[cls]]]
 
-    # the principal form's values are (2x + b y)^2/4 + |D| y^2/4: squares
-    # where y = 0, at least |D|/4 elsewhere, so the principal class holds
-    # no prime below |D|/4
     lo, end = 2, 16 * g.h + 64
-    jump = end
-    while 4 * jump < -g.disc.value:
-        jump *= 2
-    if arith.box_points(g, 2, min(jump, top)) <= _ROUND_POINTS:
-        end = jump
     while lo <= top and filled < g.h:
         for a, b in _pieces(lo, min(end, top)):
             filled += take(*(yield request(a, b)))

@@ -1026,8 +1026,7 @@ def test_interval_classes_with_named_forms_mark_only_theirs():
     # a request naming some box forms reads the whole box's chi and class
     # at the primes whose class or its inverse is a named form's, chi = -1
     # and idx = -1 at the other odd primes not dividing D, and the closed
-    # forms at p = 2 and p | D (8 * -10007 is fundamental); box_points
-    # counts the named forms only
+    # forms at p = 2 and p | D (8 * -10007 is fundamental)
     g = enumerate_reduced_forms(-80056)
     primes = _primes_in(2, 30000)
     [(chi, idx)] = interval_classes([(g, primes)])
@@ -1044,7 +1043,6 @@ def test_interval_classes_with_named_forms_mark_only_theirs():
             assert chi_f[reached].tolist() == chi[reached].tolist()
             assert idx_f[reached].tolist() == idx[reached].tolist()
             assert set(chi_f[~reached].tolist()) <= {-1} and set(idx_f[~reached].tolist()) <= {-1}
-        assert arith.box_points(g, 2, 30000, forms) == int(len(forms) * per_form)
     assert arith.box_points(g, 2, 30000) == int(len(g.box_forms) * per_form)
 
 

@@ -943,6 +943,25 @@ def test_scan_memory_stays_bounded(monkeypatch, capsys):
     assert peak < 8 * 2**20
 
 
+def test_scan_memory_stays_bounded_at_large_d(monkeypatch, capsys):
+    # tracemalloc peak 14.3 MiB: past their first inert prime the sweeps
+    # mark only the forms of open classes, yet interval_classes still takes
+    # a byte per norm of their intervals, so a round counts each request's
+    # whole box.  Counting only the named forms, a round took the late
+    # pieces of every D of the range at once, for a peak of 52.6 MiB
+    monkeypatch.setattr(arith, "_fork_map", map)
+    tracemalloc.start()
+    try:
+        argv = ["scan", "--range", "-10000050", "-10000001", "--t-rule", "h", "--out", os.devnull]
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 24 * 2**20
+
+
 def test_variance_memory_stays_bounded(capsys):
     # about 3 * 10^5 lattice points in the segment [10^6, 2 * 10^6], one
     # part of the table of the primes up to 2^21: enumerated in one pass,

@@ -543,16 +543,13 @@ def _sweep_requests(monkeypatch) -> list[tuple]:
     (-10289639, 1e6, None, 999983, [0, 17, 18]),
 ], ids=["-10000019", "-10289639"])
 def test_least_sweep_starts_at_the_principal_floor(d, x_cap, principal, reached, left_open, monkeypatch):
-    # the principal class holds no prime below |D|/4, but the box of the
-    # norms up to |D|/4 is large at these D, so the sweep doubles from
-    # 16h + 64 and, once the first inert prime is known, marks only the
-    # forms of open classes: the requests that mark the whole box end
-    # below 2^19.  least-primes --disc -10000019 still ends in the piece
+    # the principal class holds no prime below |D|/4, yet the sweep
+    # doubles from 16h + 64 and, once the first inert prime is known,
+    # marks only the forms of open classes: the requests that mark the
+    # whole box end below 2^19.  least-primes --disc -10000019 still ends in the piece
     # of the principal class's least prime, 2,500,187, just past |D|/4;
     # heegner --disc -10289639 --x-cap 1e6 reaches its cap with the same
-    # 3 classes open.  Reading up to |D|/4 in its first request, with the
-    # whole box, the sweep took 2 calls and 191,182 primes, and 1 call and
-    # 78,498 primes
+    # 3 classes open
     g = _group(d)
     asked = _sweep_requests(monkeypatch)
     lp, _, _ = _least_sweep(g, x_cap)
@@ -590,32 +587,27 @@ def _check_named_forms(g, asked, least, first_inert) -> None:
     (-10289639, 1e6), *((d, 6e5) for d in INT64_EDGE_DISCS),
 ])
 def test_narrowed_sweep_equals_per_prime_loop(d, x_cap, monkeypatch):
-    # as run, and with a round budget of one point, under which every sweep
-    # here doubles from 16h + 64 and so narrows early.  -2700 is not
-    # fundamental: both raise the same InvalidIdealBasis at p = 2.  The
-    # sweep at -10289639 ends at its cap with classes open
+    # -2700 is not fundamental: both raise the same InvalidIdealBasis at
+    # p = 2.  The sweep at -10289639 ends at its cap with classes open
     g = enumerate_reduced_forms(d)
     try:
         want = _least_sweep_reference(g, x_cap)
     except InvalidIdealBasis as exc:
         want = exc
+    asked = _sweep_requests(monkeypatch)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
+            _least_sweep(g, x_cap)
+        return
     first_inert = next(
         (p for p in arith.sieve_primes(int(x_cap)).tolist() if kronecker(d, p) == -1), math.inf
     )
-    asked = _sweep_requests(monkeypatch)
-    for round_points in (stats._ROUND_POINTS, 1):
-        monkeypatch.setattr(stats, "_ROUND_POINTS", round_points)
-        asked.clear()
-        if isinstance(want, Exception):
-            with pytest.raises(type(want), match=f"^{re.escape(str(want))}$"):
-                _least_sweep(g, x_cap)
-            continue
-        lp, ln, capped = _least_sweep(g, x_cap)
-        assert (lp, ln) == want and not capped
-        _check_named_forms(g, asked, lp, first_inert)
-    # under the budget of one point every sweep here that gets past its
-    # first request narrows; -23 fills its classes in it
-    assert any(forms is not None for _, _, forms in asked) == (d not in (-2700, -23))
+    lp, ln, capped = _least_sweep(g, x_cap)
+    assert (lp, ln) == want and not capped
+    _check_named_forms(g, asked, lp, first_inert)
+    # every sweep here but that of -23, which fills its classes in its
+    # first request, narrows
+    assert any(forms is not None for _, _, forms in asked) == (d != -23)
 
 
 def _largest_sieved(monkeypatch) -> list[int]:
@@ -865,9 +857,7 @@ def test_rounds_keep_to_their_pair_budget(monkeypatch):
     real = arith.interval_classes
 
     def recording(requests):
-        points = sum(
-            arith.box_points(g, primes[0], primes[-1], *forms) for g, primes, *forms in requests
-        )
+        points = sum(arith.box_points(g, primes[0], primes[-1]) for g, primes, *_ in requests)
         rounds.append((points, len(requests)))
         return real(requests)
 
